@@ -1006,9 +1006,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: a parser is a web of reference cycles
+# that only a full garbage collection frees, so a parser per call would grow
+# an in-process caller's memory with every call.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args.config, args.command)
         opts = _Options(args, config)

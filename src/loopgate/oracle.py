@@ -5,18 +5,28 @@ Nothing here trusts the closed-form phases.  The Hamiltonian
     H(t) = -i * (f(t) a_dag - conj(f(t)) a) (x) C
 
 is built as an explicit matrix on spin (x) oscillator, the evolution is the
-ordered product of per-step exponentials exp(-i H(t_mid) dt), and phases are
-read off the propagated states: the total phase from the argument of the
-overlap with the initial state (accumulated step by step so it never wraps),
-the dynamic phase from the running integral of <H>.  Comparing these against
-the analytic formulas is the package's independent check.
+ordered product of midpoint steps exp(-i H(t_mid) dt), and phases are read
+off the propagated states: the total phase from the argument of the overlap
+with the initial state (accumulated step by step so it never wraps), the
+dynamic phase from the running integral of <H>.  Comparing these against the
+analytic formulas is the package's independent check.
 
-Each per-step exponential is evaluated exactly (to rounding) through the
+Each step matrix is evaluated exactly (to rounding) through the
 eigendecomposition of the displacement generator: H(t) restricted to a
 conditioner eigenvalue beta equals |g| times a rotated position quadrature
 with g = beta * f(t), whose eigenbasis differs from that of a + a_dag only by
 a number-operator phase twist.  A unit test pins this step matrix against a
 scaling-and-squaring dense exponential.
+
+The same twist makes the product cheap on a closed-form segment: while the
+midpoints stay in one segment of frequency delta, g_k = g_0 exp(-i delta dt k),
+so the step matrices are S_k = L^k S_0 L^-k with L = diag(exp(-i delta dt n)).
+The product over such a run is L^K M^K with M = L^-1 S_0, which one
+eigendecomposition of M evaluates at every grid point.  Runs shorter than a
+measured break-even (``_MIN_RUN_STEPS``, or ``_MIN_RUN_STEPS_WITH_OPERATOR``
+when the operator is tracked) and callable segments take the per-step loop.
+Either way the results equal the per-step product up to rounding; a unit
+test holds the two paths together.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .drives import DriveProfile, alpha_array, f_array
+from .drives import DriveProfile, _locate, alpha_array, f_array
 from .errors import TruncationError, UndefinedPhaseError
 from .phasespace import PhaseDecomposition, PhasePoint, analytic_total_phase, decompose
 
@@ -43,6 +53,16 @@ DEFAULT_LEAKAGE_TOL = 1e-6
 
 # Eigenvalues closer than this are treated as one spin sector.
 _EIGENVALUE_RESOLUTION = 1e-12
+
+# Shortest run of closed-form steps evaluated through one eigendecomposition
+# instead of step by step; shorter runs cost less in the per-step loop.  The
+# break-evens were measured at n_max 64, one BLAS thread; smaller spaces break
+# even sooner.
+_MIN_RUN_STEPS = 120
+_MIN_RUN_STEPS_WITH_OPERATOR = 40
+
+# Series points per chunk in a closed-form run.
+_CHUNK_ROWS = 64
 
 SCHEMA_VERSION = 1
 
@@ -248,6 +268,62 @@ def _sector_step_apply(vec, Dc, D, QcT, Qc, phase_vec):
     return D * v
 
 
+def _closed_form_run(
+    psi, g0, frequency, dt, initial_fock, w, Qc, sq, overlaps, energies, leakages, with_operator
+):
+    """Advance ``psi`` over ``overlaps.size`` midpoint steps of one closed-form segment.
+
+    Inside the run g_j = g0 * exp(-i frequency dt j), so the step matrices are
+    S_j = L^j S_0 L^-j with L = diag(exp(-i frequency dt n)), and the state
+    after j steps is L^j M^j psi with M = L^-1 S_0.  M is unitary, so its
+    eigendecomposition M = Z diag(exp(i theta)) Z^-1 is well conditioned;
+    with c = Z^-1 psi, every series point is a row of Z against
+    exp(i theta j) * c.  The midpoint energy of step j equals
+    <phi_j|H_0|phi_j> with phi_j = M^j psi, because the half step commutes
+    with the step Hamiltonian H_j = L^j H_0 L^-j.
+
+    Fills ``overlaps`` and ``leakages`` with the points after steps 1..K and
+    ``energies`` with the midpoint energies of steps 0..K-1.  Returns the final
+    state and, with ``with_operator``, the operator of the whole run.
+    """
+    steps = overlaps.size
+    dim = psi.size
+    nvec = np.arange(dim)
+    D = np.exp(1j * (np.angle(g0) - 0.5 * np.pi) * nvec)
+    step = (D[:, None] * Qc * np.exp(-1j * abs(g0) * dt * w)) @ (Qc.T * np.conj(D))
+    turn = np.exp(1j * frequency * dt * nvec)
+    eigenvalues, Z = np.linalg.eig(turn[:, None] * step)
+    theta = np.angle(eigenvalues)
+    Zinv = np.linalg.inv(Z)
+    c = Zinv @ psi
+    h0 = -1j * g0 * np.diag(sq, -1) + 1j * np.conj(g0) * np.diag(sq, 1)
+    energy_form = (Z.conj().T @ h0 @ Z).T
+    # Rows that read point j + 1 off the coefficients v_j = exp(i theta j) * c;
+    # L^(j+1) adds the phase overlap_turn * (j + 1) to the overlap element and
+    # leaves the top-level population alone.
+    one_step = np.exp(1j * theta)
+    overlap_row = Z[initial_fock] * one_step
+    top_row = Z[-1] * one_step
+    overlap_turn = -frequency * dt * initial_fock
+
+    # Chunks of _CHUNK_ROWS points keep every temporary at (_CHUNK_ROWS, dim).
+    base = np.exp(1j * np.outer(np.arange(_CHUNK_ROWS), theta))
+    for j0 in range(0, steps, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, steps - j0)
+        v = base[:rows] * (np.exp(1j * theta * j0) * c)
+        chunk = slice(j0, j0 + rows)
+        twist = np.exp(1j * overlap_turn * np.arange(j0 + 1, j0 + rows + 1))
+        overlaps[chunk] = (v @ overlap_row) * twist
+        energies[chunk] = np.real(np.sum(np.conj(v) * (v @ energy_form), axis=1))
+        leakages[chunk] = np.abs(v @ top_row) ** 2
+
+    spin = np.exp(1j * theta * steps)
+    shift = np.exp(-1j * frequency * dt * steps * nvec)
+    psi = shift * (Z @ (spin * c))
+    run_operator = shift[:, None] * ((Z * spin) @ Zinv) if with_operator else None
+    return psi, run_operator
+
+
 def _propagate_sector(
     eigenvalue: float,
     drive: DriveProfile,
@@ -274,6 +350,11 @@ def _propagate_sector(
     dt = tau / steps
     t_mid = (np.arange(steps) + 0.5) * dt
     g_mid = eigenvalue * f_array(drive, t_mid)
+    # Runs of consecutive steps whose midpoints share one segment.
+    segment_index, _ = _locate(drive, t_mid)
+    run_edges = np.concatenate([[0], np.flatnonzero(np.diff(segment_index)) + 1, [steps]])
+    run_segments = [drive.segments[i] for i in segment_index[run_edges[:-1]]]
+    min_run = _MIN_RUN_STEPS_WITH_OPERATOR if with_operator else _MIN_RUN_STEPS
 
     sq = np.sqrt(np.arange(1.0, dim))
     X = np.diag(sq, 1) + np.diag(sq, -1)
@@ -293,41 +374,60 @@ def _propagate_sector(
     leakage_series[0] = float(abs(psi[space.n_max]) ** 2)
 
     dynamic = 0.0
-    for k in range(steps):
-        g = g_mid[k]
-        mag = abs(g)
-        if mag < 1e-300:
-            overlap_series[k + 1] = overlap_series[k]
-            dynamic_series[k + 1] = dynamic
-            leakage_series[k + 1] = leakage_series[k]
+    for k0, k1, segment in zip(run_edges[:-1], run_edges[1:], run_segments):
+        run = slice(k0 + 1, k1 + 1)
+        if segment.func is None and abs(g_mid[k0]) < 1e-300:
+            overlap_series[run] = overlap_series[k0]
+            dynamic_series[run] = dynamic
+            leakage_series[run] = leakage_series[k0]
             continue
-        ph = np.angle(g) - 0.5 * np.pi
-        D = np.exp(1j * ph * nvec)
-        Dc = np.conj(D)
-        half = np.exp(-1j * mag * (0.5 * dt) * w)
+        if segment.func is None and k1 - k0 >= min_run:
+            psi, run_operator = _closed_form_run(
+                psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Qc, sq,
+                overlap_series[run], dynamic_series[run], leakage_series[run], with_operator,
+            )
+            # The run filled dynamic_series[run] with its step energies.
+            dynamic_series[run] = dynamic - dt * np.cumsum(dynamic_series[run])
+            dynamic = float(dynamic_series[k1])
+            if with_operator:
+                operator = run_operator @ operator
+            continue
 
-        psi_mid = _sector_step_apply(psi, Dc, D, QcT, Qc, half)
-        # <H> at the midpoint: H = -i g a_dag + i conj(g) a.
-        a_psi = np.empty(dim, dtype=complex)
-        a_psi[:-1] = sq * psi_mid[1:]
-        a_psi[-1] = 0.0
-        ad_psi = np.empty(dim, dtype=complex)
-        ad_psi[0] = 0.0
-        ad_psi[1:] = sq * psi_mid[:-1]
-        energy = float(np.real(np.vdot(psi_mid, -1j * g * ad_psi + 1j * np.conj(g) * a_psi)))
-        dynamic -= energy * dt
-        psi = _sector_step_apply(psi_mid, Dc, D, QcT, Qc, half)
+        for k in range(k0, k1):
+            g = g_mid[k]
+            mag = abs(g)
+            if mag < 1e-300:
+                overlap_series[k + 1] = overlap_series[k]
+                dynamic_series[k + 1] = dynamic
+                leakage_series[k + 1] = leakage_series[k]
+                continue
+            ph = np.angle(g) - 0.5 * np.pi
+            D = np.exp(1j * ph * nvec)
+            Dc = np.conj(D)
+            half = np.exp(-1j * mag * (0.5 * dt) * w)
 
-        if with_operator:
-            M = Dc[:, None] * operator
-            M = QcT @ M
-            M = (half * half)[:, None] * M
-            M = Qc @ M
-            operator = D[:, None] * M
+            psi_mid = _sector_step_apply(psi, Dc, D, QcT, Qc, half)
+            # <H> at the midpoint: H = -i g a_dag + i conj(g) a.
+            a_psi = np.empty(dim, dtype=complex)
+            a_psi[:-1] = sq * psi_mid[1:]
+            a_psi[-1] = 0.0
+            ad_psi = np.empty(dim, dtype=complex)
+            ad_psi[0] = 0.0
+            ad_psi[1:] = sq * psi_mid[:-1]
+            energy = float(np.real(np.vdot(psi_mid, -1j * g * ad_psi + 1j * np.conj(g) * a_psi)))
+            dynamic -= energy * dt
+            psi = _sector_step_apply(psi_mid, Dc, D, QcT, Qc, half)
 
-        overlap_series[k + 1] = psi[initial_fock]
-        dynamic_series[k + 1] = dynamic
-        leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
+            if with_operator:
+                M = Dc[:, None] * operator
+                M = QcT @ M
+                M = (half * half)[:, None] * M
+                M = Qc @ M
+                operator = D[:, None] * M
+
+            overlap_series[k + 1] = psi[initial_fock]
+            dynamic_series[k + 1] = dynamic
+            leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
 
     defect = None
     if with_operator:
@@ -372,6 +472,13 @@ def propagate(
     space.  Per-basis-state phases are recombined through the conditioner
     eigenbasis, which reduces to plain per-state propagation for diagonal
     conditioners.
+
+    On each run of at least ``_MIN_RUN_STEPS`` steps (``_MIN_RUN_STEPS_WITH_OPERATOR``
+    with ``with_operator``) whose midpoints lie in one closed-form segment, the
+    product is evaluated in closed form from S_k = L^k S_0 L^-k with
+    L = diag(exp(-i frequency dt n)); shorter runs and callable segments are
+    stepped one exponential at a time.  Both give the per-step product up to
+    rounding.
 
     ``space=None`` picks :func:`default_space` (n_max = 64, escalated when
     the loop grows).  ``sample_times`` requests phase snapshots on grid

@@ -329,11 +329,12 @@ def timing_error_sweep(
     Each row evaluates the evolution up to tau = T * (1 + epsilon): the total
     phase is Phi(tau) in closed form (the phase relations hold at every
     endpoint, so geometric = -Phi and dynamic = 2*Phi still), and the fidelity
-    column compares the vacuum-conditioned two-qubit map, renormalized to the
-    nearest unitary, against the ideal gate at the nominal period.  The phase
-    error Phi(tau) - Phi(T) vanishes to third order in epsilon, which the
-    metadata records as a log-log slope over the rows with |epsilon| in
-    [1e-3, 1e-2] (when at least two such rows exist).
+    column compares the analytic phase gate phase_gate(Phi(tau)) against the
+    ideal gate phase_gate(Phi(T)) at the nominal period.  With oracle
+    settings, ``oracle_deviation`` is |oracle total phase - Phi(tau)| for
+    state du.  The phase error Phi(tau) - Phi(T) vanishes to third order in
+    epsilon, which the metadata records as a log-log slope over the rows with
+    |epsilon| in [1e-3, 1e-2] (when at least two such rows exist).
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: argument handling, config layering, outputs, exits."""
 
+import gc
 import json
 import math
 
@@ -559,6 +560,16 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path):
         assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_repeated_calls_leave_little_cyclic_garbage(capsys):
+    # main reuses one argument parser; building one per call left some 500
+    # objects in reference cycles behind on every call.
+    argv = ["phase", "--omega-over-delta", "0.5"]
+    run_json(capsys, *argv)
+    gc.collect()
+    run_json(capsys, *argv)
+    assert gc.collect() < 100
 
 
 def test_version_flag(capsys):

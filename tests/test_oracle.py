@@ -2,8 +2,9 @@
 
 The oracle is the package's independent referee, so these tests check it
 against yet another layer of references: scipy dense exponentials for the
-stepping itself, closed forms for the physics, and explicit bookkeeping for
-the per-state recombination.
+stepping itself, the per-step loop for the closed-form segment runs, closed
+forms for the physics, and explicit bookkeeping for the per-state
+recombination.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from loopgate import oracle
 from loopgate.drives import (
     ConstantDriveParams,
     DriveProfile,
@@ -21,7 +23,12 @@ from loopgate.drives import (
     four_pulse_sequence,
 )
 from loopgate.errors import TruncationError, UndefinedPhaseError
-from loopgate.gates import collective_gate, jy_conditioner, jz_conditioner
+from loopgate.gates import (
+    collective_gate,
+    jy_conditioner,
+    jz_conditioner,
+    odd_parity_projector,
+)
 from loopgate.oracle import (
     DEFAULT_N_MAX,
     FockSpace,
@@ -417,3 +424,113 @@ def test_report_dict_contents(headline_run):
     assert report["geometric_phase"][1] == pytest.approx(
         -HEADLINE_PHASE, abs=1e-5
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form segment runs reproduce the per-step midpoint product
+
+
+def _stepped_twin(drive):
+    """Same f(t) as callable segments, which the oracle steps one at a time."""
+    segments = tuple(
+        DriveSegment(
+            duration=s.duration,
+            func=lambda t, s=s: s.amplitude * np.exp(-1j * s.frequency * t),
+        )
+        for s in drive.segments
+    )
+    return DriveProfile(segments=segments, conditioner=drive.conditioner)
+
+
+def _polygon(amplitudes, durations):
+    return four_pulse_sequence(amplitudes, durations, conditioner=odd_parity_projector())
+
+
+def _boundary_polygon(steps):
+    # A power-of-two step dt and durations in multiples of dt / 2 make every
+    # segment start an exact step midpoint of the grid with tau = steps * dt.
+    dt = 2.0 ** -math.floor(math.log2(steps / 2.5))
+    durations = (0.5 + dt / 2.0, 0.75, 0.75, steps * dt - 2.0 - dt / 2.0)
+    chords = (0.5, 0.5j, -0.5, -0.5j)
+    drive = _polygon([-c / d for c, d in zip(chords, durations)], durations)
+    midpoints = (np.arange(steps) + 0.5) * (drive.total_duration / steps)
+    assert np.all(np.isin(drive.segment_starts[1:], midpoints))
+    return drive
+
+
+# case: (drive builder taking the step count, propagate keyword arguments).
+# The default space, n_max 16, holds |beta * alpha| up to 1; the headline
+# loop reaches 2 under jz and jy.
+EQUIVALENCE_CASES = {
+    "headline-odd-parity": (lambda steps: headline_drive(), {"with_operator": True}),
+    "headline-jz": (lambda steps: headline_drive(jz_conditioner()), {"space": FockSpace(24)}),
+    "headline-jy": (lambda steps: headline_drive(jy_conditioner()), {"space": FockSpace(24)}),
+    "boundary-polygon": (_boundary_polygon, {"with_operator": True}),
+    # Two detuned tones cut short of a period: the frame turn L^K of the
+    # first run carries into the second, and into the operator.
+    "two-tones": (
+        lambda steps: DriveProfile(
+            segments=(
+                DriveSegment(duration=1.7, amplitude=-0.4, frequency=1.0),
+                DriveSegment(duration=2.1, amplitude=0.3j, frequency=-0.8),
+            ),
+            conditioner=odd_parity_projector(),
+        ),
+        {"with_operator": True},
+    ),
+    # n_max 8 leaves a top-level population of about 1e-11 for the zero
+    # pulses to carry over.
+    "zero-middle-pulse": (
+        lambda steps: _polygon((-0.4, 0.0, 0.4j, 0.0), (1.0, 0.7, 1.0, 1.3)),
+        {"space": FockSpace(8)},
+    ),
+    "tau-mid-segment": (lambda steps: headline_drive(), {"tau": 0.6 * TWO_PI}),
+    # <1|D(alpha)|1> vanishes at |alpha| = 1, which the headline loop reaches;
+    # radius 0.3 keeps the level-1 overlap, and so its phase, well defined.
+    "initial-fock-1": (
+        lambda steps: constant_drive(ConstantDriveParams(omega_d=0.3, delta=1.0)),
+        {"initial_fock": 1},
+    ),
+    "sample-times": (
+        lambda steps: headline_drive(),
+        {"sample_times": [0.0, math.pi, TWO_PI]},
+    ),
+    # At 20k steps the last pulse gets 20 steps: below both break-evens.
+    "short-run": (
+        lambda steps: _polygon((-0.4, -0.4j, 0.4, 0.4j), (1.0, 1.0, 1.0, 0.003)),
+        {"with_operator": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+@pytest.mark.parametrize(
+    "steps,tol,force_closed_form", [(20_000, 1e-9, False), (48, 1e-12, True)]
+)
+def test_closed_form_runs_match_per_step_product(
+    case, steps, tol, force_closed_form, monkeypatch
+):
+    if force_closed_form:
+        # 48 steps would never leave the per-step loop; send every run of
+        # the closed-form drive through its closed form instead.
+        monkeypatch.setattr(oracle, "_MIN_RUN_STEPS", 1)
+        monkeypatch.setattr(oracle, "_MIN_RUN_STEPS_WITH_OPERATOR", 1)
+    make_drive, kwargs = EQUIVALENCE_CASES[case]
+    kwargs = {"with_operator": False, "space": FockSpace(16), **kwargs}
+    drive = make_drive(steps)
+    closed = propagate(drive, steps=steps, **kwargs)
+    stepped = propagate(_stepped_twin(drive), steps=steps, **kwargs)
+
+    for name in ("total_phase", "dynamic_phase", "overlap_modulus", "min_overlap_modulus"):
+        assert np.max(np.abs(getattr(closed, name) - getattr(stepped, name))) < tol, name
+    assert abs(closed.leakage - stepped.leakage) < tol
+    for a, b in zip(closed.sectors, stepped.sectors, strict=True):
+        for name in ("overlap_series", "dynamic_series", "leakage_series"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < tol, name
+        if kwargs["with_operator"]:
+            assert np.max(np.abs(a.evolution - b.evolution)) < 1e-10
+    if kwargs["with_operator"]:
+        assert np.max(np.abs(closed.joint_matrix() - stepped.joint_matrix())) < 1e-10
+    if "sample_times" in kwargs:
+        for name in ("times", "total_phase", "dynamic_phase", "leakage"):
+            assert np.max(np.abs(closed.samples[name] - stepped.samples[name])) < tol, name
