@@ -55,6 +55,7 @@ from .gates import (
     apply_local_phase_correction,
     collective_gate,
     cz_gate,
+    diagonal_gate,
     gate_fidelity,
     is_nontrivial,
     jy_conditioner,
@@ -72,14 +73,12 @@ from .oracle import (
 )
 from .phasespace import (
     PhaseDecomposition,
-    PhasePoint,
     Trajectory,
     analytic_total_phase,
     analytic_trajectory,
     decompose,
     dynamic_phase,
     geometric_phase,
-    noncyclic_geometric_phase,
 )
 from .robustness import (
     OracleSettings,
@@ -108,7 +107,6 @@ __all__ = [
     "NonUnitaryError",
     "OracleSettings",
     "PhaseDecomposition",
-    "PhasePoint",
     "SingularDetuningError",
     "SpinConditioner",
     "SweepReport",
@@ -129,6 +127,7 @@ __all__ = [
     "cz_gate",
     "decompose",
     "design_constant_drive",
+    "diagonal_gate",
     "drive_from_dict",
     "drive_to_dict",
     "dynamic_phase",
@@ -142,7 +141,6 @@ __all__ = [
     "jy_conditioner",
     "jy_squared_gate",
     "jz_conditioner",
-    "noncyclic_geometric_phase",
     "noncyclic_scan",
     "odd_parity_projector",
     "phase_gate",

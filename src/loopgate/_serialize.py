@@ -34,9 +34,11 @@ def format_tree(data):
 
 
 def csv_number(value) -> str:
-    """Fixed CSV cell formatting: 12 significant digits, empty for None."""
+    """Fixed CSV cell formatting: 12 significant digits, empty for None, text as is."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, int):

@@ -17,9 +17,12 @@ Five subcommands:
 ``design``
     Inverse design of a constant drive for a target one-period phase.
 
-Every command accepts ``--config FILE`` (a JSON object whose keys mirror the
-long flags with underscores; explicit flags override config values; unknown
-keys are rejected), ``--format json|csv``, and ``--out PATH``.  Without
+Each flag is defined once, in ``_FLAGS``; ``_COMMANDS`` lists the flags each
+subcommand takes, and both the argument parser and the config-file schema
+are built from those two tables.  Every command accepts ``--config FILE`` (a
+JSON object whose keys are the command's flag names with underscores;
+explicit flags override config values; unknown keys are rejected),
+``--format json|csv``, and ``--out PATH``.  Numbers must be finite.  Without
 ``--out`` the report goes to stdout, byte-identical across runs with the
 same inputs.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -31,10 +34,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from . import drives
 from ._serialize import csv_number, format_tree
@@ -54,10 +56,10 @@ from .errors import (
 )
 from .gates import (
     BASIS_LABELS,
-    TwoQubitGate,
     apply_local_phase_correction,
     collective_gate,
     cz_gate,
+    diagonal_gate,
     gate_fidelity,
     is_nontrivial,
     jy_squared_gate,
@@ -75,12 +77,12 @@ from .oracle import (
 )
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
-    PhaseDecomposition,
     analytic_total_phase,
     decompose,
 )
 from .robustness import (
     AREA_STUDY_SAMPLES,
+    ETA_SWEEP_PARAMETERS,
     ETA_SWEEP_SAMPLES,
     NONCYCLIC_ANALYTIC_TOL,
     NONCYCLIC_ORACLE_TOL,
@@ -119,80 +121,20 @@ _NUMERICAL_ERRORS = (
     UndefinedPhaseError,
 )
 
-_SHARED_CONFIG_KEYS = {"schema_version", "command", "format", "out"}
-_COMMAND_CONFIG_KEYS = {
-    "phase": {
-        "drive",
-        "omega_over_delta",
-        "delta",
-        "phi_l",
-        "periods",
-        "tau",
-        "samples",
-        "require_closed",
-        "closure_tolerance",
-        "oracle",
-        "n_max",
-        "steps",
-    },
-    "gate": {
-        "drive",
-        "target_phase",
-        "gamma0",
-        "gamma",
-        "conditioner",
-        "correct_to_cz",
-        "omega_over_delta",
-        "delta",
-        "phi_l",
-        "periods",
-        "tau",
-        "samples",
-        "closure_tolerance",
-    },
-    "oracle-verify": {
-        "drive",
-        "omega_over_delta",
-        "delta",
-        "phi_l",
-        "periods",
-        "conditioner",
-        "tau",
-        "samples",
-        "n_max",
-        "steps",
-        "initial_fock",
-        "tolerance",
-        "leakage_tolerance",
-        "state_only",
-    },
-    "sweep": {
-        "parameter",
-        "grid",
-        "drive",
-        "omega_over_delta",
-        "delta",
-        "phi_l",
-        "oracle",
-        "n_max",
-        "steps",
-        "samples",
-        "analytic_tolerance",
-        "oracle_tolerance",
-        "agreement_tolerance",
-        "closure_tolerance",
-    },
-    "design": {"target_phase", "delta", "phi_l"},
-}
 
-_SWEEP_CHOICES = (
-    "time",
-    "timing_error",
-    "omega_over_delta",
-    "phi_l",
-    "delta",
-    "loop_shape",
-)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; NaN, infinities and integers past the float range are invalid."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -206,7 +148,7 @@ def _load_config(path: str | None, command: str) -> dict:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    allowed = _SHARED_CONFIG_KEYS | _COMMAND_CONFIG_KEYS[command]
+    allowed = {"schema_version", "command", *_COMMANDS[command].flags, *_COMMON_FLAGS} - {"config"}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
@@ -217,71 +159,50 @@ def _load_config(path: str | None, command: str) -> dict:
     return data
 
 
-class _Options:
-    """Typed access to flag values layered over config-file values."""
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
 
-    def raw(self, key):
-        value = getattr(self._args, key, None)
+def _options(args: argparse.Namespace, config: dict) -> dict:
+    """The given flag values layered over config-file values, checked against their specs.
+
+    Drive and grid values stay raw: each comes in several forms, which
+    :func:`_drive_source` and :func:`_parse_grid` read.
+    """
+    opts = {}
+    for key in (*_COMMANDS[args.command].flags, *_COMMON_FLAGS):
+        value = getattr(args, key)
         if value is None:
-            value = self._config.get(key)
-        return value
-
-    def given(self, key) -> bool:
-        return self.raw(key) is not None
-
-    def number(self, key, default=None):
-        value = self.raw(key)
+            value = config.get(key)
         if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        return float(value)
+            continue
+        spec = _FLAGS[key]
+        kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
+        if key not in ("drive", "grid"):
+            # bool is a subclass of int, so booleans are told apart first.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind
+            ):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            if kind is float:
+                value = _finite(value, _flag(key))
+        opts[key] = value
+    return opts
 
-    def integer(self, key, default=None):
-        value = self.raw(key)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return int(value)
 
-    def flag(self, key) -> bool:
-        value = self.raw(key)
-        if value is None:
-            return False
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be a boolean, got {value!r}")
-        return value
-
-    def text(self, key, default=None):
-        value = self.raw(key)
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-        return value
-
-    def drive_source(self):
-        """The drive document source: ('paths', [...]), ('inline', dict), or (None, None)."""
-        paths = getattr(self._args, "drive", None)
-        if paths:
-            return "paths", list(paths)
-        raw = self._config.get("drive")
-        if raw is None:
-            return None, None
-        if isinstance(raw, str):
-            return "paths", [raw]
-        if isinstance(raw, dict):
-            return "inline", raw
-        if isinstance(raw, list):
-            if not raw or not all(isinstance(item, str) for item in raw):
-                raise ConfigError("a drive list must hold one or more file paths")
-            return "paths", raw
-        raise ConfigError("drive must be an object, a file path, or a list of file paths")
+def _drive_source(opts: dict):
+    """The drive document source: ('paths', [...]), ('inline', dict), or (None, None)."""
+    raw = opts.get("drive")
+    if raw is None:
+        return None, None
+    if isinstance(raw, str):
+        return "paths", [raw]
+    if isinstance(raw, dict):
+        return "inline", raw
+    if isinstance(raw, list):
+        if not raw or not all(isinstance(item, str) for item in raw):
+            raise ConfigError("a drive list must hold one or more file paths")
+        return "paths", raw
+    raise ConfigError("drive must be an object, a file path, or a list of file paths")
 
 
 def _load_drive_file(path: str) -> DriveProfile:
@@ -293,26 +214,46 @@ def _load_drive_file(path: str) -> DriveProfile:
     return drives.drive_from_dict(data)
 
 
-def _reject(opts: _Options, keys: Sequence[str], reason: str) -> None:
+def _reject(opts: dict, keys: Sequence[str], reason: str) -> None:
     for key in keys:
-        if opts.given(key):
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} does not apply {reason}")
+        if key in opts:
+            raise ConfigError(f"{_flag(key)} does not apply {reason}")
 
 
-def _resolve_drive(opts: _Options, *, allow_conditioner: bool) -> tuple[DriveProfile, dict | None]:
+def _constant_params(opts: dict, default_ratio: float | None = None) -> tuple[
+    dict, ConstantDriveParams
+]:
+    """The constant-drive flags as given (with defaults) and the parameters they make."""
+    ratio = opts.get("omega_over_delta", default_ratio)
+    if ratio is None:
+        raise ConfigError(
+            "no drive given: use --omega-over-delta (with --delta/--phi-l/--periods) "
+            "or --drive FILE"
+        )
+    echo = {
+        "omega_over_delta": ratio,
+        "delta": opts.get("delta", 1.0),
+        "phi_l": opts.get("phi_l", 0.0),
+    }
+    params = ConstantDriveParams(
+        omega_d=ratio * echo["delta"], delta=echo["delta"], phi_l=echo["phi_l"]
+    )
+    return echo, params
+
+
+def _resolve_drive(opts: dict, *, allow_conditioner: bool) -> tuple[DriveProfile, dict | None]:
     """Build the working drive from a file, an inline document, or constant params.
 
     Returns the profile and, for the constant family, an echo dict of the
     parameters used (None for document drives).
     """
-    kind, payload = opts.drive_source()
-    conditioner_name = opts.text("conditioner")
+    kind, payload = _drive_source(opts)
+    conditioner_name = opts.get("conditioner")
     if not allow_conditioner and conditioner_name is not None:
         raise ConfigError("--conditioner does not apply to this command")
 
     if kind is not None:
-        _reject(opts, ("omega_over_delta", "delta", "phi_l", "periods"), "to document drives")
+        _reject(opts, (*_CONSTANT_DRIVE_FLAGS, "periods"), "to document drives")
         if kind == "paths":
             if len(payload) != 1:
                 raise ConfigError("this command takes exactly one drive file")
@@ -323,90 +264,59 @@ def _resolve_drive(opts: _Options, *, allow_conditioner: bool) -> tuple[DrivePro
             drive = dataclasses.replace(drive, conditioner=standard_conditioner(conditioner_name))
         return drive, None
 
-    ratio = opts.number("omega_over_delta")
-    if ratio is None:
-        raise ConfigError(
-            "no drive given: use --omega-over-delta (with --delta/--phi-l/--periods) "
-            "or --drive FILE"
-        )
-    delta = opts.number("delta", 1.0)
-    phi_l = opts.number("phi_l", 0.0)
-    periods = opts.number("periods", 1.0)
-    params = ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
+    echo, params = _constant_params(opts)
+    echo["periods"] = opts.get("periods", 1.0)
     conditioner = None
     if conditioner_name is not None:
         conditioner = standard_conditioner(conditioner_name)
-    drive = drives.constant_drive(params, periods=periods, conditioner=conditioner)
-    echo = {
-        "omega_over_delta": ratio,
-        "delta": delta,
-        "phi_l": phi_l,
-        "periods": periods,
-    }
+    drive = drives.constant_drive(params, periods=echo["periods"], conditioner=conditioner)
     return drive, echo
 
 
-def _base_params(opts: _Options) -> ConstantDriveParams:
-    ratio = opts.number("omega_over_delta", 0.5)
-    delta = opts.number("delta", 1.0)
-    phi_l = opts.number("phi_l", 0.0)
-    return ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
-
-
-def _decomposition_dict(decomposition: PhaseDecomposition) -> dict:
-    return {
-        "total": decomposition.total,
-        "geometric": decomposition.geometric,
-        "dynamic": decomposition.dynamic,
-        "eta": decomposition.eta,
-        "classification": decomposition.classification,
-    }
-
-
-def _oracle_settings(opts: _Options) -> OracleSettings | None:
-    if not opts.flag("oracle"):
-        if opts.given("n_max") or opts.given("steps"):
+def _oracle_settings(opts: dict) -> OracleSettings | None:
+    if not opts.get("oracle", False):
+        if "n_max" in opts or "steps" in opts:
             raise ConfigError("--n-max/--steps require --oracle")
         return None
     return OracleSettings(
-        n_max=opts.integer("n_max", DEFAULT_N_MAX),
-        steps=opts.integer("steps", DEFAULT_STEPS),
+        n_max=opts.get("n_max", DEFAULT_N_MAX),
+        steps=opts.get("steps", DEFAULT_STEPS),
     )
 
 
-def _parse_grid(opts: _Options) -> list[float]:
-    raw = opts.raw("grid")
+def _parse_grid(opts: dict) -> list[float]:
+    raw = opts.get("grid")
     if raw is None:
         raise ConfigError("sweep needs a grid: --grid v1,v2,... or a config 'grid' list")
     if isinstance(raw, str):
         parts = [part.strip() for part in raw.split(",") if part.strip()]
         try:
-            return [float(part) for part in parts]
+            values = [float(part) for part in parts]
         except ValueError as exc:
             raise ConfigError(f"grid entries must be numbers: {exc}") from exc
-    if isinstance(raw, list):
-        values = []
+    elif isinstance(raw, list):
         for item in raw:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError(f"grid entries must be numbers, got {item!r}")
-            values.append(float(item))
-        return values
-    raise ConfigError("grid must be a comma-separated string or a list of numbers")
+        values = raw
+    else:
+        raise ConfigError("grid must be a comma-separated string or a list of numbers")
+    return [_finite(value, "--grid entries") for value in values]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_phase(opts: _Options) -> tuple[dict, int]:
+def _cmd_phase(opts: dict) -> tuple[dict, int]:
     drive, constant = _resolve_drive(opts, allow_conditioner=False)
-    tau = opts.number("tau", drive.total_duration)
-    samples = opts.integer("samples", drives.DEFAULT_DRIVE_SAMPLES)
-    closure_tolerance = opts.number("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
+    tau = opts.get("tau", drive.total_duration)
+    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
+    closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
 
     residual = drives.closure_residual(drive, tau)
     closed = residual <= closure_tolerance
-    if opts.flag("require_closed") and not closed:
+    if opts.get("require_closed", False) and not closed:
         raise LoopNotClosedError(
             f"loop is open at tau={tau:.12g}: closure residual {residual:.6e} "
             f"exceeds {closure_tolerance:.3e}",
@@ -433,7 +343,7 @@ def _cmd_phase(opts: _Options) -> tuple[dict, int]:
         "method": method,
         "closure_residual": residual,
         "closed": closed,
-        "analytic": _decomposition_dict(decomposition),
+        "analytic": dataclasses.asdict(decomposition),
         "oracle": None,
     }
 
@@ -468,31 +378,12 @@ def _cmd_phase(opts: _Options) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _gate_from_phases(gamma0_value: float, conditioner_name: str) -> tuple[
-    TwoQubitGate, tuple[PhaseDecomposition, ...]
-]:
-    conditioner = standard_conditioner(conditioner_name)
-    if not conditioner.is_diagonal:
-        raise ConfigError(
-            f"conditioner {conditioner_name!r} is not diagonal; use --gamma for the "
-            "squared-collective-y gate"
-        )
-    betas = conditioner.basis_eigenvalues
-    phases = tuple(float(b * b * gamma0_value) for b in betas)
-    gate = TwoQubitGate(matrix=np.diag(np.exp(1j * np.array(phases))), phases=phases)
-    decompositions = tuple(
-        decompose(-float(b * b * gamma0_value), 2.0 * float(b * b * gamma0_value))
-        for b in betas
-    )
-    return gate, decompositions
-
-
-def _cmd_gate(opts: _Options) -> tuple[dict, int]:
-    target = opts.number("target_phase")
-    gamma0_value = opts.number("gamma0")
-    gamma_value = opts.number("gamma")
-    source_kind, _ = opts.drive_source()
-    has_drive = source_kind is not None or opts.given("omega_over_delta")
+def _cmd_gate(opts: dict) -> tuple[dict, int]:
+    target = opts.get("target_phase")
+    gamma0_value = opts.get("gamma0")
+    gamma_value = opts.get("gamma")
+    source_kind, _ = _drive_source(opts)
+    has_drive = source_kind is not None or "omega_over_delta" in opts
     chosen = [target is not None, gamma0_value is not None, gamma_value is not None, has_drive]
     if sum(chosen) != 1:
         raise ConfigError(
@@ -500,9 +391,9 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
             "or a drive (--drive FILE / --omega-over-delta)"
         )
 
-    samples = opts.integer("samples", drives.DEFAULT_DRIVE_SAMPLES)
-    closure_tolerance = opts.number("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
-    correct = opts.flag("correct_to_cz")
+    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
+    closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
+    correct = opts.get("correct_to_cz", False)
 
     design_echo = None
     drive_echo = None
@@ -513,7 +404,7 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
         _reject(opts, ("tau", "conditioner", "periods", "omega_over_delta"),
                 "to the designed construction")
         params = drives.design_constant_drive(
-            target, opts.number("delta", 1.0), opts.number("phi_l", 0.0)
+            target, opts.get("delta", 1.0), opts.get("phi_l", 0.0)
         )
         drive = drives.constant_drive(params, periods=1.0)
         gate, decompositions = collective_gate(
@@ -537,8 +428,8 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
             ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance"),
             "to the direct-phase construction",
         )
-        conditioner_name = opts.text("conditioner", "odd-parity-projector")
-        gate, decompositions = _gate_from_phases(gamma0_value, conditioner_name)
+        conditioner_name = opts.get("conditioner", "odd-parity-projector")
+        gate, decompositions = diagonal_gate(standard_conditioner(conditioner_name), gamma0_value)
         construction = "direct-phases"
     elif gamma_value is not None:
         _reject(
@@ -546,7 +437,7 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
             ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance"),
             "to the squared-collective-y construction",
         )
-        conditioner_name = opts.text("conditioner", "jy")
+        conditioner_name = opts.get("conditioner", "jy")
         if conditioner_name != "jy":
             raise ConfigError("--gamma builds the squared-collective-y gate; use --conditioner jy")
         gate = jy_squared_gate(gamma_value)
@@ -556,7 +447,7 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
             raise ConfigError("--correct-to-cz needs a diagonal gate")
     else:
         drive, constant = _resolve_drive(opts, allow_conditioner=True)
-        tau = opts.number("tau", drive.total_duration)
+        tau = opts.get("tau", drive.total_duration)
         gate, decompositions = collective_gate(
             drive, tau, samples=samples, closure_tolerance=closure_tolerance
         )
@@ -594,7 +485,7 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
             None
             if decompositions is None
             else [
-                dict(state=label, **_decomposition_dict(d))
+                dict(state=label, **dataclasses.asdict(d))
                 for label, d in zip(BASIS_LABELS, decompositions)
             ]
         ),
@@ -602,24 +493,22 @@ def _cmd_gate(opts: _Options) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_oracle_verify(opts: _Options) -> tuple[dict, int]:
+def _cmd_oracle_verify(opts: dict) -> tuple[dict, int]:
     drive, constant = _resolve_drive(opts, allow_conditioner=True)
     conditioner = drive.conditioner
-    if not conditioner.is_diagonal:
-        raise ConfigError(
-            "oracle-verify needs a diagonal conditioner (odd-parity-projector or jz); "
-            "the squared-collective-y gate is checked via its dense exponential instead"
-        )
-    tau = opts.number("tau", drive.total_duration)
-    samples = opts.integer("samples", drives.DEFAULT_DRIVE_SAMPLES)
-    n_max = opts.integer("n_max", DEFAULT_N_MAX)
-    steps = opts.integer("steps", DEFAULT_STEPS)
-    initial_fock = opts.integer("initial_fock", 0)
-    tolerance = opts.number("tolerance", DEFAULT_ORACLE_TOLERANCE)
-    leakage_tolerance = opts.number("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
-    state_only = opts.flag("state_only")
+    tau = opts.get("tau", drive.total_duration)
+    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
+    n_max = opts.get("n_max", DEFAULT_N_MAX)
+    steps = opts.get("steps", DEFAULT_STEPS)
+    initial_fock = opts.get("initial_fock", 0)
+    tolerance = opts.get("tolerance", DEFAULT_ORACLE_TOLERANCE)
+    leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
+    state_only = opts.get("state_only", False)
 
     reference = drives.gamma0(drive, tau, samples)
+    # The squared-collective-y gate is checked via its dense exponential
+    # instead; diagonal_gate rejects it before the propagation runs.
+    _, analytic = diagonal_gate(conditioner, reference)
     propagation = propagate(
         drive,
         tau,
@@ -630,26 +519,22 @@ def _cmd_oracle_verify(opts: _Options) -> tuple[dict, int]:
         with_operator=not state_only,
     )
 
-    betas = conditioner.basis_eigenvalues
     per_state = []
     max_deviation = 0.0
-    for k, label in enumerate(BASIS_LABELS):
-        weight = float(betas[k]) ** 2
-        analytic_total = weight * reference
-        analytic_dynamic = 2.0 * weight * reference
+    for k, (label, expected) in enumerate(zip(BASIS_LABELS, analytic)):
         oracle_total = extract_total_phase(propagation, k)
         oracle_dynamic = float(propagation.dynamic_phase[k])
-        deviation_total = abs(oracle_total - analytic_total)
-        deviation_dynamic = abs(oracle_dynamic - analytic_dynamic)
+        deviation_total = abs(oracle_total - expected.total)
+        deviation_dynamic = abs(oracle_dynamic - expected.dynamic)
         max_deviation = max(max_deviation, deviation_total, deviation_dynamic)
         per_state.append(
             {
                 "state": label,
-                "eigenvalue": float(betas[k]),
+                "eigenvalue": conditioner.basis_eigenvalues[k],
                 "analytic": {
-                    "total": analytic_total,
-                    "geometric": -weight * reference,
-                    "dynamic": analytic_dynamic,
+                    "total": expected.total,
+                    "geometric": expected.geometric,
+                    "dynamic": expected.dynamic,
                 },
                 "oracle": {
                     "total": oracle_total,
@@ -702,20 +587,21 @@ def _cmd_oracle_verify(opts: _Options) -> tuple[dict, int]:
     return report, EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def _cmd_sweep(opts: _Options) -> tuple[SweepReport, int]:
-    parameter = opts.text("parameter")
+def _cmd_sweep(opts: dict) -> tuple[SweepReport, int]:
+    parameter = opts.get("parameter")
+    choices = _FLAGS["parameter"]["choices"]
     if parameter is None:
-        raise ConfigError(f"sweep needs --parameter, one of {_SWEEP_CHOICES}")
-    if parameter not in _SWEEP_CHOICES:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; expected one of {_SWEEP_CHOICES}")
+        raise ConfigError(f"sweep needs --parameter, one of {choices}")
+    if parameter not in choices:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; expected one of {choices}")
 
     if parameter == "loop_shape":
-        if opts.raw("grid") is not None:
+        if "grid" in opts:
             raise ConfigError("loop_shape sweeps take --drive files, not a grid")
-        if opts.flag("oracle") or opts.given("n_max") or opts.given("steps"):
+        if opts.get("oracle", False) or "n_max" in opts or "steps" in opts:
             raise ConfigError("the equal-area study is analytic-only; drop --oracle")
-        _reject(opts, ("omega_over_delta", "delta", "phi_l"), "to loop_shape sweeps")
-        kind, payload = opts.drive_source()
+        _reject(opts, _CONSTANT_DRIVE_FLAGS, "to loop_shape sweeps")
+        kind, payload = _drive_source(opts)
         if kind is None:
             raise ConfigError("loop_shape sweeps need at least one --drive FILE")
         if kind == "inline":
@@ -725,29 +611,29 @@ def _cmd_sweep(opts: _Options) -> tuple[SweepReport, int]:
         return (
             area_invariance_study(
                 loops,
-                samples=opts.integer("samples", AREA_STUDY_SAMPLES),
-                agreement_tolerance=opts.number("agreement_tolerance", 1e-6),
-                closure_tolerance=opts.number(
+                samples=opts.get("samples", AREA_STUDY_SAMPLES),
+                agreement_tolerance=opts.get("agreement_tolerance", 1e-6),
+                closure_tolerance=opts.get(
                     "closure_tolerance", DEFAULT_CLOSURE_TOLERANCE
                 ),
             ),
             EXIT_OK,
         )
 
-    if opts.drive_source()[0] is not None:
+    if _drive_source(opts)[0] is not None:
         raise ConfigError("parameter sweeps use the constant-drive base, not drive files")
     grid = _parse_grid(opts)
-    base = _base_params(opts)
+    _, base = _constant_params(opts, default_ratio=0.5)
     settings = _oracle_settings(opts)
 
     if parameter == "time":
         report = noncyclic_scan(
             base,
             grid,
-            samples=opts.integer("samples", NONCYCLIC_SAMPLES),
+            samples=opts.get("samples", NONCYCLIC_SAMPLES),
             oracle_settings=settings,
-            analytic_tolerance=opts.number("analytic_tolerance", NONCYCLIC_ANALYTIC_TOL),
-            oracle_tolerance=opts.number("oracle_tolerance", NONCYCLIC_ORACLE_TOL),
+            analytic_tolerance=opts.get("analytic_tolerance", NONCYCLIC_ANALYTIC_TOL),
+            oracle_tolerance=opts.get("oracle_tolerance", NONCYCLIC_ORACLE_TOL),
         )
     elif parameter == "timing_error":
         _reject(opts, ("samples", "analytic_tolerance", "oracle_tolerance"),
@@ -758,17 +644,17 @@ def _cmd_sweep(opts: _Options) -> tuple[SweepReport, int]:
         spec = SweepSpec(parameter=parameter, grid=tuple(grid), base=base,
                          oracle_settings=settings)
         report = eta_invariance_sweep(
-            spec, samples=opts.integer("samples", ETA_SWEEP_SAMPLES)
+            spec, samples=opts.get("samples", ETA_SWEEP_SAMPLES)
         )
     return report, EXIT_OK
 
 
-def _cmd_design(opts: _Options) -> tuple[dict, int]:
-    target = opts.number("target_phase")
+def _cmd_design(opts: dict) -> tuple[dict, int]:
+    target = opts.get("target_phase")
     if target is None:
         raise ConfigError("design needs --target-phase")
-    delta = opts.number("delta", 1.0)
-    phi_l = opts.number("phi_l", 0.0)
+    delta = opts.get("delta", 1.0)
+    phi_l = opts.get("phi_l", 0.0)
     params = drives.design_constant_drive(target, delta, phi_l)
     phi = analytic_total_phase(params.ratio, params.delta, params.period)
     decomposition = decompose(-phi, 2.0 * phi)
@@ -782,17 +668,125 @@ def _cmd_design(opts: _Options) -> tuple[dict, int]:
         "phi_l": params.phi_l,
         "period": params.period,
         "round_trip_error": abs(phi - target),
-        "predicted": _decomposition_dict(decomposition),
+        "predicted": dataclasses.asdict(decomposition),
     }
     return report, EXIT_OK
 
 
-_HANDLERS = {
-    "phase": _cmd_phase,
-    "gate": _cmd_gate,
-    "oracle-verify": _cmd_oracle_verify,
-    "sweep": _cmd_sweep,
-    "design": _cmd_design,
+# ---------------------------------------------------------------------------
+# flags
+
+# One spec per flag: its add_argument keywords, keyed by dest.  The flag is
+# the dest with dashes ("phi_l" is --phi-l), and the dest is its config key.
+_FLAGS = {
+    "omega_over_delta": {"type": float, "metavar": "R",
+                         "help": "drive strength over detuning (loop radius)"},
+    "delta": {"type": float, "metavar": "D", "help": "detuning (default 1.0)"},
+    "phi_l": {"type": float, "metavar": "P", "help": "drive phase (default 0.0)"},
+    "periods": {"type": float, "metavar": "N",
+                "help": "loop periods for the constant drive (default 1.0)"},
+    "drive": {"action": "append", "metavar": "FILE",
+              "help": "drive profile document (repeatable for the loop_shape study)"},
+    "tau": {"type": float, "metavar": "T",
+            "help": "evaluation time (default: full drive duration)"},
+    "samples": {"type": int, "metavar": "N",
+                "help": "quadrature samples (per point in sweeps)"},
+    "require_closed": {"action": "store_true",
+                       "help": "fail (exit 2) when the loop is open at tau"},
+    "closure_tolerance": {"type": float, "metavar": "TOL",
+                          "help": "closure residual threshold (default 1e-9)"},
+    "oracle": {"action": "store_true",
+               "help": "also run the brute-force propagator and report deviations"},
+    "n_max": {"type": int, "metavar": "N", "help": "oracle truncation (default 64)"},
+    "steps": {"type": int, "metavar": "N", "help": "oracle time steps (default 20000)"},
+    "target_phase": {"type": float, "metavar": "G",
+                     "help": "one-period total phase (negative) of a designed constant drive"},
+    "gamma0": {"type": float, "metavar": "G",
+               "help": "loop phase functional value for a direct diagonal gate"},
+    "gamma": {"type": float, "metavar": "G",
+              "help": "angle of the squared-collective-y gate (conditioner jy)"},
+    "conditioner": {"choices": ("odd-parity-projector", "jz", "jy"),
+                    "help": "spin operator conditioning the displacement"},
+    "correct_to_cz": {"action": "store_true",
+                      "help": "apply the local phase correction that lands on CZ"},
+    "initial_fock": {"type": int, "metavar": "N",
+                     "help": "starting oscillator level (default 0)"},
+    "tolerance": {"type": float, "metavar": "TOL",
+                  "help": "pass/fail threshold on phase deviations (default 1e-4)"},
+    "leakage_tolerance": {"type": float, "metavar": "TOL",
+                          "help": "truncation leakage threshold (default 1e-6)"},
+    "state_only": {"action": "store_true",
+                   "help": "skip operator tracking and the displacement-form check"},
+    "parameter": {"choices": ("time", "timing_error", *ETA_SWEEP_PARAMETERS, "loop_shape"),
+                  "help": "what to sweep"},
+    "grid": {"metavar": "V1,V2,...", "help": "comma-separated grid values"},
+    "analytic_tolerance": {"type": float, "metavar": "TOL",
+                           "help": "time scans: analytic relation threshold"},
+    "oracle_tolerance": {"type": float, "metavar": "TOL",
+                         "help": "time scans: oracle relation threshold"},
+    "agreement_tolerance": {"type": float, "metavar": "TOL",
+                            "help": "loop_shape: allowed geometric-phase spread"},
+    "config": {"metavar": "FILE", "help": "JSON config; explicit flags override its values"},
+    "format": {"choices": ("json", "csv"), "help": "output encoding (default json)"},
+    "out": {"metavar": "PATH", "help": "write the report to this file instead of stdout"},
+}
+
+_COMMON_FLAGS = ("config", "format", "out")
+_CONSTANT_DRIVE_FLAGS = ("omega_over_delta", "delta", "phi_l")
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], tuple[dict | SweepReport, int]]
+    help: str
+    description: str
+    flags: tuple[str, ...]
+    # Keywords that replace a flag's spec for this subcommand only.
+    overrides: dict = {}
+
+
+_COMMANDS = {
+    "phase": _Command(
+        _cmd_phase,
+        "phase decomposition of a drive loop",
+        "Total, geometric, and dynamic phase of a drive loop, with the "
+        "dynamic-to-geometric ratio eta.",
+        (*_CONSTANT_DRIVE_FLAGS, "periods", "drive", "tau", "samples", "require_closed",
+         "closure_tolerance", "oracle", "n_max", "steps"),
+    ),
+    "gate": _Command(
+        _cmd_gate,
+        "two-qubit gate construction",
+        "Build the two-qubit gate from a designed drive, a drive document, or "
+        "direct phase parameters.",
+        ("target_phase", "gamma0", "gamma", "conditioner", "correct_to_cz",
+         *_CONSTANT_DRIVE_FLAGS, "periods", "drive", "tau", "samples", "closure_tolerance"),
+    ),
+    "oracle-verify": _Command(
+        _cmd_oracle_verify,
+        "brute-force check of the analytic phases",
+        "Propagate the drive in a truncated number basis and compare per-state "
+        "phases against the analytic predictions.",
+        (*_CONSTANT_DRIVE_FLAGS, "periods", "drive", "conditioner", "tau", "samples",
+         "n_max", "steps", "initial_fock", "tolerance", "leakage_tolerance", "state_only"),
+        {"conditioner": {"choices": ("odd-parity-projector", "jz")}},
+    ),
+    "sweep": _Command(
+        _cmd_sweep,
+        "robustness sweeps and scans",
+        "Parameter sweeps: eta invariance (omega_over_delta, phi_l, delta), "
+        "timing_error response, noncyclic time scans, and the equal-area "
+        "loop_shape study.",
+        ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, "drive", "oracle", "n_max", "steps",
+         "samples", "analytic_tolerance", "oracle_tolerance", "agreement_tolerance",
+         "closure_tolerance"),
+    ),
+    "design": _Command(
+        _cmd_design,
+        "inverse design of a constant drive",
+        "Constant-drive parameters whose one-period loop accumulates a requested "
+        "total phase.",
+        ("target_phase", "delta", "phi_l"),
+    ),
 }
 
 
@@ -816,21 +810,15 @@ def _flatten(prefix: str, value) -> list[tuple[str, object]]:
     return [(prefix, value)]
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return csv_number(value)
-
-
 def _render(report: dict, fmt: str) -> str:
     formatted = format_tree(report)
     if fmt == "json":
-        return json.dumps(formatted, indent=2, sort_keys=True) + "\n"
+        return json.dumps(formatted, indent=2, sort_keys=True, allow_nan=False) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
     for key, value in _flatten("", formatted):
-        writer.writerow([key, _csv_cell(value)])
+        writer.writerow([key, csv_number(value)])
     return buffer.getvalue()
 
 
@@ -846,24 +834,6 @@ def _emit(text: str, out: str | None) -> None:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE",
-                        help="JSON config; explicit flags override its values")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        help="output encoding (default json)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the report to this file instead of stdout")
-
-
-def _add_constant_drive(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--omega-over-delta", type=float, dest="omega_over_delta",
-                        metavar="R", help="drive strength over detuning (loop radius)")
-    parser.add_argument("--delta", type=float, metavar="D",
-                        help="detuning (default 1.0)")
-    parser.add_argument("--phi-l", type=float, dest="phi_l", metavar="P",
-                        help="drive phase (default 0.0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopgate",
@@ -871,138 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    phase = subparsers.add_parser(
-        "phase", help="phase decomposition of a drive loop",
-        description="Total, geometric, and dynamic phase of a drive loop, with "
-        "the dynamic-to-geometric ratio eta.",
-    )
-    _add_constant_drive(phase)
-    phase.add_argument("--periods", type=float, metavar="N",
-                       help="loop periods for the constant drive (default 1.0)")
-    phase.add_argument("--drive", action="append", metavar="FILE",
-                       help="drive profile document instead of inline parameters")
-    phase.add_argument("--tau", type=float, metavar="T",
-                       help="evaluation time (default: full drive duration)")
-    phase.add_argument("--samples", type=int, metavar="N",
-                       help="quadrature samples for document drives")
-    phase.add_argument("--require-closed", action="store_true", default=None,
-                       dest="require_closed",
-                       help="fail (exit 2) when the loop is open at tau")
-    phase.add_argument("--closure-tolerance", type=float, dest="closure_tolerance",
-                       metavar="TOL", help="closure residual threshold (default 1e-9)")
-    phase.add_argument("--oracle", action="store_true", default=None,
-                       help="also run the brute-force propagator and report deviations")
-    phase.add_argument("--n-max", type=int, dest="n_max", metavar="N",
-                       help="oracle truncation (default 64)")
-    phase.add_argument("--steps", type=int, metavar="N",
-                       help="oracle time steps (default 20000)")
-    _add_common(phase)
-
-    gate = subparsers.add_parser(
-        "gate", help="two-qubit gate construction",
-        description="Build the two-qubit gate from a designed drive, a drive "
-        "document, or direct phase parameters.",
-    )
-    gate.add_argument("--target-phase", type=float, dest="target_phase", metavar="G",
-                      help="design a one-period constant drive for this total phase")
-    gate.add_argument("--gamma0", type=float, metavar="G",
-                      help="loop phase functional value for a direct diagonal gate")
-    gate.add_argument("--gamma", type=float, metavar="G",
-                      help="angle of the squared-collective-y gate (conditioner jy)")
-    gate.add_argument("--conditioner", choices=("odd-parity-projector", "jz", "jy"),
-                      help="spin operator conditioning the displacement")
-    gate.add_argument("--correct-to-cz", action="store_true", default=None,
-                      dest="correct_to_cz",
-                      help="apply the local phase correction that lands on CZ")
-    _add_constant_drive(gate)
-    gate.add_argument("--periods", type=float, metavar="N",
-                      help="loop periods for the constant drive (default 1.0)")
-    gate.add_argument("--drive", action="append", metavar="FILE",
-                      help="drive profile document")
-    gate.add_argument("--tau", type=float, metavar="T",
-                      help="evaluation time (default: full drive duration)")
-    gate.add_argument("--samples", type=int, metavar="N",
-                      help="quadrature samples for the loop phase")
-    gate.add_argument("--closure-tolerance", type=float, dest="closure_tolerance",
-                      metavar="TOL", help="closure residual threshold (default 1e-9)")
-    _add_common(gate)
-
-    verify = subparsers.add_parser(
-        "oracle-verify", help="brute-force check of the analytic phases",
-        description="Propagate the drive in a truncated number basis and compare "
-        "per-state phases against the analytic predictions.",
-    )
-    _add_constant_drive(verify)
-    verify.add_argument("--periods", type=float, metavar="N",
-                        help="loop periods for the constant drive (default 1.0)")
-    verify.add_argument("--drive", action="append", metavar="FILE",
-                        help="drive profile document")
-    verify.add_argument("--conditioner", choices=("odd-parity-projector", "jz"),
-                        help="override the drive's conditioner (diagonal only)")
-    verify.add_argument("--tau", type=float, metavar="T",
-                        help="evaluation time (default: full drive duration)")
-    verify.add_argument("--samples", type=int, metavar="N",
-                        help="quadrature samples for the analytic reference")
-    verify.add_argument("--n-max", type=int, dest="n_max", metavar="N",
-                        help="truncation (default 64)")
-    verify.add_argument("--steps", type=int, metavar="N",
-                        help="time steps (default 20000)")
-    verify.add_argument("--initial-fock", type=int, dest="initial_fock", metavar="N",
-                        help="starting oscillator level (default 0)")
-    verify.add_argument("--tolerance", type=float, metavar="TOL",
-                        help="pass/fail threshold on phase deviations (default 1e-4)")
-    verify.add_argument("--leakage-tolerance", type=float, dest="leakage_tolerance",
-                        metavar="TOL", help="truncation leakage threshold (default 1e-6)")
-    verify.add_argument("--state-only", action="store_true", default=None,
-                        dest="state_only",
-                        help="skip operator tracking and the displacement-form check")
-    _add_common(verify)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="robustness sweeps and scans",
-        description="Parameter sweeps: eta invariance (omega_over_delta, phi_l, "
-        "delta), timing_error response, noncyclic time scans, and the equal-area "
-        "loop_shape study.",
-    )
-    sweep.add_argument("--parameter", choices=_SWEEP_CHOICES,
-                       help="what to sweep")
-    sweep.add_argument("--grid", metavar="V1,V2,...",
-                       help="comma-separated grid values")
-    _add_constant_drive(sweep)
-    sweep.add_argument("--drive", action="append", metavar="FILE",
-                       help="loop documents for the loop_shape study (repeatable)")
-    sweep.add_argument("--oracle", action="store_true", default=None,
-                       help="also run the brute-force propagator per grid point")
-    sweep.add_argument("--n-max", type=int, dest="n_max", metavar="N",
-                       help="oracle truncation (default 64)")
-    sweep.add_argument("--steps", type=int, metavar="N",
-                       help="oracle time steps (default 20000)")
-    sweep.add_argument("--samples", type=int, metavar="N",
-                       help="quadrature samples per point")
-    sweep.add_argument("--analytic-tolerance", type=float, dest="analytic_tolerance",
-                       metavar="TOL", help="time scans: analytic relation threshold")
-    sweep.add_argument("--oracle-tolerance", type=float, dest="oracle_tolerance",
-                       metavar="TOL", help="time scans: oracle relation threshold")
-    sweep.add_argument("--agreement-tolerance", type=float, dest="agreement_tolerance",
-                       metavar="TOL", help="loop_shape: allowed geometric-phase spread")
-    sweep.add_argument("--closure-tolerance", type=float, dest="closure_tolerance",
-                       metavar="TOL", help="loop_shape: closure residual threshold")
-    _add_common(sweep)
-
-    design = subparsers.add_parser(
-        "design", help="inverse design of a constant drive",
-        description="Constant-drive parameters whose one-period loop accumulates "
-        "a requested total phase.",
-    )
-    design.add_argument("--target-phase", type=float, dest="target_phase", metavar="G",
-                        help="requested one-period total phase (negative)")
-    design.add_argument("--delta", type=float, metavar="D",
-                        help="detuning (default 1.0)")
-    design.add_argument("--phi-l", type=float, dest="phi_l", metavar="P",
-                        help="drive phase (default 0.0)")
-    _add_common(design)
-
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help, description=command.description)
+        for dest in command.flags + _COMMON_FLAGS:
+            spec = {**_FLAGS[dest], **command.overrides.get(dest, {})}
+            sub.add_argument(_flag(dest), dest=dest, default=None, **spec)
     return parser
 
 
@@ -1019,14 +862,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args.config, args.command)
-        opts = _Options(args, config)
-        fmt = opts.text("format", "json")
+        opts = _options(args, config)
+        fmt = opts.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
-        out = opts.text("out")
-        report, code = _HANDLERS[args.command](opts)
+        out = opts.get("out")
+        report, code = _COMMANDS[args.command].handler(opts)
         if isinstance(report, SweepReport):
-            text = report.to_json_text() if fmt == "json" else report.to_csv_text()
+            # The sweep CSV is a table of rows, not key/value pairs.
+            text = report.to_csv_text() if fmt == "csv" else _render(report.to_json_dict(), fmt)
         else:
             text = _render(report, fmt)
         _emit(text, out)

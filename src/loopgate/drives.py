@@ -29,11 +29,7 @@ from .errors import (
     SingularDetuningError,
     UnreachablePhaseError,
 )
-from .phasespace import (
-    DEFAULT_CLOSURE_TOLERANCE,
-    PhasePoint,
-    Trajectory,
-)
+from .phasespace import DEFAULT_CLOSURE_TOLERANCE, Trajectory
 
 if TYPE_CHECKING:
     from .gates import SpinConditioner
@@ -250,16 +246,6 @@ def alpha_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndar
     return out
 
 
-def f_of_t(drive: DriveProfile, t: float) -> complex:
-    """Drive value f at one global time."""
-    return complex(f_array(drive, np.array([float(t)]))[0])
-
-
-def alpha_of_t(drive: DriveProfile, t: float) -> PhasePoint:
-    """Phase-space position at one global time, as a :class:`PhasePoint`."""
-    return PhasePoint.from_complex(alpha_array(drive, np.array([float(t)]))[0])
-
-
 def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:
     """|alpha(tau) - alpha(0)|: zero exactly when the loop closes at ``tau``."""
     if tau is None:
@@ -349,17 +335,13 @@ def drive_h_expect(drive: DriveProfile, eigenvalue: float = 1.0) -> Callable:
     """Hamiltonian expectation along a coherent path under this drive.
 
     Returns h(alpha, t) = 2 * eigenvalue**2 * Im(f(t) * conj(alpha)) suitable
-    for :func:`loopgate.phasespace.dynamic_phase`; accepts scalars,
-    :class:`PhasePoint` values, or arrays.
+    for :func:`loopgate.phasespace.dynamic_phase`; accepts scalars or arrays.
     """
     scale = 2.0 * float(eigenvalue) ** 2
 
     def h_expect(alpha, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if isinstance(alpha, PhasePoint):
-            alpha_arr = np.atleast_1d(np.asarray(complex(alpha)))
-        else:
-            alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
+        alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
         values = scale * np.imag(f_array(drive, t_arr) * np.conj(alpha_arr))
         return values if np.ndim(t) else float(values[0])
 
@@ -372,7 +354,10 @@ def constant_drive_h_expect(params: ConstantDriveParams) -> Callable:
     This is the value of :func:`drive_h_expect` evaluated on the analytic
     constant-drive path; it depends on time only.
     """
-    scale = 2.0 * params.omega_d**2 / params.delta
+    try:
+        scale = 2.0 * params.omega_d**2 / params.delta
+    except OverflowError:
+        raise ValueError(f"omega_d^2 overflows at omega_d = {params.omega_d:g}") from None
 
     def h_expect(alpha, t):
         values = scale * (1.0 - np.cos(params.delta * np.asarray(t, dtype=float)))

@@ -183,6 +183,28 @@ def cz_gate() -> TwoQubitGate:
     )
 
 
+def diagonal_gate(
+    conditioner: SpinConditioner, gamma0_value: float
+) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
+    """Gate a loop with phase functional ``gamma0_value`` makes under ``conditioner``.
+
+    Each basis state with conditioner eigenvalue beta acquires the phase
+    beta**2 * gamma0, decomposed as geometric -beta**2 * gamma0 and dynamic
+    +2 * beta**2 * gamma0.  Returns the diagonal gate together with the four
+    per-state decompositions.
+
+    Raises :class:`NonDiagonalGateError` for conditioners that are not
+    diagonal in the computational basis.
+    """
+    if not conditioner.is_diagonal:
+        raise NonDiagonalGateError(
+            f"conditioner {conditioner.name!r} is not diagonal in the computational basis"
+        )
+    phases = tuple(float(b * b * gamma0_value) for b in conditioner.basis_eigenvalues)
+    gate = TwoQubitGate(matrix=np.diag(np.exp(1j * np.array(phases))), phases=phases)
+    return gate, tuple(decompose(-phase, 2.0 * phase) for phase in phases)
+
+
 def collective_gate(
     drive: DriveProfile,
     tau: float | None = None,
@@ -193,10 +215,8 @@ def collective_gate(
 ) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
     """Gate produced by a closed drive loop under a diagonal conditioner.
 
-    Each basis state with conditioner eigenvalue beta acquires the phase
-    beta**2 * gamma0(tau), decomposed as geometric -beta**2 * gamma0 and
-    dynamic +2 * beta**2 * gamma0.  Returns the diagonal gate together with
-    the four per-state decompositions.
+    The :func:`diagonal_gate` of ``gamma0(tau)``, with the drive's own
+    conditioner unless ``conditioner`` is given.
 
     Raises :class:`LoopNotClosedError` when the loop has a closure residual
     above ``closure_tolerance`` at ``tau``, and :class:`NonDiagonalGateError`
@@ -204,10 +224,6 @@ def collective_gate(
     """
     if conditioner is None:
         conditioner = drive.conditioner
-    if not conditioner.is_diagonal:
-        raise NonDiagonalGateError(
-            f"conditioner {conditioner.name!r} is not diagonal in the computational basis"
-        )
     if tau is None:
         tau = drive.total_duration
     residual = closure_residual(drive, tau)
@@ -215,14 +231,7 @@ def collective_gate(
         raise LoopNotClosedError(
             f"loop is not closed at tau={tau}: residual {residual:.3e}", residual
         )
-    g = gamma0(drive, tau, samples)
-    betas = np.array(conditioner.basis_eigenvalues)
-    phases = tuple(float(b * b * g) for b in betas)
-    gate = TwoQubitGate(matrix=np.diag(np.exp(1j * np.array(phases))), phases=phases)
-    decompositions = tuple(
-        decompose(-float(b * b * g), 2.0 * float(b * b * g)) for b in betas
-    )
-    return gate, decompositions
+    return diagonal_gate(conditioner, gamma0(drive, tau, samples))
 
 
 def jy_squared_gate(gamma: float) -> TwoQubitGate:

@@ -40,7 +40,7 @@ from scipy.linalg import expm
 
 from .drives import DriveProfile, _locate, alpha_array, f_array
 from .errors import TruncationError, UndefinedPhaseError
-from .phasespace import PhaseDecomposition, PhasePoint, analytic_total_phase, decompose
+from .phasespace import PhaseDecomposition, analytic_total_phase, decompose
 
 DEFAULT_N_MAX = 64
 DEFAULT_STEPS = 20_000
@@ -64,8 +64,6 @@ _MIN_RUN_STEPS_WITH_OPERATOR = 40
 # Series points per chunk in a closed-form run.
 _CHUNK_ROWS = 64
 
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -85,21 +83,12 @@ class FockSpace:
     def lowering(self) -> np.ndarray:
         return np.diag(np.sqrt(np.arange(1.0, self.dimension)), 1).astype(complex)
 
-    def raising(self) -> np.ndarray:
-        return self.lowering().conj().T
-
-    def number(self) -> np.ndarray:
-        return np.diag(np.arange(self.dimension)).astype(complex)
-
     def basis_state(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"Fock index {n} outside [0, {self.n_max}]")
         state = np.zeros(self.dimension, dtype=complex)
         state[n] = 1.0
         return state
-
-    def vacuum(self) -> np.ndarray:
-        return self.basis_state(0)
 
 
 def peak_excursion(drive: DriveProfile, tau: float | None = None, scan_samples: int = 2001) -> float:
@@ -133,7 +122,7 @@ def build_hamiltonian(drive: DriveProfile, t: float, space: FockSpace) -> np.nda
     return np.kron(drive.conditioner.matrix, h_osc)
 
 
-def displacement_matrix(alpha: complex | PhasePoint, space: FockSpace) -> np.ndarray:
+def displacement_matrix(alpha: complex, space: FockSpace) -> np.ndarray:
     """exp(alpha a_dag - conj(alpha) a) on the truncated space, by dense exponential."""
     alpha = complex(alpha)
     a = space.lowering()
@@ -181,12 +170,6 @@ class FockPropagation:
     times: np.ndarray
     samples: dict | None = field(default=None)
 
-    def sector(self, eigenvalue: float) -> SectorEvolution:
-        for sector in self.sectors:
-            if abs(sector.eigenvalue - eigenvalue) <= 1e-9:
-                return sector
-        raise KeyError(f"no spin sector with eigenvalue {eigenvalue}")
-
     def decomposition(self, spin_state: int) -> PhaseDecomposition:
         """Oracle phase decomposition for one basis state.
 
@@ -216,31 +199,6 @@ class FockPropagation:
         diag = finals[self.column_sector]
         vectors = self.eigenvector_columns
         return (vectors * diag) @ vectors.conj().T
-
-    def to_report_dict(self) -> dict:
-        etas = []
-        for i in range(4):
-            dec = self.decomposition(i)
-            etas.append(dec.eta)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_max": self.space.n_max,
-            "steps": self.steps,
-            "tau": self.tau,
-            "initial_fock": self.initial_fock,
-            "conditioner": self.conditioner_name,
-            "leakage": float(self.leakage),
-            "unitarity_defect": (
-                None if self.unitarity_defect is None else float(self.unitarity_defect)
-            ),
-            "total_phase": [float(x) for x in self.total_phase],
-            "dynamic_phase": [float(x) for x in self.dynamic_phase],
-            "geometric_phase": [
-                float(t - d) for t, d in zip(self.total_phase, self.dynamic_phase)
-            ],
-            "eta": etas,
-            "overlap_modulus": [float(x) for x in self.overlap_modulus],
-        }
 
 
 def extract_total_phase(propagation: FockPropagation, spin_state: int) -> float:
@@ -502,6 +460,10 @@ def propagate(
     distinct: list[float] = []
     column_sector = np.empty(4, dtype=int)
     for k, value in enumerate(values):
+        # eigh returns the zero eigenvalues of a non-diagonal conditioner
+        # as rounding noise; exactly 0.0 lets the sector skip propagation.
+        if abs(value) <= _EIGENVALUE_RESOLUTION:
+            value = 0.0
         for i, existing in enumerate(distinct):
             if abs(value - existing) <= _EIGENVALUE_RESOLUTION:
                 column_sector[k] = i

@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidTrajectoryError, SingularDetuningError
 
-# Default sampling density for one drive period.
-DEFAULT_SAMPLES_PER_PERIOD = 10_000
-
 # |geometric| below this threshold leaves the ratio eta undefined.
 ETA_GEOMETRIC_THRESHOLD = 1e-9
 
@@ -36,26 +33,6 @@ DEFAULT_CLOSURE_TOLERANCE = 1e-9
 
 # Default tolerance used when classifying a decomposition by its eta value.
 CLASSIFICATION_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A single point alpha = re + i*im in the oscillator phase plane."""
-
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise InvalidTrajectoryError(f"phase-space point is not finite: {self.re}, {self.im}")
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(value: complex) -> "PhasePoint":
-        value = complex(value)
-        return PhasePoint(value.real, value.imag)
 
 
 @dataclass(frozen=True)
@@ -100,22 +77,6 @@ class Trajectory:
         points.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-
-    @classmethod
-    def from_points(
-        cls,
-        times: Sequence[float],
-        points: Sequence[PhasePoint],
-        closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
-    ) -> "Trajectory":
-        return cls(
-            np.asarray(times, dtype=float),
-            np.array([complex(p) for p in points], dtype=complex),
-            closure_tolerance,
-        )
-
-    def point(self, index: int) -> PhasePoint:
-        return PhasePoint.from_complex(self.points[index])
 
     @property
     def duration(self) -> float:
@@ -209,34 +170,18 @@ def dynamic_phase(
 ) -> float:
     """Dynamic phase -integral(<H>(t) dt) along a sampled path.
 
-    ``h_expect`` maps (point, time) to the real Hamiltonian expectation value
-    on that trajectory sample.  A vectorized callable accepting
-    (complex ndarray, float ndarray) is used directly; otherwise the function
-    is evaluated per sample with :class:`PhasePoint` arguments.
+    ``h_expect`` maps (points, times), a complex and a float array, to the
+    real Hamiltonian expectation value on each trajectory sample.
     """
     times = trajectory.times
-    points = trajectory.points
-    try:
-        values = np.asarray(h_expect(points, times), dtype=float)
-        if values.shape != times.shape:
-            raise ValueError("shape mismatch")
-    except (TypeError, ValueError, AttributeError):
-        values = np.array(
-            [float(h_expect(PhasePoint.from_complex(z), float(t))) for z, t in zip(points, times)]
+    values = np.asarray(h_expect(trajectory.points, times), dtype=float)
+    if values.shape != times.shape:
+        raise ValueError(
+            f"h_expect returned shape {values.shape} for {times.size} trajectory samples"
         )
     if not np.all(np.isfinite(values)):
         raise InvalidTrajectoryError("Hamiltonian expectation produced non-finite values")
     return float(-np.trapezoid(values, times))
-
-
-def noncyclic_geometric_phase(total: float, dynamic: float) -> float:
-    """Geometric part of an evolution that need not return to its start.
-
-    Defined as the total phase minus the dynamic phase.  For paths sampled
-    densely enough, this agrees with the open-path line integral computed by
-    :func:`geometric_phase`.
-    """
-    return float(total) - float(dynamic)
 
 
 def constant_drive_alpha(
@@ -273,20 +218,16 @@ def analytic_total_phase(omega_over_delta: float, delta: float, t: float) -> flo
     """
     _require_positive_delta(delta)
     x = delta * float(t)
-    return float(omega_over_delta) ** 2 * (math.sin(x) - x)
-
-
-def period_grid(delta: float, periods: float = 1.0, samples: int | None = None) -> np.ndarray:
-    """Uniform time grid covering ``periods`` drive periods of detuning ``delta``."""
-    _require_positive_delta(delta)
-    if periods <= 0.0:
-        raise ValueError(f"periods must be positive, got {periods}")
-    if samples is None:
-        samples = max(2, int(round(DEFAULT_SAMPLES_PER_PERIOD * periods)))
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    duration = 2.0 * math.pi * periods / delta
-    return np.linspace(0.0, duration, samples)
+    try:
+        phase = float(omega_over_delta) ** 2 * (math.sin(x) - x)
+    except OverflowError:
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise ValueError(
+            "total phase (omega/delta)^2 * (sin(delta t) - delta t) is not finite at "
+            f"omega/delta = {omega_over_delta:g}, delta t = {x:g}"
+        )
+    return phase
 
 
 def _require_positive_delta(delta: float) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -54,7 +53,8 @@ AREA_STUDY_SAMPLES = 100_001
 NONCYCLIC_ANALYTIC_TOL = 1e-9
 NONCYCLIC_ORACLE_TOL = 1e-4
 
-_SWEEP_PARAMETERS = ("timing_error", "omega_over_delta", "phi_l", "delta", "loop_shape")
+# The parameters an eta sweep can vary; see eta_invariance_sweep.
+ETA_SWEEP_PARAMETERS = ("omega_over_delta", "phi_l", "delta")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ class OracleSettings:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep description.
+    """One-parameter eta sweep description; ``parameter`` is one of
+    :data:`ETA_SWEEP_PARAMETERS`.
 
     ``oracle_settings=None`` means analytic-only; otherwise every grid point
     also runs the brute-force propagation at those settings.
@@ -89,9 +90,10 @@ class SweepSpec:
     oracle_settings: OracleSettings | None = None
 
     def __post_init__(self) -> None:
-        if self.parameter not in _SWEEP_PARAMETERS:
+        if self.parameter not in ETA_SWEEP_PARAMETERS:
             raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; expected one of {_SWEEP_PARAMETERS}"
+                f"unknown sweep parameter {self.parameter!r}; "
+                f"expected one of {ETA_SWEEP_PARAMETERS}"
             )
         grid = tuple(float(v) for v in self.grid)
         if not grid:
@@ -116,7 +118,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Rows plus metadata; serializes to CSV and JSON deterministically."""
+    """Rows plus metadata, as a JSON-ready dict or a CSV table, deterministically."""
 
     parameter: str
     rows: tuple[SweepRow, ...]
@@ -140,9 +142,6 @@ class SweepReport:
                 for r in self.rows
             ],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
@@ -180,21 +179,10 @@ class SweepReport:
                 writer.writerow(["summary", key, _csv_number(value), "", "", "", "", "", ""])
         return buffer.getvalue()
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        if fmt == "json":
-            text = self.to_json_text()
-        elif fmt == "csv":
-            text = self.to_csv_text()
-        else:
-            raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
 
 def _base_metadata(oracle_settings: OracleSettings | None) -> dict:
     metadata = {
         "package_version": __version__,
-        "seed": None,
         "oracle": None,
     }
     if oracle_settings is not None:
@@ -420,10 +408,6 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     max |eta + 2| for the analytic rows and, when oracle settings are given,
     for the brute-force rows as well.
     """
-    if spec.parameter not in ("omega_over_delta", "phi_l", "delta"):
-        raise ValueError(
-            f"eta sweeps support omega_over_delta, phi_l, delta; got {spec.parameter!r}"
-        )
     rows = []
     max_eta_dev = 0.0
     max_eta_dev_oracle = None
@@ -490,9 +474,7 @@ def _apply_parameter(
         return ConstantDriveParams(
             omega_d=base.ratio * value, delta=value, phi_l=base.phi_l
         )
-    if parameter == "phi_l":
-        return ConstantDriveParams(omega_d=base.omega_d, delta=base.delta, phi_l=value)
-    raise ValueError(f"unsupported parameter {parameter!r}")
+    return ConstantDriveParams(omega_d=base.omega_d, delta=base.delta, phi_l=value)
 
 
 def area_invariance_study(

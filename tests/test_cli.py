@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from loopgate import cli
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 HALF_PI = math.pi / 2.0
@@ -337,6 +338,15 @@ def test_oracle_verify_rejects_jy(capsys):
     capsys.readouterr()
 
 
+def test_non_diagonal_conditioner_rejected_for_diagonal_constructions(capsys, tmp_path):
+    path = write_doc(tmp_path, "jy.json", dict(CIRCLE_DOC, conditioner="jy"))
+    for argv in (["oracle-verify", "--drive", path], ["gate", "--conditioner", "jy", "--gamma0", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "'jy' is not diagonal" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -577,3 +587,47 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "loopgate" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# invalid numbers: exit 2 with a message that names the cause
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["phase", "--omega-over-delta", "0.5", "--tau", "nan"], "--tau must be finite"),
+        (["gate", "--gamma0", "nan"], "--gamma0 must be finite"),
+        (["gate", "--gamma", "inf"], "--gamma must be finite"),
+        (["sweep", "--parameter", "time", "--grid", "nan"], "--grid entries must be finite"),
+        (["phase", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
+        (["sweep", "--parameter", "omega_over_delta", "--grid=1e200"], "omega_d^2 overflows"),
+    ],
+)
+def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert cause in err
+
+
+@pytest.mark.parametrize(
+    "cfg,cause",
+    [
+        ({"command": "phase", "omega_over_delta": math.nan}, "--omega-over-delta must be finite"),
+        ({"command": "phase", "omega_over_delta": 10**400}, "--omega-over-delta must be finite"),
+        ({"command": "sweep", "parameter": "phi_l", "grid": [0.1, math.inf]},
+         "--grid entries must be finite"),
+    ],
+)
+def test_non_finite_config_number_is_invalid(capsys, tmp_path, cfg, cause):
+    path = write_doc(tmp_path, "cfg.json", dict(schema_version=1, **cfg))
+    code, _, err = run_cli(capsys, cfg["command"], "--config", path)
+    assert code == EXIT_INVALID
+    assert cause in err
+
+
+def test_json_renderer_refuses_non_finite_values():
+    # Backstop behind the input checks: a NaN never reaches the JSON output.
+    with pytest.raises(ValueError):
+        cli._render({"total": math.nan}, "json")

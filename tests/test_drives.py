@@ -11,7 +11,6 @@ from loopgate.drives import (
     DriveProfile,
     DriveSegment,
     alpha_array,
-    alpha_of_t,
     closure_residual,
     constant_drive,
     constant_drive_h_expect,
@@ -20,7 +19,6 @@ from loopgate.drives import (
     drive_h_expect,
     drive_to_dict,
     f_array,
-    f_of_t,
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
@@ -31,7 +29,7 @@ from loopgate.errors import (
     UnreachablePhaseError,
 )
 from loopgate.gates import jz_conditioner, odd_parity_projector
-from loopgate.phasespace import PhasePoint, analytic_total_phase, geometric_phase
+from loopgate.phasespace import analytic_total_phase, geometric_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,11 +114,11 @@ def test_constant_drive_path_matches_formula(ratio, delta, phi_l):
 
 
 def test_point_accessors():
+    # A single time goes through the array functions as a length-1 array.
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
-    assert f_of_t(drive, 0.0) == pytest.approx(-0.5)
-    point = alpha_of_t(drive, math.pi)
-    assert isinstance(point, PhasePoint)
-    assert abs(complex(point)) == pytest.approx(1.0, abs=1e-12)
+    assert f_array(drive, 0.0).shape == (1,)
+    assert f_array(drive, 0.0)[0] == pytest.approx(-0.5)
+    assert abs(alpha_array(drive, math.pi)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_time_outside_window_rejected():
@@ -152,9 +150,9 @@ def test_four_pulse_square_is_closed_and_piecewise_linear():
     drive = square_loop()
     assert closure_residual(drive) < 1e-15
     # alpha moves along straight chords: midpoints sit halfway along edges
-    assert complex(alpha_of_t(drive, 0.5)) == pytest.approx(0.5, abs=1e-12)
-    assert complex(alpha_of_t(drive, 1.0)) == pytest.approx(1.0, abs=1e-12)
-    assert complex(alpha_of_t(drive, 2.5)) == pytest.approx(0.5 - 1.0j, abs=1e-12)
+    assert alpha_array(drive, [0.5, 1.0, 2.5]) == pytest.approx(
+        [0.5, 1.0, 0.5 - 1.0j], abs=1e-12
+    )
 
 
 def test_four_pulse_requires_four():

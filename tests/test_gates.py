@@ -20,6 +20,7 @@ from loopgate.gates import (
     apply_local_phase_correction,
     collective_gate,
     cz_gate,
+    diagonal_gate,
     gate_fidelity,
     is_nontrivial,
     jy_conditioner,
@@ -191,6 +192,17 @@ def test_collective_gate_open_loop_rejected():
 def test_collective_gate_rejects_non_diagonal_conditioner():
     with pytest.raises(NonDiagonalGateError):
         collective_gate(constant_drive(HEADLINE_DRIVE), conditioner=jy_conditioner())
+
+
+def test_diagonal_gate_phases_and_decompositions():
+    # beta**2 * gamma0 per basis state, split as -1 : +2 geometric : dynamic
+    gate, decompositions = diagonal_gate(jz_conditioner(), 0.5)
+    assert gate.phases == (2.0, 0.0, 0.0, 2.0)
+    assert [d.geometric for d in decompositions] == [-2.0, 0.0, 0.0, -2.0]
+    assert [d.dynamic for d in decompositions] == [4.0, 0.0, 0.0, 4.0]
+    assert [d.total for d in decompositions] == list(gate.phases)
+    with pytest.raises(NonDiagonalGateError):
+        diagonal_gate(jy_conditioner(), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,13 @@ def test_fock_space_operators():
     space = FockSpace(12)
     assert space.dimension == 13
     a = space.lowering()
-    commutator = a @ space.raising() - space.raising() @ a
+    a_dag = a.conj().T
+    commutator = a @ a_dag - a_dag @ a
     # canonical commutator holds except in the truncation corner
     assert np.allclose(commutator[:-1, :-1], np.eye(12), atol=1e-14)
     assert commutator[-1, -1] == pytest.approx(-12.0)
-    assert np.allclose(space.number(), space.raising() @ a, atol=1e-14)
-    vacuum = space.vacuum()
+    assert np.allclose(np.diag(a_dag @ a), np.arange(13), atol=1e-14)
+    vacuum = space.basis_state(0)
     assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
 
 
@@ -152,7 +153,9 @@ def test_single_step_matches_dense_exponential():
     a = space.lowering()
     h = -1j * (f * a.conj().T - np.conj(f) * a)
     expected = expm(-1j * tau * h)
-    assert np.max(np.abs(run.sector(1.0).evolution - expected)) < 1e-13
+    # the odd-parity projector's sectors are its distinct eigenvalues 0 and 1
+    assert [s.eigenvalue for s in run.sectors] == [0.0, 1.0]
+    assert np.max(np.abs(run.sectors[1].evolution - expected)) < 1e-13
 
 
 def test_joint_matrix_matches_dense_product():
@@ -175,7 +178,8 @@ def test_joint_matrix_matches_dense_product():
 
 
 def test_zero_sector_is_identity(operator_run):
-    sector = operator_run.sector(0.0)
+    sector = operator_run.sectors[operator_run.column_sector[0]]
+    assert sector.eigenvalue == 0.0
     assert np.array_equal(sector.evolution, np.eye(25))
     assert np.all(sector.overlap_series == 1.0)
     assert np.all(sector.dynamic_series == 0.0)
@@ -330,8 +334,6 @@ def test_extract_total_phase_validates_state(headline_run):
     # basis labels are a report vocabulary, not an index
     with pytest.raises(ValueError):
         headline_run.decomposition("du")
-    with pytest.raises(KeyError):
-        headline_run.sector(3.7)
 
 
 def test_joint_matrix_requires_operator_tracking(headline_run):
@@ -409,21 +411,18 @@ def test_magnus_form_rejects_unsupported_drives():
 
 
 # ---------------------------------------------------------------------------
-# report payload
+# what a propagation records
 
 
-def test_report_dict_contents(headline_run):
-    report = headline_run.to_report_dict()
-    assert report["schema_version"] == 1
-    assert report["n_max"] == 32
-    assert report["steps"] == 4_000
-    assert report["conditioner"] == "odd-parity-projector"
-    assert report["unitarity_defect"] is None
-    assert len(report["total_phase"]) == 4
-    assert report["eta"][1] == pytest.approx(-2.0, abs=1e-4)
-    assert report["geometric_phase"][1] == pytest.approx(
-        -HEADLINE_PHASE, abs=1e-5
-    )
+def test_propagation_fields(headline_run):
+    assert headline_run.space.n_max == 32
+    assert headline_run.steps == 4_000
+    assert headline_run.conditioner_name == "odd-parity-projector"
+    assert headline_run.unitarity_defect is None
+    assert headline_run.total_phase.shape == (4,)
+    decomposition = headline_run.decomposition(1)
+    assert decomposition.eta == pytest.approx(-2.0, abs=1e-4)
+    assert decomposition.geometric == pytest.approx(-HEADLINE_PHASE, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +533,17 @@ def test_closed_form_runs_match_per_step_product(
     if "sample_times" in kwargs:
         for name in ("times", "total_phase", "dynamic_phase", "leakage"):
             assert np.max(np.abs(closed.samples[name] - stepped.samples[name])) < tol, name
+
+
+def test_zero_eigenvalues_of_jy_form_an_exact_identity_sector():
+    # eigh gives the two zero eigenvalues of jy as rounding noise (about
+    # -4e-16); they form one sector with eigenvalue exactly 0, which takes
+    # the identity shortcut instead of a propagation with a 1e-16 drive.
+    drive = constant_drive(
+        ConstantDriveParams(omega_d=0.15, delta=1.0), conditioner=jy_conditioner()
+    )
+    run = propagate(drive, space=FockSpace(7), steps=50, leakage_tol=1e-3)
+    zero = [sector for sector in run.sectors if sector.eigenvalue == 0.0]
+    assert len(zero) == 1
+    assert np.all(zero[0].overlap_series == 1.0)
+    assert np.array_equal(zero[0].evolution, np.eye(8))

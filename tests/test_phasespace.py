@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from loopgate.drives import ConstantDriveParams, constant_drive, induced_trajectory
 from loopgate.errors import (
     InternalConsistencyError,
     InvalidTrajectoryError,
     SingularDetuningError,
 )
 from loopgate.phasespace import (
-    DEFAULT_SAMPLES_PER_PERIOD,
     PhaseDecomposition,
-    PhasePoint,
     Trajectory,
     analytic_total_phase,
     analytic_trajectory,
@@ -22,8 +21,6 @@ from loopgate.phasespace import (
     decompose,
     dynamic_phase,
     geometric_phase,
-    noncyclic_geometric_phase,
-    period_grid,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,19 +41,19 @@ def circle_trajectory(ratio, delta=1.0, phi_l=0.0, periods=1.0, samples=DENSE):
 
 
 # ---------------------------------------------------------------------------
-# PhasePoint and Trajectory
+# Trajectory: phase-space points alpha = re + i*im sampled in time
 
 
 def test_phase_point_complex_round_trip():
-    point = PhasePoint(0.25, -1.5)
-    assert complex(point) == 0.25 - 1.5j
-    assert PhasePoint.from_complex(0.25 - 1.5j) == point
+    trajectory = Trajectory([0.0, 1.0], [0.25 - 1.5j, 1.0])
+    assert trajectory.points[0] == 0.25 - 1.5j
+    assert trajectory.points.dtype == complex
 
 
 @pytest.mark.parametrize("re,im", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
 def test_phase_point_rejects_non_finite(re, im):
     with pytest.raises(InvalidTrajectoryError):
-        PhasePoint(re, im)
+        Trajectory([0.0, 1.0], [0j, complex(re, im)])
 
 
 def test_trajectory_validation():
@@ -91,9 +88,9 @@ def test_trajectory_closure():
 
 
 def test_trajectory_from_points():
-    points = [PhasePoint(0.0, 0.0), PhasePoint(1.0, 0.0), PhasePoint(0.0, 0.0)]
-    trajectory = Trajectory.from_points([0.0, 0.5, 1.0], points)
-    assert trajectory.point(1) == PhasePoint(1.0, 0.0)
+    # plain sequences of times and complex points are copied into arrays
+    trajectory = Trajectory([0.0, 0.5, 1.0], [0j, 1.0 + 0j, 0j])
+    assert trajectory.points[1] == 1.0
     assert trajectory.is_closed()
 
 
@@ -166,22 +163,12 @@ def test_dynamic_phase_matches_scipy_quad(ratio, delta):
     assert reference == pytest.approx(4.0 * math.pi * ratio**2, abs=1e-10)
 
 
-def test_dynamic_phase_scalar_fallback():
-    # A per-point callable (PhasePoint, t) must agree with the vectorized form.
-    ratio = 0.4
-    trajectory = circle_trajectory(ratio, samples=5_001)
-
-    def vectorized(points, times):
-        return 2.0 * ratio**2 * (1.0 - np.cos(times))
-
-    def scalar(point, t):
-        if not isinstance(point, PhasePoint):
-            raise TypeError("expected a PhasePoint")
-        return 2.0 * ratio**2 * (1.0 - math.cos(t))
-
-    assert dynamic_phase(trajectory, scalar) == pytest.approx(
-        dynamic_phase(trajectory, vectorized), abs=1e-12
-    )
+def test_dynamic_phase_rejects_scalar_result():
+    # h_expect is called once on the whole sampled path and must return one
+    # value per sample; a single number is not broadcast.
+    trajectory = circle_trajectory(0.4, samples=5_001)
+    with pytest.raises(ValueError, match="shape"):
+        dynamic_phase(trajectory, lambda points, times: 0.32)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +212,11 @@ def test_phase_decomposition_rejects_inconsistent_total():
 
 
 def test_noncyclic_geometric_phase():
-    assert noncyclic_geometric_phase(-0.5, -1.0) == pytest.approx(0.5, abs=1e-15)
+    # away from closure the geometric part is the total minus the dynamic part
+    total, dynamic = -0.5, -1.0
+    decomposition = decompose(total - dynamic, dynamic)
+    assert decomposition.geometric == pytest.approx(0.5, abs=1e-15)
+    assert decomposition.total == total
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +263,15 @@ def test_analytic_trajectory_phase_relations():
 
 
 def test_period_grid():
-    grid = period_grid(2.0, periods=1.0)  # period 2 pi / 2 = pi
+    # a drive's induced path is sampled uniformly over its whole duration
+    params = ConstantDriveParams(omega_d=1.0, delta=2.0)  # period 2 pi / 2 = pi
+    grid = induced_trajectory(constant_drive(params), samples=10_000).times
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(math.pi)
-    assert len(grid) == DEFAULT_SAMPLES_PER_PERIOD
+    assert len(grid) == 10_000
     assert np.all(np.diff(grid) > 0)
-    assert len(period_grid(2.0, periods=0.5)) == DEFAULT_SAMPLES_PER_PERIOD // 2
+    half = induced_trajectory(constant_drive(params, periods=0.5), samples=5_000).times
+    assert half[-1] == pytest.approx(math.pi / 2.0)
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])

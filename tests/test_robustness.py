@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from loopgate import cli
 from loopgate.drives import ConstantDriveParams, constant_drive, four_pulse_sequence
 from loopgate.errors import InternalConsistencyError, LoopNotClosedError
 from loopgate.robustness import (
@@ -274,9 +275,7 @@ def test_report_json_structure(sample_report):
     assert row["value"] == 0.5
     assert row["eta"] == pytest.approx(-2.0, abs=1e-6)
     assert row["fidelity"] is None
-    text = sample_report.to_json_text()
-    assert text.endswith("\n")
-    assert json.loads(text) == data
+    assert "seed" not in data["metadata"]
 
 
 def test_report_csv_structure(sample_report):
@@ -295,15 +294,22 @@ def test_report_csv_structure(sample_report):
     assert "samples" in summaries
 
 
-def test_report_write_round_trip(sample_report, tmp_path):
+def test_report_write_round_trip(sample_report, tmp_path, capsys):
+    # Reports are written by the command line: the same sweep through
+    # `loopgate sweep --out` gives the report's own dict and CSV table.
+    argv = ["sweep", "--parameter", "omega_over_delta", "--grid", "0.3,0.5",
+            "--samples", "50001"]
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
-    sample_report.write(str(json_path), fmt="json")
-    sample_report.write(str(csv_path), fmt="csv")
-    assert json.loads(json_path.read_text()) == sample_report.to_json_dict()
+    assert cli.main(argv + ["--out", str(json_path)]) == cli.EXIT_OK
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_path)]) == cli.EXIT_OK
+    text = json_path.read_text()
+    assert text.endswith("\n")
+    assert json.loads(text) == sample_report.to_json_dict()
     assert csv_path.read_text() == sample_report.to_csv_text()
-    with pytest.raises(ValueError):
-        sample_report.write(str(tmp_path / "report.xml"), fmt="xml")
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--format", "xml"])
+    capsys.readouterr()
 
 
 def test_report_rows_are_frozen(sample_report):
