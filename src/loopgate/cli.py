@@ -70,6 +70,8 @@ from .oracle import (
     DEFAULT_LEAKAGE_TOL,
     DEFAULT_N_MAX,
     DEFAULT_STEPS,
+    MAX_N_MAX,
+    MAX_STEPS,
     FockSpace,
     extract_total_phase,
     propagate,
@@ -79,6 +81,7 @@ from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     analytic_total_phase,
     decompose,
+    loop_closes,
 )
 from .robustness import (
     AREA_STUDY_SAMPLES,
@@ -185,6 +188,11 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
             if kind is float:
                 value = _finite(value, _flag(key))
+            if key in _CAPS and value > _CAPS[key]:
+                raise ConfigError(
+                    f"{_flag(key)} {value} exceeds the cap {_CAPS[key]}; "
+                    f"use {_flag(key)} {_CAPS[key]} or less"
+                )
         opts[key] = value
     return opts
 
@@ -315,7 +323,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, int]:
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
 
     residual = drives.closure_residual(drive, tau)
-    closed = residual <= closure_tolerance
+    closed = loop_closes(residual, closure_tolerance, lambda: drives.peak_alpha(drive, tau))
     if opts.get("require_closed", False) and not closed:
         raise LoopNotClosedError(
             f"loop is open at tau={tau:.12g}: closure residual {residual:.6e} "
@@ -554,7 +562,9 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, int]:
         and segment.func is None
         and segment.frequency != 0.0
     ):
-        displacement_residual = verify_magnus_form(drive, tau, FockSpace(n_max), steps)
+        displacement_residual = verify_magnus_form(
+            drive, tau, FockSpace(n_max), steps, propagation=propagation
+        )
 
     passed = max_deviation <= tolerance and (
         displacement_residual is None or displacement_residual <= tolerance
@@ -733,6 +743,9 @@ _FLAGS = {
 
 _COMMON_FLAGS = ("config", "format", "out")
 _CONSTANT_DRIVE_FLAGS = ("omega_over_delta", "delta", "phi_l")
+
+# The largest value of each flag that sizes an array.
+_CAPS = {"n_max": MAX_N_MAX, "steps": MAX_STEPS, "samples": drives.MAX_SAMPLES}
 
 
 class _Command(NamedTuple):

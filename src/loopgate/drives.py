@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 # Default quadrature sampling for drive functionals.
 DEFAULT_DRIVE_SAMPLES = 20_001
 
+# Cap on quadrature samples: past it the sampled path and drive arrays of one
+# quadrature outgrow about 100 MB.
+MAX_SAMPLES = 1_000_001
+
 # Internal grid resolution used to integrate callable segments.
 _CALLABLE_RESOLUTION = 20_001
 
@@ -254,6 +258,14 @@ def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:
     return float(abs(endpoints[1] - endpoints[0]))
 
 
+def peak_alpha(drive: DriveProfile, tau: float | None = None, samples: int = 2001) -> float:
+    """Largest |alpha(t)| on ``samples`` evenly spaced times of [0, tau]."""
+    if tau is None:
+        tau = drive.total_duration
+    t = np.linspace(0.0, float(tau), samples)
+    return float(np.max(np.abs(alpha_array(drive, t))))
+
+
 def induced_trajectory(
     drive: DriveProfile,
     tau: float | None = None,
@@ -275,7 +287,8 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     Evaluates (i/2) * integral_0^tau (conj(alpha) f - alpha conj(f)) dt by
     trapezoidal quadrature.  The bracket is purely imaginary (it equals
     2i * Im(conj(alpha) f)), so the returned value is real; a residual real
-    part beyond rounding raises :class:`InternalConsistencyError`.
+    part beyond rounding raises :class:`InternalConsistencyError`, and an
+    integrand that overflows raises ValueError.
 
     A spin sector with conditioner eigenvalue beta accumulates the total phase
     beta**2 * gamma0(tau), split as geometric -beta**2 * gamma0 and dynamic
@@ -288,7 +301,12 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     t = np.linspace(0.0, float(tau), samples)
-    z = np.conj(alpha_array(drive, t)) * f_array(drive, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.conj(alpha_array(drive, t)) * f_array(drive, t)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(
+            "loop-phase integrand conj(alpha) f is not finite: the drive or its path overflows"
+        )
     # The bracket conj(alpha) f - alpha conj(f) equals z - conj(z), which is
     # purely imaginary; guard the assumption before discarding the real part.
     bracket = z - np.conj(z)

@@ -40,9 +40,13 @@ class NonUnitaryError(LoopGateError):
 
 
 class TruncationError(LoopGateError):
-    """Fock-space truncation is too small for the requested evolution."""
+    """Fock-space truncation is too small for the requested evolution.
 
-    def __init__(self, message: str, leakage: float, recommended_n_max: int):
+    ``recommended_n_max`` is None when the evolution needs more than the
+    oracle's cap on n_max.
+    """
+
+    def __init__(self, message: str, leakage: float, recommended_n_max: int | None):
         super().__init__(message)
         self.leakage = leakage
         self.recommended_n_max = recommended_n_max

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import phasespace
-from .drives import DriveProfile, closure_residual, gamma0, DEFAULT_DRIVE_SAMPLES
+from .drives import DriveProfile, closure_residual, gamma0, peak_alpha, DEFAULT_DRIVE_SAMPLES
 from .errors import (
     InternalConsistencyError,
     LoopNotClosedError,
@@ -227,7 +227,9 @@ def collective_gate(
     if tau is None:
         tau = drive.total_duration
     residual = closure_residual(drive, tau)
-    if residual > closure_tolerance:
+    if not phasespace.loop_closes(
+        residual, closure_tolerance, lambda: peak_alpha(drive, tau)
+    ):
         raise LoopNotClosedError(
             f"loop is not closed at tau={tau}: residual {residual:.3e}", residual
         )

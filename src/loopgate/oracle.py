@@ -22,28 +22,43 @@ The same twist makes the product cheap on a closed-form segment: while the
 midpoints stay in one segment of frequency delta, g_k = g_0 exp(-i delta dt k),
 so the step matrices are S_k = L^k S_0 L^-k with L = diag(exp(-i delta dt n)).
 The product over such a run is L^K M^K with M = L^-1 S_0, which one
-eigendecomposition of M evaluates at every grid point.  Runs shorter than a
-measured break-even (``_MIN_RUN_STEPS``, or ``_MIN_RUN_STEPS_WITH_OPERATOR``
-when the operator is tracked) and callable segments take the per-step loop.
-Either way the results equal the per-step product up to rounding; a unit
-test holds the two paths together.
+eigendecomposition of M evaluates at every grid point.  That eigenbasis is
+known in advance on a pulse (frequency 0), where M = S_0; on a tone it comes
+from one real symmetric ``eigh`` while the eigenphase arc
+|g0| dt max|w| + |delta| dt (d-1)/2 stays below ``_ARC_LIMIT`` (< pi/2), and
+from the general eigendecomposition beyond it (see :func:`_run_eigenbasis`).
+Runs shorter than a measured break-even (``_MIN_RUN_STEPS``, or
+``_MIN_RUN_STEPS_WITH_OPERATOR`` when the operator is tracked) and callable
+segments take the per-step loop.  Either way the results equal the per-step
+product up to rounding; a unit test holds the two paths together.
+
+Two propagations are never repeated.  With P = (-1)^n, H(-g) = P H(g) P
+exactly on the truncated space, so the sector of eigenvalue -beta (jz and
+jy have +-2) is the parity mirror of the sector of +beta.  And
+:func:`verify_magnus_form` takes the unit-eigenvalue operator from a
+propagation it is handed instead of propagating that sector again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .drives import DriveProfile, _locate, alpha_array, f_array
+from .drives import DriveProfile, _locate, alpha_array, f_array, peak_alpha
 from .errors import TruncationError, UndefinedPhaseError
 from .phasespace import PhaseDecomposition, analytic_total_phase, decompose
 
 DEFAULT_N_MAX = 64
 DEFAULT_STEPS = 20_000
+
+# Caps on the truncation and the step count.  Past them one dense
+# (n_max+1)^2 block, or one steps-long phase series, outgrows about 100 MB.
+MAX_N_MAX = 1024
+MAX_STEPS = 1_000_000
 
 # Overlap modulus below which the accumulated total phase stops being meaningful.
 OVERLAP_FLOOR = 1e-6
@@ -63,6 +78,12 @@ _MIN_RUN_STEPS_WITH_OPERATOR = 40
 
 # Series points per chunk in a closed-form run.
 _CHUNK_ROWS = 64
+
+# Bound, in radians, on the eigenphase arc |g0| dt max|w| + |frequency| dt (d-1)/2
+# below which a tone run takes its real orthogonal eigenbasis (see
+# _run_eigenbasis).  The arc must stay below pi/2; the margin keeps
+# tan(arc), by which eigh's rounding enters the eigenphases, under 6.
+_ARC_LIMIT = 1.4
 
 
 @dataclass(frozen=True)
@@ -93,21 +114,22 @@ class FockSpace:
 
 def peak_excursion(drive: DriveProfile, tau: float | None = None, scan_samples: int = 2001) -> float:
     """Largest |beta * alpha(t)| over the evolution, across spin sectors."""
-    if tau is None:
-        tau = drive.total_duration
     values, _ = drive.conditioner.eigensystem()
-    beta_max = float(np.max(np.abs(values)))
-    t = np.linspace(0.0, float(tau), scan_samples)
-    return beta_max * float(np.max(np.abs(alpha_array(drive, t))))
+    return float(np.max(np.abs(values))) * peak_alpha(drive, tau, scan_samples)
 
 
 def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
-    """Truncation for this drive: n_max = 64, escalated to keep |alpha|^2 <= n_max/4."""
-    excursion_sq = peak_excursion(drive, tau) ** 2
-    n_max = DEFAULT_N_MAX
-    if excursion_sq > n_max / 4.0:
-        n_max = int(math.ceil(4.0 * excursion_sq))
-    return FockSpace(n_max)
+    """Truncation for this drive: n_max = 64, escalated to keep |alpha|^2 <= n_max/4.
+
+    Raises ValueError when the escalation would pass ``MAX_N_MAX``.
+    """
+    need = 4.0 * peak_excursion(drive, tau) ** 2
+    if need > MAX_N_MAX:
+        raise ValueError(
+            f"the loop reaches 4|beta alpha|^2 = {need:.4g}, beyond the cap n_max <= "
+            f"{MAX_N_MAX}; keep |beta alpha| <= {math.sqrt(MAX_N_MAX / 4.0):g}"
+        )
+    return FockSpace(max(DEFAULT_N_MAX, int(math.ceil(need))))
 
 
 def build_hamiltonian(drive: DriveProfile, t: float, space: FockSpace) -> np.ndarray:
@@ -226,19 +248,57 @@ def _sector_step_apply(vec, Dc, D, QcT, Qc, phase_vec):
     return D * v
 
 
+def _run_eigenbasis(g0, frequency, dt, w, Q):
+    """Z, Z^-1 and theta with M = L^-1 S_0 = Z diag(exp(i theta)) Z^-1 for one run.
+
+    S_0 = (D Q) E (D Q)^H with E = diag(exp(-i |g0| dt w)) and
+    D = diag(exp(i (arg g0 - pi/2) n)).  A pulse (frequency 0) has M = S_0,
+    whose eigenbasis is D Q itself.  For a tone, M = Y M' Y^-1 with
+    T = diag(exp(i frequency dt n / 2)), Y = T D and M' = T Q E Q^T T.  M' is
+    complex symmetric and unitary, so its real and imaginary parts are
+    commuting real symmetric matrices with a common real orthogonal
+    eigenbasis O, which ``eigh`` of Im(exp(-ic) M') finds as long as the
+    eigenphases of exp(-ic) M' stay inside (-pi/2, pi/2), where sin is
+    one-to-one.  With c = frequency dt (d - 1)/2 the product of the two
+    unitaries T^2 and E bounds them by |g0| dt max|w| + |frequency| dt (d-1)/2;
+    past ``_ARC_LIMIT`` the general eigendecomposition of M is used instead.
+    """
+    dim = w.size
+    nvec = np.arange(dim)
+    D = np.exp(1j * (np.angle(g0) - 0.5 * np.pi) * nvec)
+    spin = -abs(g0) * dt * w
+    if frequency == 0.0:
+        Z = D[:, None] * Q
+        return Z, Z.conj().T, spin
+    if np.max(np.abs(spin)) + abs(frequency) * dt * (dim - 1) / 2.0 < _ARC_LIMIT:
+        half_turn = np.exp(0.5j * frequency * dt * nvec)
+        TQ = half_turn[:, None] * Q
+        M_sym = (TQ * np.exp(1j * spin)) @ TQ.T
+        centre = frequency * dt * (dim - 1) / 2.0
+        _, O = np.linalg.eigh(np.imag(np.exp(-1j * centre) * M_sym))
+        theta = np.angle(np.sum(O * (M_sym @ O), axis=0))
+        Y = half_turn * D
+        return Y[:, None] * O, O.T * np.conj(Y), theta
+    step = (D[:, None] * Q * np.exp(1j * spin)) @ (Q.T * np.conj(D))
+    eigenvalues, Z = np.linalg.eig(np.exp(1j * frequency * dt * nvec)[:, None] * step)
+    return Z, np.linalg.inv(Z), np.angle(eigenvalues)
+
+
 def _closed_form_run(
-    psi, g0, frequency, dt, initial_fock, w, Qc, sq, overlaps, energies, leakages, with_operator
+    psi, g0, frequency, dt, initial_fock, w, Q, sq, overlaps, energies, leakages, with_operator
 ):
     """Advance ``psi`` over ``overlaps.size`` midpoint steps of one closed-form segment.
 
     Inside the run g_j = g0 * exp(-i frequency dt j), so the step matrices are
     S_j = L^j S_0 L^-j with L = diag(exp(-i frequency dt n)), and the state
     after j steps is L^j M^j psi with M = L^-1 S_0.  M is unitary, so its
-    eigendecomposition M = Z diag(exp(i theta)) Z^-1 is well conditioned;
-    with c = Z^-1 psi, every series point is a row of Z against
-    exp(i theta j) * c.  The midpoint energy of step j equals
-    <phi_j|H_0|phi_j> with phi_j = M^j psi, because the half step commutes
-    with the step Hamiltonian H_j = L^j H_0 L^-j.
+    eigendecomposition M = Z diag(exp(i theta)) Z^-1 (see
+    :func:`_run_eigenbasis`) is well conditioned; with c = Z^-1 psi, every
+    series point is a row of Z against exp(i theta j) * c.  The midpoint
+    energy of step j equals <phi_j|H_0|phi_j> with phi_j = M^j psi, because
+    the half step commutes with the step Hamiltonian H_j = L^j H_0 L^-j; on a
+    pulse M = S_0 commutes with H_0 as well, so every step has the energy of
+    the run's first state.
 
     Fills ``overlaps`` and ``leakages`` with the points after steps 1..K and
     ``energies`` with the midpoint energies of steps 0..K-1.  Returns the final
@@ -247,15 +307,14 @@ def _closed_form_run(
     steps = overlaps.size
     dim = psi.size
     nvec = np.arange(dim)
-    D = np.exp(1j * (np.angle(g0) - 0.5 * np.pi) * nvec)
-    step = (D[:, None] * Qc * np.exp(-1j * abs(g0) * dt * w)) @ (Qc.T * np.conj(D))
-    turn = np.exp(1j * frequency * dt * nvec)
-    eigenvalues, Z = np.linalg.eig(turn[:, None] * step)
-    theta = np.angle(eigenvalues)
-    Zinv = np.linalg.inv(Z)
+    Z, Zinv, theta = _run_eigenbasis(g0, frequency, dt, w, Q)
     c = Zinv @ psi
     h0 = -1j * g0 * np.diag(sq, -1) + 1j * np.conj(g0) * np.diag(sq, 1)
-    energy_form = (Z.conj().T @ h0 @ Z).T
+    energy_form = None
+    if frequency == 0.0:
+        energies[:] = np.real(np.vdot(psi, h0 @ psi))
+    else:
+        energy_form = (Z.conj().T @ h0 @ Z).T
     # Rows that read point j + 1 off the coefficients v_j = exp(i theta j) * c;
     # L^(j+1) adds the phase overlap_turn * (j + 1) to the overlap element and
     # leaves the top-level population alone.
@@ -272,7 +331,8 @@ def _closed_form_run(
         chunk = slice(j0, j0 + rows)
         twist = np.exp(1j * overlap_turn * np.arange(j0 + 1, j0 + rows + 1))
         overlaps[chunk] = (v @ overlap_row) * twist
-        energies[chunk] = np.real(np.sum(np.conj(v) * (v @ energy_form), axis=1))
+        if energy_form is not None:
+            energies[chunk] = np.real(np.sum(np.conj(v) * (v @ energy_form), axis=1))
         leakages[chunk] = np.abs(v @ top_row) ** 2
 
     spin = np.exp(1j * theta * steps)
@@ -341,7 +401,7 @@ def _propagate_sector(
             continue
         if segment.func is None and k1 - k0 >= min_run:
             psi, run_operator = _closed_form_run(
-                psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Qc, sq,
+                psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Q, sq,
                 overlap_series[run], dynamic_series[run], leakage_series[run], with_operator,
             )
             # The run filled dynamic_series[run] with its step energies.
@@ -402,6 +462,22 @@ def _propagate_sector(
     )
 
 
+def _parity_mirror(sector: SectorEvolution, eigenvalue: float) -> SectorEvolution:
+    """The sector of ``eigenvalue`` = -beta from the already propagated sector of beta.
+
+    With P = (-1)^n, H(-g) = P H(g) P exactly on the truncated space, so the
+    evolution is P U P (U with the sign of every element between Fock levels
+    of opposite parity flipped) and the state started from |n0> is
+    P U P|n0> = +-P U|n0>: the overlap, dynamic and leakage series and the
+    unitarity defect are those of ``sector``.
+    """
+    evolution = sector.evolution
+    if evolution is not None:
+        parity = 1.0 - 2.0 * (np.arange(evolution.shape[0]) % 2)
+        evolution = evolution * np.outer(parity, parity)
+    return replace(sector, eigenvalue=float(eigenvalue), evolution=evolution)
+
+
 def _unwrap_series(overlaps: np.ndarray) -> tuple[np.ndarray, float]:
     """Accumulated argument along an overlap series, plus its smallest modulus."""
     moduli = np.abs(overlaps)
@@ -434,15 +510,20 @@ def propagate(
     On each run of at least ``_MIN_RUN_STEPS`` steps (``_MIN_RUN_STEPS_WITH_OPERATOR``
     with ``with_operator``) whose midpoints lie in one closed-form segment, the
     product is evaluated in closed form from S_k = L^k S_0 L^-k with
-    L = diag(exp(-i frequency dt n)); shorter runs and callable segments are
-    stepped one exponential at a time.  Both give the per-step product up to
-    rounding.
+    L = diag(exp(-i frequency dt n)), through the pulse's known eigenbasis or
+    the tone's real orthogonal one (the general eigendecomposition when the
+    eigenphase arc passes ``_ARC_LIMIT``); shorter runs and callable segments
+    are stepped one exponential at a time.  All give the per-step product up
+    to rounding.  A sector whose eigenvalue is minus that of one already
+    propagated is its parity mirror: the same overlap, dynamic and leakage
+    series and unitarity defect, and the evolution P U P with P = (-1)^n.
 
     ``space=None`` picks :func:`default_space` (n_max = 64, escalated when
-    the loop grows).  ``sample_times`` requests phase snapshots on grid
-    times; ``initial_fock`` starts every sector from that Fock level instead
-    of the vacuum.  Population reaching the top level above ``leakage_tol``
-    raises :class:`TruncationError` with a recommended truncation.
+    the loop grows, up to ``MAX_N_MAX``).  ``sample_times`` requests phase
+    snapshots on grid times; ``initial_fock`` starts every sector from that
+    Fock level instead of the vacuum.  Population reaching the top level
+    above ``leakage_tol`` raises :class:`TruncationError` with a recommended
+    truncation.
     """
     if tau is None:
         tau = drive.total_duration
@@ -472,10 +553,20 @@ def propagate(
             column_sector[k] = len(distinct)
             distinct.append(float(value))
 
-    sectors = tuple(
-        _propagate_sector(value, drive, tau, space, steps, initial_fock, with_operator)
-        for value in distinct
-    )
+    sectors: list[SectorEvolution] = []
+    for value in distinct:
+        mirror = next(
+            (s for s in sectors
+             if s.eigenvalue != 0.0 and abs(s.eigenvalue + value) <= _EIGENVALUE_RESOLUTION),
+            None,
+        )
+        if mirror is None:
+            sectors.append(
+                _propagate_sector(value, drive, tau, space, steps, initial_fock, with_operator)
+            )
+        else:
+            sectors.append(_parity_mirror(mirror, value))
+    sectors = tuple(sectors)
 
     # weights[j, i]: probability that basis state j sits in sector i.
     weights = np.zeros((4, len(distinct)))
@@ -498,13 +589,17 @@ def propagate(
 
     leakage = float(np.max(leakage_by_state))
     if leakage > leakage_tol:
-        excursion_sq = peak_excursion(drive, tau) ** 2
-        recommended = int(math.ceil(4.0 * excursion_sq))
-        if recommended <= space.n_max:
-            recommended = 2 * space.n_max
+        need = 4.0 * peak_excursion(drive, tau) ** 2
+        if need <= space.n_max:
+            need = 2 * space.n_max
+        recommended = int(math.ceil(need)) if need <= MAX_N_MAX else None
+        advice = (
+            f"the loop needs a truncation beyond the cap n_max <= {MAX_N_MAX}"
+            if recommended is None
+            else f"rerun with n_max >= {recommended}"
+        )
         raise TruncationError(
-            f"population {leakage:.3e} reached the top Fock level n_max={space.n_max}; "
-            f"rerun with n_max >= {recommended}",
+            f"population {leakage:.3e} reached the top Fock level n_max={space.n_max}; {advice}",
             leakage=leakage,
             recommended_n_max=recommended,
         )
@@ -556,6 +651,8 @@ def verify_magnus_form(
     tau: float | None = None,
     space: FockSpace | None = None,
     steps: int = DEFAULT_STEPS,
+    *,
+    propagation: FockPropagation | None = None,
 ) -> float:
     """Deviation of the stepped evolution from its displacement form.
 
@@ -568,6 +665,12 @@ def verify_magnus_form(
     The comparison is three-way independent: the left side is the ordered
     product of midpoint exponentials, the displacement operator is built by
     scaling-and-squaring, and Phi and alpha come from the closed forms.
+
+    ``propagation``, a :func:`propagate` result for this drive, supplies the
+    left side when it tracked the operator of a unit-eigenvalue sector on the
+    same ``space``, ``steps`` and ``tau``; the operator does not depend on the
+    initial Fock level, so the residual is the one a fresh propagation gives.
+    Otherwise the unit sector is propagated here.
     """
     if len(drive.segments) != 1 or drive.segments[0].func is not None:
         raise ValueError("the displacement-form check needs a single-tone drive")
@@ -580,7 +683,16 @@ def verify_magnus_form(
     if space is None:
         space = default_space(drive, tau)
 
-    sector = _propagate_sector(1.0, drive, tau, space, steps, 0, True)
+    evolution = None
+    if (
+        propagation is not None
+        and (propagation.space, propagation.steps, propagation.tau) == (space, steps, tau)
+    ):
+        evolution = next(
+            (s.evolution for s in propagation.sectors if s.eigenvalue == 1.0), None
+        )
+    if evolution is None:
+        evolution = _propagate_sector(1.0, drive, tau, space, steps, 0, True).evolution
     omega = abs(segment.amplitude)
     ratio = omega / segment.frequency
     phi = analytic_total_phase(ratio, segment.frequency, tau)
@@ -588,5 +700,5 @@ def verify_magnus_form(
     target = np.exp(1j * phi) * displacement_matrix(alpha, space)
 
     block = space.n_max // 2 + 1
-    difference = (sector.evolution - target)[:block, :block]
+    difference = (evolution - target)[:block, :block]
     return float(np.linalg.norm(difference, 2))

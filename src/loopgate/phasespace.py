@@ -31,6 +31,10 @@ ETA_GEOMETRIC_THRESHOLD = 1e-9
 # Default closure tolerance for |alpha(T) - alpha(0)|.
 DEFAULT_CLOSURE_TOLERANCE = 1e-9
 
+# Rounding floor of the closure test per unit of peak |alpha|: endpoints
+# computed from terms of size |alpha| carry a few eps * |alpha| of rounding.
+CLOSURE_ROUNDING = 16.0 * np.finfo(float).eps
+
 # Default tolerance used when classifying a decomposition by its eta value.
 CLASSIFICATION_TOLERANCE = 1e-9
 
@@ -88,7 +92,22 @@ class Trajectory:
         return float(abs(self.points[-1] - self.points[0]))
 
     def is_closed(self) -> bool:
-        return self.closure_residual <= self.closure_tolerance
+        return loop_closes(
+            self.closure_residual,
+            self.closure_tolerance,
+            lambda: float(np.max(np.abs(self.points))),
+        )
+
+
+def loop_closes(residual: float, tolerance: float, peak: Callable[[], float]) -> bool:
+    """Whether endpoints ``residual`` apart close a loop whose largest |alpha| is ``peak()``.
+
+    The tolerance is widened by ``CLOSURE_ROUNDING * peak()``, the rounding
+    left by endpoints computed from terms of that size, so a closed loop of
+    large radius does not read as open from rounding alone.  ``peak`` scans
+    the path, so it is called only when ``residual`` exceeds ``tolerance``.
+    """
+    return bool(residual <= tolerance or residual <= tolerance + CLOSURE_ROUNDING * peak())
 
 
 @dataclass(frozen=True)

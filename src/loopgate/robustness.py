@@ -28,6 +28,7 @@ from .drives import (
     constant_drive_h_expect,
     drive_h_expect,
     induced_trajectory,
+    peak_alpha,
 )
 from .errors import InternalConsistencyError, LoopNotClosedError
 from .gates import TwoQubitGate, gate_fidelity, phase_gate
@@ -39,6 +40,7 @@ from .phasespace import (
     decompose,
     dynamic_phase,
     geometric_phase,
+    loop_closes,
 )
 
 SCHEMA_VERSION = 1
@@ -499,7 +501,7 @@ def area_invariance_study(
     geometrics = []
     for index, loop in enumerate(loops):
         residual = closure_residual(loop)
-        if residual > closure_tolerance:
+        if not loop_closes(residual, closure_tolerance, lambda: peak_alpha(loop)):
             raise LoopNotClosedError(
                 f"loop {index} is open: residual {residual:.3e}", residual
             )

@@ -602,6 +602,7 @@ def test_version_flag(capsys):
         (["sweep", "--parameter", "time", "--grid", "nan"], "--grid entries must be finite"),
         (["phase", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
         (["sweep", "--parameter", "omega_over_delta", "--grid=1e200"], "omega_d^2 overflows"),
+        (["oracle-verify", "--omega-over-delta", "1e155"], "loop-phase integrand"),
     ],
 )
 def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):
@@ -631,3 +632,69 @@ def test_json_renderer_refuses_non_finite_values():
     # Backstop behind the input checks: a NaN never reaches the JSON output.
     with pytest.raises(ValueError):
         cli._render({"total": math.nan}, "json")
+
+
+# ---------------------------------------------------------------------------
+# closure of large loops: rounding of order eps * |alpha| is not an opening
+
+
+def test_large_closed_loop_counts_as_closed(capsys):
+    # exp(-2 pi i) - 1 rounds to 2.4e-16 i, so at radius 1e8 the one-period
+    # endpoints lie 2.4e-8 apart, above the default 1e-9 tolerance.
+    report = run_json(capsys, "gate", "--omega-over-delta", "1e8")
+    assert report["constant"]["omega_over_delta"] == 1e8
+    report = run_json(capsys, "phase", "--omega-over-delta", "1e8", "--require-closed")
+    assert report["closed"] is True
+    assert report["closure_residual"] > 1e-9
+
+
+@pytest.mark.parametrize("command", [("gate",), ("phase", "--require-closed")])
+def test_large_open_loop_is_still_rejected(capsys, command):
+    # A millionth of a period past closure leaves the radius-1e8 loop open by
+    # about 6e2, far beyond the rounding floor of about 7e-7.
+    code, out, err = run_cli(
+        capsys, *command, "--omega-over-delta", "1e8", "--periods", "1.000001"
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "not closed" in err or "open" in err
+
+
+# ---------------------------------------------------------------------------
+# caps on the flags that size arrays: checked before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["phase", "--omega-over-delta", "0.5", "--oracle", "--n-max", "1025"],
+         "--n-max 1025 exceeds the cap 1024; use --n-max 1024 or less"),
+        (["oracle-verify", "--omega-over-delta", "0.5", "--steps", "1000001"],
+         "--steps 1000001 exceeds the cap 1000000; use --steps 1000000 or less"),
+        (["sweep", "--parameter", "phi_l", "--grid", "0", "--oracle", "--n-max", "1025"],
+         "--n-max 1025 exceeds the cap 1024"),
+        (["gate", "--omega-over-delta", "0.5", "--samples", "1000002"],
+         "--samples 1000002 exceeds the cap 1000001; use --samples 1000001 or less"),
+    ],
+)
+def test_array_sizing_flags_are_capped(capsys, argv, cause):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert cause in err
+
+
+def test_config_values_are_capped(capsys, tmp_path):
+    path = write_doc(tmp_path, "cfg.json", {"omega_over_delta": 0.5, "steps": 10**7})
+    code, _, err = run_cli(capsys, "oracle-verify", "--config", path)
+    assert code == EXIT_INVALID
+    assert "--steps 10000000 exceeds the cap 1000000" in err
+
+
+def test_truncation_beyond_the_cap_says_so(capsys):
+    # A loop of radius 100 needs n_max near 4e4: no rerun advice can help.
+    code, out, err = run_cli(
+        capsys, "phase", "--omega-over-delta", "100", "--oracle", "--steps", "200"
+    )
+    assert code == EXIT_NUMERICAL
+    assert "beyond the cap n_max <= 1024" in err

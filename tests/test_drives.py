@@ -196,6 +196,14 @@ def test_gamma0_ignores_drive_phase(phi_l):
     assert rotated == pytest.approx(base, abs=1e-12)
 
 
+def test_gamma0_rejects_an_overflowing_integrand():
+    # conj(alpha) f ~ 1e310 overflows; the NaN it leaves must not pass the
+    # real-part guard as a value.
+    drive = constant_drive(ConstantDriveParams(omega_d=1e155, delta=1.0))
+    with pytest.raises(ValueError, match="loop-phase integrand"):
+        gamma0(drive)
+
+
 def test_gamma0_open_path_matches_closed_form():
     # gamma0(t) equals the closed-form total phase at every time, not just
     # at loop closure.

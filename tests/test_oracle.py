@@ -140,6 +140,16 @@ def test_default_space_escalates_with_loop_size():
     assert default_space(wider).n_max == 71
 
 
+def test_default_space_escalation_is_capped():
+    # |alpha| peaks at 2 * 16.5 = 33, so the escalation would ask for
+    # n_max = 4356; the cap stops it before any matrix is built.
+    drive = constant_drive(ConstantDriveParams(omega_d=16.5, delta=1.0))
+    with pytest.raises(ValueError, match="beyond the cap n_max <= 1024"):
+        default_space(drive)
+    with pytest.raises(ValueError, match="beyond the cap"):
+        propagate(drive, steps=10)
+
+
 # ---------------------------------------------------------------------------
 # the stepping is the exact exponential of the midpoint Hamiltonian
 
@@ -457,6 +467,18 @@ def _boundary_polygon(steps):
     return drive
 
 
+def _pulse_then_tone(periods, conditioner):
+    """A pulse moving alpha by 0.2, then ``periods`` turns of a radius-0.05 tone."""
+    tone = 2.0 * math.pi * periods
+    return DriveProfile(
+        segments=(
+            DriveSegment(duration=tone / 4.0, amplitude=0.8 / tone),
+            DriveSegment(duration=tone, amplitude=-0.05j, frequency=1.0),
+        ),
+        conditioner=conditioner,
+    )
+
+
 # case: (drive builder taking the step count, propagate keyword arguments).
 # The default space, n_max 16, holds |beta * alpha| up to 1; the headline
 # loop reaches 2 under jz and jy.
@@ -493,6 +515,15 @@ EQUIVALENCE_CASES = {
     "sample-times": (
         lambda steps: headline_drive(),
         {"sample_times": [0.0, math.pi, TWO_PI]},
+    ),
+    # A pulse, then a tone whose eigenphase arc at n_max 64 passes
+    # oracle._ARC_LIMIT at 20k steps (125 periods, 128 steps each), so it
+    # takes the general eigendecomposition; jz mirrors both runs into the
+    # -2 sector.  The dynamic phase grows with the periods, and so does its
+    # rounding; radius 0.05 keeps it near 16 rad.
+    "jz-pulse-fast-tone": (
+        lambda steps: _pulse_then_tone(max(1, steps // 160), jz_conditioner()),
+        {"space": FockSpace(64)},
     ),
     # At 20k steps the last pulse gets 20 steps: below both break-evens.
     "short-run": (
@@ -547,3 +578,118 @@ def test_zero_eigenvalues_of_jy_form_an_exact_identity_sector():
     assert len(zero) == 1
     assert np.all(zero[0].overlap_series == 1.0)
     assert np.array_equal(zero[0].evolution, np.eye(8))
+
+
+# ---------------------------------------------------------------------------
+# identities the oracle uses in place of a propagation or a factorisation
+
+
+MIRROR_CASES = {
+    "jz": (lambda: headline_drive(jz_conditioner()), 0),
+    "jy": (lambda: headline_drive(jy_conditioner()), 0),
+    "callable-jz": (lambda: _stepped_twin(headline_drive(jz_conditioner())), 0),
+    "initial-fock-1": (
+        lambda: constant_drive(
+            ConstantDriveParams(omega_d=0.3, delta=1.0), conditioner=jz_conditioner()
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_parity_mirrored_sector_matches_direct_propagation(case):
+    make_drive, initial_fock = MIRROR_CASES[case]
+    drive = make_drive()
+    space = FockSpace(24)
+    run = propagate(drive, space=space, steps=2_000, initial_fock=initial_fock)
+    nonzero = [s for s in run.sectors if s.eigenvalue != 0.0]
+    assert len(nonzero) == 2 and abs(nonzero[0].eigenvalue + nonzero[1].eigenvalue) < 1e-12
+    for sector in nonzero:
+        direct = oracle._propagate_sector(
+            sector.eigenvalue, drive, run.tau, space, 2_000, initial_fock, True
+        )
+        for name in ("overlap_series", "dynamic_series", "leakage_series"):
+            assert np.max(np.abs(getattr(sector, name) - getattr(direct, name))) < 1e-12, name
+        assert np.max(np.abs(sector.evolution - direct.evolution)) < 1e-10
+        assert abs(sector.unitarity_defect - direct.unitarity_defect) < 1e-12
+
+
+def _run_matrix(g0, frequency, dt, dim):
+    """M = L^-1 exp(-i H_0 dt) with L = diag(exp(-i frequency dt n)), by dense exponential."""
+    a = FockSpace(dim - 1).lowering()
+    h0 = -1j * g0 * a.conj().T + 1j * np.conj(g0) * a
+    return np.exp(1j * frequency * dt * np.arange(dim))[:, None] * expm(-1j * dt * h0)
+
+
+def _position_eigensystem(dim):
+    a = FockSpace(dim - 1).lowering().real
+    return np.linalg.eigh(a + a.T)
+
+
+def test_tone_eigenbasis_matches_general_eigendecomposition(monkeypatch):
+    eig_calls = []
+    general_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: eig_calls.append(1) or general_eig(m))
+    rng = np.random.default_rng(11)
+    runs = []
+    for k in range(16):
+        dim = int(rng.integers(8, 66))
+        steps = int(rng.integers(1_000, 20_001))
+        frequency = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        g0 = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0.0, TWO_PI))
+        if k < 10:
+            dt = 2.0 * math.pi * int(rng.integers(1, 5)) / abs(frequency) / steps
+        else:
+            # Eigenphase arcs of 85-99% of the bound.
+            w, _ = _position_eigensystem(dim)
+            unit_arc = abs(g0) * np.max(np.abs(w)) + abs(frequency) * (dim - 1) / 2.0
+            dt = rng.uniform(0.85, 0.99) * oracle._ARC_LIMIT / unit_arc
+        runs.append((dim, g0, frequency, dt, steps, True))
+    # A weak drive leaves M close to the frame turn, whose eigenphases
+    # frequency dt n fill an arc of 2.65 rad.  With dt = pi / 76 the phases of
+    # levels n and 76 - n have the same sine: only the centring of the arc
+    # keeps their eigenvectors apart.
+    for frequency in (1.0, -1.0):
+        runs.append((65, 0.01j, frequency, math.pi / 76, 2_000, True))
+    # 48 steps over one period of the headline tone at n_max 64: past the arc bound.
+    runs.append((65, 0.5j, 1.0, TWO_PI / 48, 48, False))
+
+    for dim, g0, frequency, dt, steps, inside in runs:
+        w, Q = _position_eigensystem(dim)
+        eig_calls.clear()
+        Z, Zinv, theta = oracle._run_eigenbasis(g0, frequency, dt, w, Q)
+        assert len(eig_calls) == (0 if inside else 1)
+        M = _run_matrix(g0, frequency, dt, dim)
+        assert np.max(np.abs((Z * np.exp(1j * theta)) @ Zinv - M)) < 1e-12
+        assert np.max(np.abs(Zinv @ Z - np.eye(dim))) < 1e-12
+        values, V = general_eig(M)
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = 1.0
+        general = V @ (np.exp(1j * np.angle(values) * steps) * np.linalg.solve(V, psi))
+        closed = Z @ (np.exp(1j * theta * steps) * (Zinv @ psi))
+        # The general route's eigenphases carry more rounding, which K steps
+        # multiply; repeated squaring of M is the tighter reference.
+        assert np.max(np.abs(closed - general)) < 1e-10
+        squared = np.linalg.matrix_power(M, steps) @ psi
+        assert np.max(np.abs(closed - squared)) < 1e-11
+
+
+def test_magnus_form_reuses_the_unit_sector_of_a_propagation(monkeypatch):
+    drive = headline_drive()
+    space = FockSpace(24)
+    plain = verify_magnus_form(drive, space=space, steps=2_000)
+    run = propagate(drive, space=space, steps=2_000, initial_fock=1)
+    # Fallbacks: no unit sector, no operator, or another step count.
+    no_unit = propagate(headline_drive(jz_conditioner()), space=space, steps=2_000)
+    state_only = propagate(drive, space=space, steps=2_000, with_operator=False)
+    for other in (no_unit, state_only):
+        assert verify_magnus_form(drive, space=space, steps=2_000, propagation=other) == plain
+    coarse = propagate(drive, space=space, steps=1_000)
+    assert verify_magnus_form(drive, space=space, steps=2_000, propagation=coarse) == plain
+
+    def no_propagation(*args):
+        raise AssertionError("the unit sector was propagated again")
+
+    monkeypatch.setattr(oracle, "_propagate_sector", no_propagation)
+    assert verify_magnus_form(drive, space=space, steps=2_000, propagation=run) == plain

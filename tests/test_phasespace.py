@@ -21,6 +21,7 @@ from loopgate.phasespace import (
     decompose,
     dynamic_phase,
     geometric_phase,
+    loop_closes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +86,18 @@ def test_trajectory_closure():
     assert open_path.closure_residual == pytest.approx(1.0)
     assert not open_path.is_closed()
     assert open_path.duration == pytest.approx(1.0)
+
+
+def test_closure_allows_rounding_of_large_loops():
+    # One period of a radius-1e8 circle ends 2.4e-8 from its start, from the
+    # rounding of exp(-2 pi i) - 1 alone.
+    t = np.linspace(0.0, 2.0 * np.pi, 101)
+    loop = analytic_trajectory(1e8, 1.0, 0.0, t)
+    assert loop.closure_residual > 1e-9
+    assert loop.is_closed()
+    assert loop_closes(2.4e-8, 1e-9, lambda: 2e8)
+    assert not loop_closes(1e-6, 1e-9, lambda: 2e8)
+    assert not loop_closes(2e-9, 1e-9, lambda: 1.0)
 
 
 def test_trajectory_from_points():
