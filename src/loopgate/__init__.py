@@ -53,6 +53,7 @@ from .gates import (
     SpinConditioner,
     TwoQubitGate,
     apply_local_phase_correction,
+    closed_loop_gamma0,
     collective_gate,
     cz_gate,
     diagonal_gate,
@@ -121,6 +122,7 @@ __all__ = [
     "analytic_trajectory",
     "apply_local_phase_correction",
     "area_invariance_study",
+    "closed_loop_gamma0",
     "closure_residual",
     "collective_gate",
     "constant_drive",

@@ -57,7 +57,7 @@ from .errors import (
 from .gates import (
     BASIS_LABELS,
     apply_local_phase_correction,
-    collective_gate,
+    closed_loop_gamma0,
     cz_gate,
     diagonal_gate,
     gate_fidelity,
@@ -89,7 +89,6 @@ from .robustness import (
     ETA_SWEEP_SAMPLES,
     NONCYCLIC_ANALYTIC_TOL,
     NONCYCLIC_ORACLE_TOL,
-    NONCYCLIC_SAMPLES,
     OracleSettings,
     SweepReport,
     SweepSpec,
@@ -415,9 +414,10 @@ def _cmd_gate(opts: dict) -> tuple[dict, int]:
             target, opts.get("delta", 1.0), opts.get("phi_l", 0.0)
         )
         drive = drives.constant_drive(params, periods=1.0)
-        gate, decompositions = collective_gate(
+        quadrature_gamma0 = closed_loop_gamma0(
             drive, samples=samples, closure_tolerance=closure_tolerance
         )
+        gate, decompositions = diagonal_gate(drive.conditioner, quadrature_gamma0)
         construction = "designed-drive"
         design_echo = {
             "target_phase": target,
@@ -428,7 +428,6 @@ def _cmd_gate(opts: dict) -> tuple[dict, int]:
             "period": params.period,
         }
         drive_doc = drives.drive_to_dict(drive)
-        quadrature_gamma0 = float(gate.phases[1])
         conditioner_name = drive.conditioner.name
     elif gamma0_value is not None:
         _reject(
@@ -456,13 +455,13 @@ def _cmd_gate(opts: dict) -> tuple[dict, int]:
     else:
         drive, constant = _resolve_drive(opts, allow_conditioner=True)
         tau = opts.get("tau", drive.total_duration)
-        gate, decompositions = collective_gate(
+        quadrature_gamma0 = closed_loop_gamma0(
             drive, tau, samples=samples, closure_tolerance=closure_tolerance
         )
+        gate, decompositions = diagonal_gate(drive.conditioner, quadrature_gamma0)
         construction = "constant-drive" if constant is not None else "drive-document"
         drive_echo = constant
         drive_doc = drives.drive_to_dict(drive)
-        quadrature_gamma0 = drives.gamma0(drive, tau, samples)
         conditioner_name = drive.conditioner.name
 
     correction_theta = None
@@ -640,7 +639,7 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, int]:
         report = noncyclic_scan(
             base,
             grid,
-            samples=opts.get("samples", NONCYCLIC_SAMPLES),
+            samples=opts.get("samples"),
             oracle_settings=settings,
             analytic_tolerance=opts.get("analytic_tolerance", NONCYCLIC_ANALYTIC_TOL),
             oracle_tolerance=opts.get("oracle_tolerance", NONCYCLIC_ORACLE_TOL),

@@ -29,7 +29,7 @@ from .errors import (
     SingularDetuningError,
     UnreachablePhaseError,
 )
-from .phasespace import DEFAULT_CLOSURE_TOLERANCE, Trajectory
+from .phasespace import DEFAULT_CLOSURE_TOLERANCE, Trajectory, uniform_exp
 
 if TYPE_CHECKING:
     from .gates import SpinConditioner
@@ -83,6 +83,17 @@ class ConstantDriveParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.delta
 
+    @property
+    def energy_scale(self) -> float:
+        """2*omega_d**2/delta, so that <H> = energy_scale * (1 - cos(delta*t)) on the path.
+
+        Raises ValueError when omega_d**2 overflows.
+        """
+        try:
+            return 2.0 * self.omega_d**2 / self.delta
+        except OverflowError:
+            raise ValueError(f"omega_d^2 overflows at omega_d = {self.omega_d:g}") from None
+
 
 @dataclass(frozen=True)
 class DriveSegment:
@@ -130,7 +141,25 @@ class DriveSegment:
             )
         if self.frequency == 0.0:
             return -self.amplitude * s
-        return -self.amplitude * (1.0 - np.exp(-1j * self.frequency * s)) / (1j * self.frequency)
+        return self._tone_increment(np.exp(-1j * self.frequency * s))
+
+    def _tone_increment(self, rotation: np.ndarray) -> np.ndarray:
+        """alpha_increment of a tone given ``rotation`` = exp(-i * frequency * s)."""
+        return -self.amplitude * (1.0 - rotation) / (1j * self.frequency)
+
+    def _sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and alpha_increment at the equally spaced local times ``s``.
+
+        A tone takes both from one :func:`~loopgate.phasespace.uniform_exp`
+        and a pulse needs no exponential; a callable is evaluated as in
+        :meth:`values` and :meth:`alpha_increment`.
+        """
+        if self.func is not None:
+            return self.values(s), self.alpha_increment(s)
+        if self.frequency == 0.0:
+            return np.full(s.shape, self.amplitude), -self.amplitude * s
+        rotation = uniform_exp(self.frequency, s)
+        return self.amplitude * rotation, self._tone_increment(rotation)
 
 
 @dataclass(frozen=True)
@@ -266,6 +295,31 @@ def peak_alpha(drive: DriveProfile, tau: float | None = None, samples: int = 200
     return float(np.max(np.abs(alpha_array(drive, t))))
 
 
+def _sample_path(
+    drive: DriveProfile, tau: float, samples: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, f and alpha on ``samples`` evenly spaced times of [0, tau].
+
+    One :func:`_locate` serves both arrays, and each segment fills its run of
+    samples from :meth:`DriveSegment._sample`.
+    """
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    t = np.linspace(0.0, float(tau), samples)
+    index, local = _locate(drive, t)
+    # t increases, so each segment owns one contiguous run of samples.
+    bounds = np.searchsorted(index, np.arange(len(drive.segments) + 1))
+    f = np.empty(t.shape, dtype=complex)
+    alpha = np.empty(t.shape, dtype=complex)
+    alpha_starts = drive.segment_alpha_starts
+    for i, segment in enumerate(drive.segments):
+        run = slice(bounds[i], bounds[i + 1])
+        if run.start < run.stop:
+            f[run], increment = segment._sample(local[run])
+            alpha[run] = alpha_starts[i] + increment
+    return t, f, alpha
+
+
 def induced_trajectory(
     drive: DriveProfile,
     tau: float | None = None,
@@ -275,10 +329,8 @@ def induced_trajectory(
     """Sample the phase-space path the drive induces on [0, tau]."""
     if tau is None:
         tau = drive.total_duration
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    t = np.linspace(0.0, float(tau), samples)
-    return Trajectory(t, alpha_array(drive, t), closure_tolerance)
+    t, _, alpha = _sample_path(drive, tau, samples)
+    return Trajectory._adopt(t, alpha, closure_tolerance)
 
 
 def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT_DRIVE_SAMPLES) -> float:
@@ -298,11 +350,9 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
         tau = drive.total_duration
     if not (0.0 < tau <= drive.total_duration * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in (0, {drive.total_duration}], got {tau}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    t = np.linspace(0.0, float(tau), samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.conj(alpha_array(drive, t)) * f_array(drive, t)
+        t, f, alpha = _sample_path(drive, tau, samples)
+        z = np.conj(alpha) * f
     if not np.all(np.isfinite(z)):
         raise ValueError(
             "loop-phase integrand conj(alpha) f is not finite: the drive or its path overflows"
@@ -372,10 +422,7 @@ def constant_drive_h_expect(params: ConstantDriveParams) -> Callable:
     This is the value of :func:`drive_h_expect` evaluated on the analytic
     constant-drive path; it depends on time only.
     """
-    try:
-        scale = 2.0 * params.omega_d**2 / params.delta
-    except OverflowError:
-        raise ValueError(f"omega_d^2 overflows at omega_d = {params.omega_d:g}") from None
+    scale = params.energy_scale
 
     def h_expect(alpha, t):
         values = scale * (1.0 - np.cos(params.delta * np.asarray(t, dtype=float)))

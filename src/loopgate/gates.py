@@ -205,6 +205,30 @@ def diagonal_gate(
     return gate, tuple(decompose(-phase, 2.0 * phase) for phase in phases)
 
 
+def closed_loop_gamma0(
+    drive: DriveProfile,
+    tau: float | None = None,
+    *,
+    samples: int = DEFAULT_DRIVE_SAMPLES,
+    closure_tolerance: float = phasespace.DEFAULT_CLOSURE_TOLERANCE,
+) -> float:
+    """``gamma0(tau)`` of a drive loop that must close at ``tau``.
+
+    Raises :class:`LoopNotClosedError` when the loop has a closure residual
+    above ``closure_tolerance`` at ``tau``.
+    """
+    if tau is None:
+        tau = drive.total_duration
+    residual = closure_residual(drive, tau)
+    if not phasespace.loop_closes(
+        residual, closure_tolerance, lambda: peak_alpha(drive, tau)
+    ):
+        raise LoopNotClosedError(
+            f"loop is not closed at tau={tau}: residual {residual:.3e}", residual
+        )
+    return gamma0(drive, tau, samples)
+
+
 def collective_gate(
     drive: DriveProfile,
     tau: float | None = None,
@@ -215,8 +239,8 @@ def collective_gate(
 ) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
     """Gate produced by a closed drive loop under a diagonal conditioner.
 
-    The :func:`diagonal_gate` of ``gamma0(tau)``, with the drive's own
-    conditioner unless ``conditioner`` is given.
+    The :func:`diagonal_gate` of :func:`closed_loop_gamma0`, with the drive's
+    own conditioner unless ``conditioner`` is given.
 
     Raises :class:`LoopNotClosedError` when the loop has a closure residual
     above ``closure_tolerance`` at ``tau``, and :class:`NonDiagonalGateError`
@@ -224,16 +248,10 @@ def collective_gate(
     """
     if conditioner is None:
         conditioner = drive.conditioner
-    if tau is None:
-        tau = drive.total_duration
-    residual = closure_residual(drive, tau)
-    if not phasespace.loop_closes(
-        residual, closure_tolerance, lambda: peak_alpha(drive, tau)
-    ):
-        raise LoopNotClosedError(
-            f"loop is not closed at tau={tau}: residual {residual:.3e}", residual
-        )
-    return diagonal_gate(conditioner, gamma0(drive, tau, samples))
+    return diagonal_gate(
+        conditioner,
+        closed_loop_gamma0(drive, tau, samples=samples, closure_tolerance=closure_tolerance),
+    )
 
 
 def jy_squared_gate(gamma: float) -> TwoQubitGate:

@@ -61,8 +61,28 @@ class Trajectory:
     closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float).copy()
-        points = np.asarray(self.points, dtype=complex).copy()
+        self._freeze(np.array(self.times, dtype=float), np.array(self.points, dtype=complex))
+
+    @classmethod
+    def _adopt(
+        cls,
+        times: np.ndarray,
+        points: np.ndarray,
+        closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
+    ) -> "Trajectory":
+        """A trajectory over float and complex arrays the caller has just allocated.
+
+        The arrays are checked and frozen in place instead of copied, so the
+        caller must hold no writable view of them; ``times`` may be shared
+        with other trajectories, since frozen it can no longer change.
+        """
+        trajectory = object.__new__(cls)
+        object.__setattr__(trajectory, "closure_tolerance", closure_tolerance)
+        trajectory._freeze(times, points)
+        return trajectory
+
+    def _freeze(self, times: np.ndarray, points: np.ndarray) -> None:
+        """Validate the sample arrays, make them read-only and store them."""
         if times.ndim != 1 or points.ndim != 1:
             raise InvalidTrajectoryError("times and points must be one-dimensional")
         if times.size < 2:
@@ -203,6 +223,36 @@ def dynamic_phase(
     return float(-np.trapezoid(values, times))
 
 
+def uniform_exp(rate: float, s: np.ndarray) -> np.ndarray:
+    """exp(-1j * rate * s) on the equally spaced times ``s``, with about 2*sqrt(N) exponentials.
+
+    With B = ceil(sqrt(N)), sample a + b*B is the product
+    exp(-1j * rate * (s[b*B] - s[0])) * exp(-1j * rate * s[a]), so only the
+    first B times and every B-th time are exponentiated, and each sample
+    costs one complex product.  The result differs from ``np.exp`` by the
+    rounding of the split phase: at most about 2e-15 over one period of the
+    phase and 1.6e-14 over ten.  The last sample is evaluated directly, so a
+    closed loop's endpoint, and with it its closure residual, is that of
+    ``np.exp``.
+
+    ``s`` must be nonempty and equally spaced up to rounding, as
+    ``np.linspace`` grids and their slices shifted by a segment start are;
+    on any other times the result is wrong.
+    """
+    n = s.size
+    block = math.isqrt(n - 1) + 1
+    rows = -(-n // block)
+    table = np.empty((rows, block), dtype=complex)
+    np.multiply(
+        np.exp(-1j * rate * (s[::block] - s[0]))[:, None],
+        np.exp(-1j * rate * s[:block]),
+        out=table,
+    )
+    out = table.reshape(-1)[:n]
+    out[-1] = np.exp(-1j * rate * s[-1])
+    return out
+
+
 def constant_drive_alpha(
     omega_over_delta: float, delta: float, phi_l: float, t: float | np.ndarray
 ):
@@ -213,7 +263,12 @@ def constant_drive_alpha(
     circle of radius |omega/delta| that closes after each period 2*pi/delta.
     """
     _require_positive_delta(delta)
-    return 1j * omega_over_delta * (np.exp(-1j * delta * np.asarray(t)) - 1.0) * np.exp(1j * phi_l)
+    return _circle_path(omega_over_delta, phi_l, np.exp(-1j * delta * np.asarray(t)))
+
+
+def _circle_path(omega_over_delta: float, phi_l: float, rotation):
+    """The constant-drive path given ``rotation`` = exp(-i*delta*t)."""
+    return 1j * omega_over_delta * (rotation - 1.0) * np.exp(1j * phi_l)
 
 
 def analytic_trajectory(

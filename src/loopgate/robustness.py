@@ -21,13 +21,12 @@ import numpy as np
 from ._serialize import csv_number as _csv_number, format_float as _format_number, format_tree as _format_tree
 from ._version import __version__
 from .drives import (
+    MAX_SAMPLES,
     ConstantDriveParams,
     DriveProfile,
+    _sample_path,
     closure_residual,
     constant_drive,
-    constant_drive_h_expect,
-    drive_h_expect,
-    induced_trajectory,
     peak_alpha,
 )
 from .errors import InternalConsistencyError, LoopNotClosedError
@@ -35,19 +34,22 @@ from .gates import TwoQubitGate, gate_fidelity, phase_gate
 from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockSpace, propagate
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
+    Trajectory,
+    _circle_path,
     analytic_total_phase,
-    analytic_trajectory,
     decompose,
     dynamic_phase,
     geometric_phase,
     loop_closes,
+    uniform_exp,
 )
 
 SCHEMA_VERSION = 1
 
 # Quadrature sampling densities chosen so the stated analytic tolerances
 # (1e-9 on phase identities) hold with margin; both are second order in the
-# grid spacing.
+# grid spacing.  NONCYCLIC_SAMPLES is the floor of a time scan's sample
+# count; see _noncyclic_samples.
 ETA_SWEEP_SAMPLES = 400_001
 NONCYCLIC_SAMPLES = 200_001
 AREA_STUDY_SAMPLES = 100_001
@@ -207,11 +209,48 @@ def _oracle_phase_triplet(
     return decomposition.total, decomposition.geometric, decomposition.dynamic
 
 
+def _constant_drive_phases(
+    params: ConstantDriveParams, t: np.ndarray, rotation: np.ndarray, energy_scale: float
+) -> tuple[float, float]:
+    """Geometric and dynamic phase of the constant-drive path on the grid ``t``.
+
+    ``rotation`` is exp(-i*delta*t) on that grid; the path and
+    <H> = energy_scale * (1 - cos(delta*t)) are both read off it.
+    """
+    trajectory = Trajectory._adopt(t, _circle_path(params.ratio, params.phi_l, rotation))
+    energy = energy_scale * (1.0 - rotation.real)
+    return geometric_phase(trajectory), dynamic_phase(trajectory, lambda points, times: energy)
+
+
+def _noncyclic_samples(
+    drive: ConstantDriveParams,
+    window: float,
+    analytic_tolerance: float = NONCYCLIC_ANALYTIC_TOL,
+) -> int:
+    """Quadrature samples a time scan up to ``window`` needs for its analytic check.
+
+    With S samples the chord sum of the open arc up to t misses the geometric
+    phase by r**2 * (delta*t)**3 / (6 * (S - 1)**2), r = |omega/delta|.  This
+    is the smallest S >= NONCYCLIC_SAMPLES that keeps that bound at
+    ``window`` within ``analytic_tolerance / 4``.  When no finite count can
+    (a tolerance that is not positive, or a bound that overflows) it is
+    NONCYCLIC_SAMPLES, and the scan's own check reports the failure.
+    """
+    x = abs(drive.delta * window)
+    bound = drive.ratio * drive.ratio * x * x * x / 6.0
+    if not analytic_tolerance > 0.0:
+        return NONCYCLIC_SAMPLES
+    intervals = math.sqrt(4.0 * bound / analytic_tolerance)
+    if not math.isfinite(intervals):
+        return NONCYCLIC_SAMPLES
+    return max(NONCYCLIC_SAMPLES, math.ceil(intervals) + 1)
+
+
 def noncyclic_scan(
     drive: ConstantDriveParams,
     times: Sequence[float],
     *,
-    samples: int = NONCYCLIC_SAMPLES,
+    samples: int | None = None,
     oracle_settings: OracleSettings | None = None,
     analytic_tolerance: float = NONCYCLIC_ANALYTIC_TOL,
     oracle_tolerance: float = NONCYCLIC_ORACLE_TOL,
@@ -224,6 +263,9 @@ def noncyclic_scan(
     dynamic(t) = 2*Phi(t) within ``analytic_tolerance``.  With oracle settings
     the brute-force total and dynamic phases must match Phi(t) and 2*Phi(t)
     within ``oracle_tolerance``; each oracle time must lie on the step grid.
+
+    ``samples=None`` takes :func:`_noncyclic_samples` of the latest time, and
+    raises ValueError when that exceeds ``drives.MAX_SAMPLES``.
     """
     times = [float(t) for t in times]
     if not times:
@@ -231,6 +273,14 @@ def noncyclic_scan(
     period = drive.period
     if min(times) < 0.0 or max(times) > 10.0 * period:
         raise ValueError("scan times must lie within [0, 10 periods]")
+    if samples is None:
+        samples = _noncyclic_samples(drive, max(times), analytic_tolerance)
+        if samples > MAX_SAMPLES:
+            raise ValueError(
+                f"a time scan up to t = {max(times):g} needs {samples:.4g} quadrature samples "
+                f"(--samples) to hold the analytic tolerance {analytic_tolerance:g}, above "
+                f"the cap {MAX_SAMPLES}; loosen --analytic-tolerance or scan a shorter window"
+            )
 
     oracle_samples = None
     if oracle_settings is not None and max(times) > 0.0:
@@ -246,7 +296,7 @@ def noncyclic_scan(
         )
         oracle_samples = propagation.samples
 
-    h_expect = constant_drive_h_expect(drive)
+    energy_scale = drive.energy_scale
     rows = []
     max_dev_analytic = 0.0
     max_dev_oracle = 0.0
@@ -257,9 +307,9 @@ def noncyclic_scan(
             dyn = 0.0
         else:
             grid = np.linspace(0.0, t, samples)
-            trajectory = analytic_trajectory(drive.ratio, drive.delta, drive.phi_l, grid)
-            geometric = geometric_phase(trajectory)
-            dyn = dynamic_phase(trajectory, h_expect)
+            geometric, dyn = _constant_drive_phases(
+                drive, grid, uniform_exp(drive.delta, grid), energy_scale
+            )
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
         max_dev_analytic = max(max_dev_analytic, dev_geometric, dev_dynamic)
@@ -413,12 +463,17 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     rows = []
     max_eta_dev = 0.0
     max_eta_dev_oracle = None
+    # Points that share delta share the one-period grid and its rotation.
+    delta = grid = rotation = None
     for value in spec.grid:
         params = _apply_parameter(spec.base, spec.parameter, value)
-        grid = np.linspace(0.0, params.period, samples)
-        trajectory = analytic_trajectory(params.ratio, params.delta, params.phi_l, grid)
-        geometric = geometric_phase(trajectory)
-        dyn = dynamic_phase(trajectory, constant_drive_h_expect(params))
+        if params.delta != delta:
+            # Drop the previous pair first, so one rotation is held at a time.
+            grid = rotation = None
+            delta = params.delta
+            grid = np.linspace(0.0, params.period, samples)
+            rotation = uniform_exp(delta, grid)
+        geometric, dyn = _constant_drive_phases(params, grid, rotation, params.energy_scale)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
             max_eta_dev = max(max_eta_dev, abs(decomposition.eta + 2.0))
@@ -505,9 +560,11 @@ def area_invariance_study(
             raise LoopNotClosedError(
                 f"loop {index} is open: residual {residual:.3e}", residual
             )
-        trajectory = induced_trajectory(loop, samples=samples)
+        t, f, alpha = _sample_path(loop, loop.total_duration, samples)
+        trajectory = Trajectory._adopt(t, alpha)
         geometric = geometric_phase(trajectory)
-        dyn = dynamic_phase(trajectory, drive_h_expect(loop))
+        # <H> = 2 Im(f conj(alpha)), drive_h_expect at eigenvalue 1.
+        dyn = dynamic_phase(trajectory, lambda points, times: 2.0 * np.imag(f * np.conj(points)))
         decomposition = decompose(geometric, dyn)
         geometrics.append(geometric)
         rows.append(

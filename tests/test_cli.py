@@ -248,6 +248,32 @@ def test_gate_from_drive_document(capsys, tmp_path):
     assert report["gate"]["phases"][1] == pytest.approx(-HALF_PI, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gate", "--omega-over-delta", "0.5", "--conditioner", "jz"),
+        ("gate", "--target-phase", "-1.0"),
+        ("gate", "--drive", "SQUARE"),
+    ],
+)
+def test_gate_runs_one_gamma0_quadrature(capsys, monkeypatch, tmp_path, argv):
+    from loopgate import drives, gates
+
+    calls = []
+    real_gamma0 = drives.gamma0
+
+    def counting_gamma0(*args, **kwargs):
+        calls.append(args)
+        return real_gamma0(*args, **kwargs)
+
+    monkeypatch.setattr(drives, "gamma0", counting_gamma0)
+    monkeypatch.setattr(gates, "gamma0", counting_gamma0)
+    argv = [write_doc(tmp_path, "square.json", SQUARE_DOC) if a == "SQUARE" else a for a in argv]
+    report = run_json(capsys, *argv)
+    assert len(calls) == 1
+    assert report["gamma0"] == pytest.approx(real_gamma0(*calls[0]), rel=1e-11)
+
+
 def test_gate_positive_target_phase_rejected(capsys):
     code, _, err = run_cli(capsys, "gate", "--target-phase", "0.5")
     assert code == EXIT_INVALID
@@ -404,6 +430,31 @@ def test_sweep_time_scan(capsys):
     assert totals[0] == 0.0
     assert totals[1] == pytest.approx(-math.pi / 4.0, abs=1e-8)
     assert totals[2] == pytest.approx(-HALF_PI, abs=1e-8)
+
+
+def test_sweep_time_scan_samples_enough_for_its_tolerance(capsys):
+    # At r = 1 over one period, 200,001 samples miss the geometric phase by
+    # 1.03e-9, past the 1e-9 tolerance: the scan used to exit 3.
+    argv = ("sweep", "--parameter", "time", "--grid", "6.283185307179586",
+            "--omega-over-delta", "1.0")
+    report = run_json(capsys, *argv)
+    assert report["metadata"]["samples"] > 200_001
+    assert report["metadata"]["max_analytic_relation_residual"] < 1e-9
+    assert report["rows"][0]["total"] == pytest.approx(-2.0 * math.pi, abs=1e-9)
+    # An explicit --samples is used as given.
+    code, _, err = run_cli(capsys, *argv, "--samples", "200001")
+    assert code == EXIT_NUMERICAL
+    assert "geometric residual 1.034e-09" in err
+
+
+def test_sweep_time_scan_past_the_sample_cap_is_invalid(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "time",
+                             "--grid", "62.83185307179586", "--omega-over-delta", "3.0")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--samples" in err and "t = 62.8319" in err
+    needed = float(err.split(" needs ")[1].split()[0])
+    assert needed > 1_000_001
 
 
 def test_sweep_time_beyond_window_rejected(capsys):

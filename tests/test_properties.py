@@ -1,0 +1,93 @@
+"""Properties of the loop phase over generated tones and pulse polygons."""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loopgate.drives import (
+    ConstantDriveParams,
+    DriveProfile,
+    DriveSegment,
+    constant_drive,
+    gamma0,
+)
+from loopgate.gates import odd_parity_projector
+from loopgate.robustness import area_invariance_study
+
+PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+# A polygon's pulses last whole units of T/16 with T a power of two, and
+# 2**16 + 1 samples put a grid point on every vertex, where the trapezoid
+# rule is exact for a piecewise-constant drive.
+UNITS = 16
+POLYGON_SAMPLES = 2**16 + 1
+
+
+@st.composite
+def polygons(draw):
+    """Closed polygon through the origin, its cut points and its duration."""
+    coordinate = st.floats(-1.0, 1.0)
+    corners = draw(st.integers(2, 5))
+    vertices = [0j] + [complex(draw(coordinate), draw(coordinate)) for _ in range(corners)]
+    cuts = sorted(
+        draw(st.lists(st.integers(1, UNITS - 1), min_size=corners, max_size=corners, unique=True))
+    )
+    total = draw(st.sampled_from((1.0, 2.0, 4.0)))
+    return vertices, cuts, total
+
+
+def polygon_drive(vertices, cuts, total, turn=1.0 + 0j):
+    """Pulses tracing ``vertices`` (rotated by ``turn``) and back to the origin."""
+    closed = [v * turn for v in vertices] + [0j]
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [UNITS])]
+    segments = []
+    for i, count in enumerate(counts):
+        duration = count * total / UNITS
+        segments.append(
+            DriveSegment(duration=duration, amplitude=-(closed[i + 1] - closed[i]) / duration)
+        )
+    return DriveProfile(segments=tuple(segments), conditioner=odd_parity_projector())
+
+
+def shoelace_area(vertices):
+    closed = list(vertices) + [vertices[0]]
+    return 0.5 * sum((a.conjugate() * b).imag for a, b in zip(closed[:-1], closed[1:]))
+
+
+@PROPERTY
+@given(
+    r=st.floats(0.05, 1.2),
+    delta=st.floats(0.3, 3.0),
+    phi_l=st.floats(-math.pi, math.pi),
+    x=st.floats(0.01, 4.0 * math.pi),
+)
+def test_gamma0_of_a_tone_is_the_closed_form(r, delta, phi_l, x):
+    # Open or closed, the tone's loop phase at delta*tau = x is r^2 (sin x - x);
+    # 200,001 samples keep the trapezoid error under 5e-10 here.
+    drive = constant_drive(ConstantDriveParams(omega_d=r * delta, delta=delta, phi_l=phi_l), 2.0)
+    assert gamma0(drive, x / delta, 200_001) == pytest.approx(
+        r * r * (math.sin(x) - x), abs=1e-9
+    )
+
+
+@PROPERTY
+@given(polygons())
+def test_gamma0_of_a_pulse_polygon_is_twice_its_area(polygon):
+    vertices, cuts, total = polygon
+    drive = polygon_drive(vertices, cuts, total)
+    assert gamma0(drive, samples=POLYGON_SAMPLES) == pytest.approx(
+        2.0 * shoelace_area(vertices), abs=1e-9
+    )
+
+
+@PROPERTY
+@given(polygons(), st.floats(-math.pi, math.pi))
+def test_area_study_is_invariant_under_rotation(polygon, angle):
+    vertices, cuts, total = polygon
+    loops = [polygon_drive(vertices, cuts, total, turn) for turn in (1.0, cmath.exp(1j * angle))]
+    # The study itself raises when the two geometric phases differ by more.
+    report = area_invariance_study(loops, samples=POLYGON_SAMPLES, agreement_tolerance=1e-9)
+    for row in report.rows:
+        assert row.geometric == pytest.approx(-2.0 * shoelace_area(vertices), abs=1e-9)

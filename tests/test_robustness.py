@@ -110,6 +110,25 @@ def test_noncyclic_scan_guards_against_undersampling():
         noncyclic_scan(BASE, [BASE.period], samples=5_001)
 
 
+def test_noncyclic_scan_takes_the_samples_its_tolerance_needs():
+    # The chord sum misses r^2 (delta t)^3 / (6 (S-1)^2); the default count is
+    # the smallest S >= 200,001 that holds this at tolerance / 4.
+    def bound(params, t, samples):
+        return params.ratio**2 * (params.delta * t) ** 3 / (6.0 * (samples - 1) ** 2)
+
+    assert noncyclic_scan(BASE, [1.0, 2.0]).metadata["samples"] == 200_001
+    unit = ConstantDriveParams(omega_d=1.0, delta=1.0)
+    report = noncyclic_scan(unit, [1.0, unit.period])
+    samples = report.metadata["samples"]
+    assert bound(unit, unit.period, samples) <= 0.25e-9 < bound(unit, unit.period, samples - 1)
+    assert report.metadata["max_analytic_relation_residual"] < 1e-9
+    # An explicit count is used as given, and still guarded.
+    with pytest.raises(InternalConsistencyError):
+        noncyclic_scan(unit, [unit.period], samples=200_001)
+    with pytest.raises(ValueError, match="needs [0-9.e+]+ quadrature samples"):
+        noncyclic_scan(ConstantDriveParams(omega_d=3.0, delta=1.0), [10.0 * unit.period])
+
+
 # ---------------------------------------------------------------------------
 # timing errors
 
