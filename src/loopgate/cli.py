@@ -315,7 +315,7 @@ def _parse_grid(opts: dict) -> list[float]:
 # commands
 
 
-def _cmd_phase(opts: dict) -> tuple[dict, int]:
+def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts, allow_conditioner=False)
     tau = opts.get("tau", drive.total_duration)
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
@@ -382,10 +382,10 @@ def _cmd_phase(opts: dict) -> tuple[dict, int]:
                 "dynamic": abs(dynamic - decomposition.dynamic),
             },
         }
-    return report, EXIT_OK
+    return report, None
 
 
-def _cmd_gate(opts: dict) -> tuple[dict, int]:
+def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
     target = opts.get("target_phase")
     gamma0_value = opts.get("gamma0")
     gamma_value = opts.get("gamma")
@@ -497,10 +497,10 @@ def _cmd_gate(opts: dict) -> tuple[dict, int]:
             ]
         ),
     }
-    return report, EXIT_OK
+    return report, None
 
 
-def _cmd_oracle_verify(opts: dict) -> tuple[dict, int]:
+def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts, allow_conditioner=True)
     conditioner = drive.conditioner
     tau = opts.get("tau", drive.total_duration)
@@ -565,9 +565,18 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, int]:
             drive, tau, FockSpace(n_max), steps, propagation=propagation
         )
 
-    passed = max_deviation <= tolerance and (
-        displacement_residual is None or displacement_residual <= tolerance
-    )
+    failures = []
+    if not max_deviation <= tolerance:
+        failures.append(
+            f"phase deviation {max_deviation:.3e} exceeds the tolerance {tolerance:g}"
+        )
+    if displacement_residual is not None and not displacement_residual <= tolerance:
+        failures.append(
+            f"displacement-form residual {displacement_residual:.3e} exceeds the tolerance "
+            f"{tolerance:g}; it compares Fock levels up to {n_max // 2}, where the truncation "
+            f"at n_max = {n_max} limits it: rerun with a larger --n-max (or more --steps)"
+        )
+    passed = not failures
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "oracle-verify",
@@ -593,10 +602,10 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, int]:
         "displacement_form_residual": displacement_residual,
         "pass": passed,
     }
-    return report, EXIT_OK if passed else EXIT_NUMERICAL
+    return report, "; ".join(failures) or None
 
 
-def _cmd_sweep(opts: dict) -> tuple[SweepReport, int]:
+def _cmd_sweep(opts: dict) -> tuple[SweepReport, str | None]:
     parameter = opts.get("parameter")
     choices = _FLAGS["parameter"]["choices"]
     if parameter is None:
@@ -626,7 +635,7 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, int]:
                     "closure_tolerance", DEFAULT_CLOSURE_TOLERANCE
                 ),
             ),
-            EXIT_OK,
+            None,
         )
 
     if _drive_source(opts)[0] is not None:
@@ -655,10 +664,10 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, int]:
         report = eta_invariance_sweep(
             spec, samples=opts.get("samples", ETA_SWEEP_SAMPLES)
         )
-    return report, EXIT_OK
+    return report, None
 
 
-def _cmd_design(opts: dict) -> tuple[dict, int]:
+def _cmd_design(opts: dict) -> tuple[dict, str | None]:
     target = opts.get("target_phase")
     if target is None:
         raise ConfigError("design needs --target-phase")
@@ -679,7 +688,7 @@ def _cmd_design(opts: dict) -> tuple[dict, int]:
         "round_trip_error": abs(phi - target),
         "predicted": dataclasses.asdict(decomposition),
     }
-    return report, EXIT_OK
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +757,9 @@ _CAPS = {"n_max": MAX_N_MAX, "steps": MAX_STEPS, "samples": drives.MAX_SAMPLES}
 
 
 class _Command(NamedTuple):
-    handler: Callable[[dict], tuple[dict | SweepReport, int]]
+    # Returns the report and, for a report whose checks failed, the message
+    # that goes with exit 3.
+    handler: Callable[[dict], tuple[dict | SweepReport, str | None]]
     help: str
     description: str
     flags: tuple[str, ...]
@@ -879,14 +890,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
         out = opts.get("out")
-        report, code = _COMMANDS[args.command].handler(opts)
+        report, failure = _COMMANDS[args.command].handler(opts)
         if isinstance(report, SweepReport):
             # The sweep CSV is a table of rows, not key/value pairs.
             text = report.to_csv_text() if fmt == "csv" else _render(report.to_json_dict(), fmt)
         else:
             text = _render(report, fmt)
         _emit(text, out)
-        return code
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        return EXIT_OK
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

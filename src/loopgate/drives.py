@@ -164,7 +164,11 @@ class DriveSegment:
 
 @dataclass(frozen=True)
 class DriveProfile:
-    """A sequence of drive segments applied under a single spin conditioner."""
+    """A sequence of drive segments applied under a single spin conditioner.
+
+    ``segment_alpha_starts`` (read-only) holds alpha at the start of each
+    segment, with alpha(0) = 0; it is computed once, at construction.
+    """
 
     segments: tuple[DriveSegment, ...]
     conditioner: "SpinConditioner"
@@ -176,19 +180,17 @@ class DriveProfile:
             raise ValueError("a drive profile needs at least one segment")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "total_duration", float(sum(s.duration for s in segments)))
+        increments = [
+            complex(seg.alpha_increment(np.array([seg.duration]))[0]) for seg in segments
+        ]
+        alpha_starts = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)[:-1]])
+        alpha_starts.flags.writeable = False
+        object.__setattr__(self, "segment_alpha_starts", alpha_starts)
 
     @property
     def segment_starts(self) -> np.ndarray:
         durations = np.array([s.duration for s in self.segments])
         return np.concatenate([[0.0], np.cumsum(durations)[:-1]])
-
-    @property
-    def segment_alpha_starts(self) -> np.ndarray:
-        """alpha at the start of each segment (alpha(0) = 0)."""
-        increments = [
-            complex(seg.alpha_increment(np.array([seg.duration]))[0]) for seg in self.segments
-        ]
-        return np.concatenate([[0.0 + 0.0j], np.cumsum(increments)[:-1]])
 
 
 def constant_drive(

@@ -14,9 +14,12 @@ analytic formulas is the package's independent check.
 Each step matrix is evaluated exactly (to rounding) through the
 eigendecomposition of the displacement generator: H(t) restricted to a
 conditioner eigenvalue beta equals |g| times a rotated position quadrature
-with g = beta * f(t), whose eigenbasis differs from that of a + a_dag only by
-a number-operator phase twist.  A unit test pins this step matrix against a
-scaling-and-squaring dense exponential.
+with g = beta * f(t), whose eigenbasis differs from that of X = a + a_dag
+only by a number-operator phase twist.  One eigenbasis of X per dimension is
+computed and cached; the displacement operator D(alpha) of
+:func:`verify_magnus_form` comes from the same basis.  Unit tests pin the
+step matrix and D(alpha) against scipy's dense ``expm``, which the package
+itself does not use.
 
 The same twist makes the product cheap on a closed-form segment: while the
 midpoints stay in one segment of frequency delta, g_k = g_0 exp(-i delta dt k),
@@ -41,12 +44,12 @@ propagation it is handed instead of propagating that sector again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .drives import DriveProfile, _locate, alpha_array, f_array, peak_alpha
 from .errors import TruncationError, UndefinedPhaseError
@@ -132,23 +135,33 @@ def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
     return FockSpace(max(DEFAULT_N_MAX, int(math.ceil(need))))
 
 
-def build_hamiltonian(drive: DriveProfile, t: float, space: FockSpace) -> np.ndarray:
-    """Joint Hamiltonian matrix at time ``t``, spin-major ordering.
+@functools.lru_cache(maxsize=16)
+def _position_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sq = sqrt(1..dim-1), and w, Q with X = a + a_dag = Q diag(w) Q^T on ``dim`` levels.
 
-    Rows and columns run over (spin basis state, Fock level) with the spin
-    index outermost, i.e. the matrix is kron(C, -i (f a_dag - conj(f) a)).
+    Cached per dimension and shared by every caller, so the arrays are read-only.
     """
-    f = complex(f_array(drive, np.array([float(t)]))[0])
-    a = space.lowering()
-    h_osc = -1j * (f * a.conj().T - np.conj(f) * a)
-    return np.kron(drive.conditioner.matrix, h_osc)
+    sq = np.sqrt(np.arange(1.0, dim))
+    w, Q = np.linalg.eigh(np.diag(sq, 1) + np.diag(sq, -1))
+    for array in (sq, w, Q):
+        array.flags.writeable = False
+    return sq, w, Q
 
 
 def displacement_matrix(alpha: complex, space: FockSpace) -> np.ndarray:
-    """exp(alpha a_dag - conj(alpha) a) on the truncated space, by dense exponential."""
+    """exp(alpha a_dag - conj(alpha) a) on the truncated space, in closed form.
+
+    With R = diag(exp(i (arg alpha + pi/2) n)), the generator equals
+    -i |alpha| R X R^H, so with X = Q diag(w) Q^T the exponential is
+    Z diag(exp(-i |alpha| w)) Z^H with Z = R Q.
+    """
     alpha = complex(alpha)
-    a = space.lowering()
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    dim = space.dimension
+    if alpha == 0.0:
+        return np.eye(dim, dtype=complex)
+    _, w, Q = _position_eigenbasis(dim)
+    Z = np.exp(1j * (np.angle(alpha) + 0.5 * np.pi) * np.arange(dim))[:, None] * Q
+    return (Z * np.exp(-1j * abs(alpha) * w)) @ Z.conj().T
 
 
 @dataclass(frozen=True)
@@ -214,13 +227,6 @@ class FockPropagation:
             sector = self.sectors[int(self.column_sector[k])]
             joint += np.kron(projector, sector.evolution)
         return joint
-
-    def vacuum_conditioned_map(self) -> np.ndarray:
-        """Two-qubit map <j', n0| U |j, n0>: the gate seen by the initial Fock level."""
-        finals = np.array([s.overlap_series[-1] for s in self.sectors])
-        diag = finals[self.column_sector]
-        vectors = self.eigenvector_columns
-        return (vectors * diag) @ vectors.conj().T
 
 
 def extract_total_phase(propagation: FockPropagation, spin_state: int) -> float:
@@ -374,9 +380,7 @@ def _propagate_sector(
     run_segments = [drive.segments[i] for i in segment_index[run_edges[:-1]]]
     min_run = _MIN_RUN_STEPS_WITH_OPERATOR if with_operator else _MIN_RUN_STEPS
 
-    sq = np.sqrt(np.arange(1.0, dim))
-    X = np.diag(sq, 1) + np.diag(sq, -1)
-    w, Q = np.linalg.eigh(X)
+    sq, w, Q = _position_eigenbasis(dim)
     Qc = Q.astype(complex)
     QcT = np.ascontiguousarray(Qc.T)
     nvec = np.arange(dim)
@@ -662,9 +666,11 @@ def verify_magnus_form(
     spectral norm of the difference restricted to the low-occupation block
     (Fock levels up to n_max/2), where truncation effects are negligible.
 
-    The comparison is three-way independent: the left side is the ordered
-    product of midpoint exponentials, the displacement operator is built by
-    scaling-and-squaring, and Phi and alpha come from the closed forms.
+    The left side is the ordered product of midpoint exponentials, Phi and
+    alpha come from the closed forms, and the displacement operator is the
+    closed form of :func:`displacement_matrix` from the eigenbasis of
+    X = a + a_dag.  The steps use that basis too; tests pin both the steps
+    and D(alpha) against scipy's ``expm``, so the check does not rest on it.
 
     ``propagation``, a :func:`propagate` result for this drive, supplies the
     left side when it tracked the operator of a unit-eigenvalue sector on the

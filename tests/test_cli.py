@@ -3,6 +3,10 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,7 +325,7 @@ def test_oracle_verify_with_displacement_form(capsys):
 
 
 def test_oracle_verify_tight_tolerance_fails(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "oracle-verify",
         "--omega-over-delta",
@@ -337,6 +341,46 @@ def test_oracle_verify_tight_tolerance_fails(capsys):
     assert code == EXIT_NUMERICAL
     report = json.loads(out)
     assert report["pass"] is False
+    assert err == (
+        f"error: phase deviation {report['max_deviation']:.3e} exceeds the tolerance 1e-09\n"
+    )
+
+
+def test_oracle_verify_truncation_limited_residual_says_so(capsys):
+    # At |alpha| up to 1.2 the displacement form of levels up to n_max/2 = 16
+    # is spoilt by the truncation at 32; the same run at n_max 64 passes.
+    argv = ("oracle-verify", "--omega-over-delta", "0.6", "--n-max", "32", "--steps", "1000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["max_deviation"] <= report["tolerance"]
+    residual = report["displacement_form_residual"]
+    assert residual > 1e-4
+    assert err.count("\n") == 1 and err.startswith("error: displacement-form residual ")
+    assert f"{residual:.3e} exceeds the tolerance 0.0001" in err
+    assert "truncation at n_max = 32" in err and "larger --n-max" in err
+    assert "phase deviation" not in err
+    code, out, err = run_cli(capsys, *argv[:4], "64", *argv[5:])
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["displacement_form_residual"] < 1e-4
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only reference; the package must not load it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, loopgate.cli; "
+        "print(loopgate.cli.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    where, loaded = result.stdout.splitlines()
+    assert Path(where).resolve() == Path(cli.__file__).resolve()
+    assert loaded == "[]"
 
 
 def test_oracle_verify_initial_fock(capsys):

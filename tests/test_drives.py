@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from loopgate import drives
 from loopgate.drives import (
     ConstantDriveParams,
     DriveProfile,
@@ -89,6 +90,32 @@ def test_callable_segment_matches_closed_form():
     assert np.allclose(
         closed.alpha_increment(s), sampled.alpha_increment(s), atol=1e-8
     )
+
+
+def test_callable_segment_is_integrated_once_per_gamma0():
+    # A tone, the same tone as a counted callable, and the tone again.
+    grids = []
+
+    def tone(s):
+        grids.append(np.size(s))
+        return 0.3 * np.exp(-1.1j * np.asarray(s))
+
+    closed = DriveSegment(duration=1.5, amplitude=0.3, frequency=1.1)
+    drive = DriveProfile(
+        segments=(closed, DriveSegment(duration=1.5, func=tone), closed),
+        conditioner=odd_parity_projector(),
+    )
+    assert grids.count(drives._CALLABLE_RESOLUTION) == 1
+    starts = drive.segment_alpha_starts
+    assert not starts.flags.writeable
+    assert drive.segment_alpha_starts is starts
+    twin = DriveProfile(segments=(closed,) * 3, conditioner=odd_parity_projector())
+    assert np.max(np.abs(starts - twin.segment_alpha_starts)) < 1e-8
+    for _ in range(3):
+        grids.clear()
+        value = gamma0(drive)
+        assert grids.count(drives._CALLABLE_RESOLUTION) == 1
+    assert value == pytest.approx(gamma0(twin), abs=1e-7)
 
 
 def test_profile_duration_and_empty_rejection():

@@ -32,7 +32,6 @@ from loopgate.gates import (
 from loopgate.oracle import (
     DEFAULT_N_MAX,
     FockSpace,
-    build_hamiltonian,
     default_space,
     displacement_matrix,
     extract_total_phase,
@@ -92,10 +91,24 @@ def test_fock_space_validation():
         FockSpace(8).basis_state(9)
 
 
+def joint_hamiltonian(drive, t, space):
+    """kron(C, -i (f(t) a_dag - conj(f(t)) a)), spin-major, from the public builders."""
+    f = complex(f_array(drive, np.array([float(t)]))[0])
+    a = space.lowering()
+    return np.kron(drive.conditioner.matrix, -1j * (f * a.conj().T - np.conj(f) * a))
+
+
+def vacuum_conditioned_map(run):
+    """Two-qubit map <j', n0| U |j, n0>: the gate seen by the initial Fock level."""
+    finals = np.array([sector.overlap_series[-1] for sector in run.sectors])
+    vectors = run.eigenvector_columns
+    return (vectors * finals[run.column_sector]) @ vectors.conj().T
+
+
 def test_build_hamiltonian_structure():
     space = FockSpace(6)
     drive = headline_drive()
-    h = build_hamiltonian(drive, 0.3, space)
+    h = joint_hamiltonian(drive, 0.3, space)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     f = complex(f_array(drive, np.array([0.3]))[0])
     a = space.lowering()
@@ -122,6 +135,44 @@ def test_displacement_matrix_coherent_amplitudes():
         / np.sqrt([math.factorial(int(k)) for k in n])
     )
     assert np.max(np.abs(column[:11] - expected)) < 1e-12
+
+
+def _dense_displacement(alpha, space):
+    a = space.lowering()
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def _displacement_cases():
+    rng = np.random.default_rng(23)
+    for dim in (9, 17, 33, 65, 129):
+        for _ in range(4):
+            alpha = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TWO_PI))
+            yield dim, complex(alpha)
+    for dim in (9, 65):
+        yield from ((dim, 1.3 + 0j), (dim, -0.8 + 0j), (dim, 1.7j), (dim, -0.45j))
+
+
+@pytest.mark.parametrize("dim,alpha", list(_displacement_cases()))
+def test_displacement_matrix_matches_dense_exponential(dim, alpha):
+    space = FockSpace(dim - 1)
+    closed = displacement_matrix(alpha, space)
+    assert np.max(np.abs(closed - _dense_displacement(alpha, space))) <= 1e-12
+
+
+def test_displacement_matrix_of_zero_is_the_identity():
+    for n_max in (8, 64):
+        assert np.array_equal(displacement_matrix(0.0, FockSpace(n_max)), np.eye(n_max + 1))
+
+
+def test_position_eigenbasis_is_cached_read_only():
+    sq, w, Q = oracle._position_eigenbasis(17)
+    assert oracle._position_eigenbasis(17)[2] is Q
+    x = np.diag(sq, 1) + np.diag(sq, -1)
+    assert np.max(np.abs((Q * w) @ Q.T - x)) < 1e-12
+    for array in (sq, w, Q):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_peak_excursion_accounts_for_eigenvalues():
@@ -182,7 +233,7 @@ def test_joint_matrix_matches_dense_product():
     dt = drive.total_duration / steps
     reference = np.eye(4 * space.dimension, dtype=complex)
     for k in range(steps):
-        h = build_hamiltonian(drive, (k + 0.5) * dt, space)
+        h = joint_hamiltonian(drive, (k + 0.5) * dt, space)
         reference = expm(-1j * dt * h) @ reference
     assert np.max(np.abs(run.joint_matrix() - reference)) < 1e-12
 
@@ -258,7 +309,7 @@ def test_jz_phases_scale_with_squared_eigenvalue(spin_state, weight):
 
 def test_vacuum_conditioned_map_matches_collective_gate(headline_run):
     gate, _ = collective_gate(headline_drive())
-    assert np.max(np.abs(headline_run.vacuum_conditioned_map() - gate.matrix)) < 1e-5
+    assert np.max(np.abs(vacuum_conditioned_map(headline_run) - gate.matrix)) < 1e-5
 
 
 def test_spin_populations_conserved_in_conditioner_eigenbasis():
