@@ -512,7 +512,10 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
     state_only = opts.get("state_only", False)
 
-    reference = drives.gamma0(drive, tau, samples)
+    if constant is not None:
+        reference = analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
+    else:
+        reference = drives.gamma0(drive, tau, samples)
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
     _, analytic = diagonal_gate(conditioner, reference)

@@ -8,8 +8,8 @@ is built as an explicit matrix on spin (x) oscillator, the evolution is the
 ordered product of midpoint steps exp(-i H(t_mid) dt), and phases are read
 off the propagated states: the total phase from the argument of the overlap
 with the initial state (accumulated step by step so it never wraps), the
-dynamic phase from the running integral of <H>.  Comparing these against the
-analytic formulas is the package's independent check.
+dynamic phase from the summed midpoint energies <H> dt.  Comparing these
+against the analytic formulas is the package's independent check.
 
 Each step matrix is evaluated exactly (to rounding) through the
 eigendecomposition of the displacement generator: H(t) restricted to a
@@ -25,15 +25,14 @@ The same twist makes the product cheap on a closed-form segment: while the
 midpoints stay in one segment of frequency delta, g_k = g_0 exp(-i delta dt k),
 so the step matrices are S_k = L^k S_0 L^-k with L = diag(exp(-i delta dt n)).
 The product over such a run is L^K M^K with M = L^-1 S_0, which one
-eigendecomposition of M evaluates at every grid point.  That eigenbasis is
-known in advance on a pulse (frequency 0), where M = S_0; on a tone it comes
-from one real symmetric ``eigh`` while the eigenphase arc
-|g0| dt max|w| + |delta| dt (d-1)/2 stays below ``_ARC_LIMIT`` (< pi/2), and
-from the general eigendecomposition beyond it (see :func:`_run_eigenbasis`).
+eigendecomposition of M (:func:`_run_eigenbasis`) evaluates at every grid
+point.  The overlap and top-level series keep every point, for the unwrap
+and the leakage maximum; the dynamic phase is a Dirichlet-kernel sum over
+the eigenphases, taken only where it is read (:func:`_closed_form_run`).
 Runs shorter than a measured break-even (``_MIN_RUN_STEPS``, or
 ``_MIN_RUN_STEPS_WITH_OPERATOR`` when the operator is tracked) and callable
 segments take the per-step loop.  Either way the results equal the per-step
-product up to rounding; a unit test holds the two paths together.
+product up to rounding; unit tests hold the two paths together.
 
 Two propagations are never repeated.  With P = (-1)^n, H(-g) = P H(g) P
 exactly on the truncated space, so the sector of eigenvalue -beta (jz and
@@ -81,6 +80,9 @@ _MIN_RUN_STEPS_WITH_OPERATOR = 40
 
 # Series points per chunk in a closed-form run.
 _CHUNK_ROWS = 64
+
+# 2 pi minus its nearest float: the part of the period a float cannot hold.
+_TWO_PI_LO = 2.4492935982947064e-16
 
 # Bound, in radians, on the eigenphase arc |g0| dt max|w| + |frequency| dt (d-1)/2
 # below which a tone run takes its real orthogonal eigenbasis (see
@@ -166,7 +168,12 @@ def displacement_matrix(alpha: complex, space: FockSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorEvolution:
-    """Oscillator-block results for one conditioner eigenvalue."""
+    """Oscillator-block results for one conditioner eigenvalue.
+
+    The overlap and leakage series hold every grid point; ``dynamic_series``
+    holds the dynamic phase at the propagation's read indices only: the step
+    index of each sample time and the final step, increasing, without repeats.
+    """
 
     eigenvalue: float
     evolution: np.ndarray | None
@@ -254,6 +261,37 @@ def _sector_step_apply(vec, Dc, D, QcT, Qc, phase_vec):
     return D * v
 
 
+def _summed_energies(P, theta, counts):
+    """Re sum_ab P_ab D_K(theta_b - theta_a) for each K in ``counts``.
+
+    D_K(x) = sum_{j<K} exp(i x j) = exp(i x (K-1)/2) sin(K x/2) / sin(x/2),
+    and D_K = K where x vanishes.  D_K has period 2 pi, so the differences are
+    first reduced into [-pi, pi], carrying the rounding of the subtraction (a
+    two-sum) and of 2 pi: then K x/2 is small wherever sin(x/2) is, and the
+    quotient keeps its relative precision, also for eigenphases near -pi and pi.
+    """
+    # In place where it can be: at the n_max cap each d x d array is 8-17 MB.
+    half = theta[None, :] - theta[:, None]
+    back = half - theta[None, :]
+    rounding = theta[None, :] - (half - back)
+    rounding -= back + theta[:, None]
+    turns = np.rint(half / (2.0 * np.pi))
+    half -= turns * (2.0 * np.pi)
+    half += rounding - turns * _TWO_PI_LO
+    half *= 0.5
+    del back, rounding, turns
+    # Below 1e-150, D_K = K to rounding, and sin(x/2) would lose bits to subnormals.
+    flat = np.abs(half) < 1e-150
+    inverse = 1.0 / np.sin(np.where(flat, 1.0, half))
+    sums = np.empty(len(counts))
+    for i, K in enumerate(counts):
+        kernel = np.exp(1j * (K - 1) * half)
+        kernel *= np.sin(K * half) * inverse
+        kernel[flat] = K
+        sums[i] = np.dot(P.ravel(), kernel.ravel()).real
+    return sums
+
+
 def _run_eigenbasis(g0, frequency, dt, w, Q):
     """Z, Z^-1 and theta with M = L^-1 S_0 = Z diag(exp(i theta)) Z^-1 for one run.
 
@@ -291,7 +329,7 @@ def _run_eigenbasis(g0, frequency, dt, w, Q):
 
 
 def _closed_form_run(
-    psi, g0, frequency, dt, initial_fock, w, Q, sq, overlaps, energies, leakages, with_operator
+    psi, g0, frequency, dt, initial_fock, w, Q, sq, overlaps, leakages, counts, with_operator
 ):
     """Advance ``psi`` over ``overlaps.size`` midpoint steps of one closed-form segment.
 
@@ -299,53 +337,58 @@ def _closed_form_run(
     S_j = L^j S_0 L^-j with L = diag(exp(-i frequency dt n)), and the state
     after j steps is L^j M^j psi with M = L^-1 S_0.  M is unitary, so its
     eigendecomposition M = Z diag(exp(i theta)) Z^-1 (see
-    :func:`_run_eigenbasis`) is well conditioned; with c = Z^-1 psi, every
-    series point is a row of Z against exp(i theta j) * c.  The midpoint
-    energy of step j equals <phi_j|H_0|phi_j> with phi_j = M^j psi, because
-    the half step commutes with the step Hamiltonian H_j = L^j H_0 L^-j; on a
-    pulse M = S_0 commutes with H_0 as well, so every step has the energy of
-    the run's first state.
+    :func:`_run_eigenbasis`) is well conditioned; with c = Z^-1 psi, point
+    j0 + r + 1 of a series is sum_b Z_nb exp(i theta_b (j0 + r + 1)) c_b: one
+    matrix product over chunk starts j0 and rows r < ``_CHUNK_ROWS``, taken in
+    groups of chunk starts that keep temporaries within O(K + _CHUNK_ROWS d).
 
-    Fills ``overlaps`` and ``leakages`` with the points after steps 1..K and
-    ``energies`` with the midpoint energies of steps 0..K-1.  Returns the final
-    state and, with ``with_operator``, the operator of the whole run.
+    The midpoint energy of step j is <phi_j|H_0|phi_j> with phi_j = M^j psi,
+    because the half step commutes with H_j = L^j H_0 L^-j.  With
+    G = Z^H H_0 Z and P_ab = conj(c_a) G_ab c_b, the first K' steps sum to
+    Re sum_ab P_ab D_K'(theta_b - theta_a) (:func:`_summed_energies`), whether
+    or not Z is unitary; on a pulse M commutes with H_0, so that is K' times
+    the energy of psi.
+
+    Fills ``overlaps`` and ``leakages`` with the points after steps 1..K.
+    Returns the final state, the energies of the first K' steps summed for
+    each K' in ``counts``, and, with ``with_operator``, the run's operator.
     """
     steps = overlaps.size
     dim = psi.size
     nvec = np.arange(dim)
     Z, Zinv, theta = _run_eigenbasis(g0, frequency, dt, w, Q)
     c = Zinv @ psi
-    h0 = -1j * g0 * np.diag(sq, -1) + 1j * np.conj(g0) * np.diag(sq, 1)
-    energy_form = None
     if frequency == 0.0:
-        energies[:] = np.real(np.vdot(psi, h0 @ psi))
+        energy_sums = 2.0 * np.real(-1j * g0 * np.vdot(psi[1:], sq * psi[:-1])) * counts
     else:
-        energy_form = (Z.conj().T @ h0 @ Z).T
-    # Rows that read point j + 1 off the coefficients v_j = exp(i theta j) * c;
-    # L^(j+1) adds the phase overlap_turn * (j + 1) to the overlap element and
-    # leaves the top-level population alone.
-    one_step = np.exp(1j * theta)
-    overlap_row = Z[initial_fock] * one_step
-    top_row = Z[-1] * one_step
-    overlap_turn = -frequency * dt * initial_fock
+        # H_0 = -i g0 a_dag + h.c., so G = A + A^H with A = Z^H (-i g0 a_dag) Z.
+        P = -1j * g0 * (Z[1:].conj().T @ (sq[:, None] * Z[:-1]))
+        P += P.conj().T
+        P *= np.conj(c)[:, None]
+        P *= c
+        energy_sums = _summed_energies(P, theta, counts)
 
-    # Chunks of _CHUNK_ROWS points keep every temporary at (_CHUNK_ROWS, dim).
-    base = np.exp(1j * np.outer(np.arange(_CHUNK_ROWS), theta))
-    for j0 in range(0, steps, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, steps - j0)
-        v = base[:rows] * (np.exp(1j * theta * j0) * c)
-        chunk = slice(j0, j0 + rows)
-        twist = np.exp(1j * overlap_turn * np.arange(j0 + 1, j0 + rows + 1))
-        overlaps[chunk] = (v @ overlap_row) * twist
-        if energy_form is not None:
-            energies[chunk] = np.real(np.sum(np.conj(v) * (v @ energy_form), axis=1))
-        leakages[chunk] = np.abs(v @ top_row) ** 2
+    # Row 0 reads the overlap element, row 1 the top Fock level.
+    rows = np.stack([Z[initial_fock], Z[-1]]) * (np.exp(1j * theta) * c)
+    base = np.exp(1j * np.outer(theta, np.arange(_CHUNK_ROWS)))
+    starts = np.arange(0, steps, _CHUNK_ROWS)
+    group = max(_CHUNK_ROWS, steps // (2 * dim))
+    for first in range(0, starts.size, group):
+        j0 = starts[first : first + group]
+        coef = rows[:, None, :] * np.exp(1j * np.outer(j0, theta))
+        block = (coef.reshape(-1, dim) @ base).reshape(2, -1)
+        points = slice(j0[0], min(steps, j0[0] + block.shape[1]))
+        overlaps[points] = block[0, : points.stop - points.start]
+        leakages[points] = np.abs(block[1, : points.stop - points.start]) ** 2
+    if initial_fock and frequency != 0.0:
+        # L^(j+1) turns the overlap element by -frequency dt initial_fock (j + 1).
+        overlaps *= np.exp(-1j * frequency * dt * initial_fock * np.arange(1, steps + 1))
 
     spin = np.exp(1j * theta * steps)
     shift = np.exp(-1j * frequency * dt * steps * nvec)
     psi = shift * (Z @ (spin * c))
     run_operator = shift[:, None] * ((Z * spin) @ Zinv) if with_operator else None
-    return psi, run_operator
+    return psi, energy_sums, run_operator
 
 
 def _propagate_sector(
@@ -356,17 +399,21 @@ def _propagate_sector(
     steps: int,
     initial_fock: int,
     with_operator: bool,
+    read: np.ndarray,
 ) -> SectorEvolution:
-    """Propagate one oscillator block with drive g(t) = eigenvalue * f(t)."""
+    """Propagate one oscillator block with drive g(t) = eigenvalue * f(t).
+
+    The dynamic phase is recorded at the increasing step indices ``read`` only.
+    """
     dim = space.dimension
     n_points = steps + 1
-    identity_overlap = np.ones(n_points, dtype=complex)
+    dynamic_series = np.zeros(read.size)
     if eigenvalue == 0.0:
         return SectorEvolution(
             eigenvalue=0.0,
             evolution=np.eye(dim, dtype=complex) if with_operator else None,
-            overlap_series=identity_overlap,
-            dynamic_series=np.zeros(n_points),
+            overlap_series=np.ones(n_points, dtype=complex),
+            dynamic_series=dynamic_series,
             leakage_series=np.full(n_points, 1.0 if initial_fock == space.n_max else 0.0),
             unitarity_defect=0.0 if with_operator else None,
         )
@@ -381,47 +428,51 @@ def _propagate_sector(
     min_run = _MIN_RUN_STEPS_WITH_OPERATOR if with_operator else _MIN_RUN_STEPS
 
     sq, w, Q = _position_eigenbasis(dim)
-    Qc = Q.astype(complex)
-    QcT = np.ascontiguousarray(Qc.T)
+    Qc = QcT = None  # complex copies of Q for the per-step loop, made on first use
     nvec = np.arange(dim)
 
     psi = space.basis_state(initial_fock)
     operator = np.eye(dim, dtype=complex) if with_operator else None
 
     overlap_series = np.empty(n_points, dtype=complex)
-    dynamic_series = np.empty(n_points)
     leakage_series = np.empty(n_points)
     overlap_series[0] = 1.0
-    dynamic_series[0] = 0.0
     leakage_series[0] = float(abs(psi[space.n_max]) ** 2)
 
     dynamic = 0.0
     for k0, k1, segment in zip(run_edges[:-1], run_edges[1:], run_segments):
         run = slice(k0 + 1, k1 + 1)
+        # The read indices inside the run, and how many of its steps precede each.
+        slots = np.flatnonzero((read > k0) & (read <= k1))
+        counts = read[slots] - k0
         if segment.func is None and abs(g_mid[k0]) < 1e-300:
             overlap_series[run] = overlap_series[k0]
-            dynamic_series[run] = dynamic
             leakage_series[run] = leakage_series[k0]
+            dynamic_series[slots] = dynamic
             continue
         if segment.func is None and k1 - k0 >= min_run:
-            psi, run_operator = _closed_form_run(
+            psi, energy_sums, run_operator = _closed_form_run(
                 psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Q, sq,
-                overlap_series[run], dynamic_series[run], leakage_series[run], with_operator,
+                overlap_series[run], leakage_series[run], np.append(counts, k1 - k0),
+                with_operator,
             )
-            # The run filled dynamic_series[run] with its step energies.
-            dynamic_series[run] = dynamic - dt * np.cumsum(dynamic_series[run])
-            dynamic = float(dynamic_series[k1])
+            dynamic_series[slots] = dynamic - dt * energy_sums[:-1]
+            dynamic = float(dynamic - dt * energy_sums[-1])
             if with_operator:
                 operator = run_operator @ operator
             continue
 
+        if Qc is None:
+            Qc = Q.astype(complex)
+            QcT = np.ascontiguousarray(Qc.T)
+        running = np.empty(k1 - k0)
         for k in range(k0, k1):
             g = g_mid[k]
             mag = abs(g)
             if mag < 1e-300:
                 overlap_series[k + 1] = overlap_series[k]
-                dynamic_series[k + 1] = dynamic
                 leakage_series[k + 1] = leakage_series[k]
+                running[k - k0] = dynamic
                 continue
             ph = np.angle(g) - 0.5 * np.pi
             D = np.exp(1j * ph * nvec)
@@ -429,14 +480,9 @@ def _propagate_sector(
             half = np.exp(-1j * mag * (0.5 * dt) * w)
 
             psi_mid = _sector_step_apply(psi, Dc, D, QcT, Qc, half)
-            # <H> at the midpoint: H = -i g a_dag + i conj(g) a.
-            a_psi = np.empty(dim, dtype=complex)
-            a_psi[:-1] = sq * psi_mid[1:]
-            a_psi[-1] = 0.0
-            ad_psi = np.empty(dim, dtype=complex)
-            ad_psi[0] = 0.0
-            ad_psi[1:] = sq * psi_mid[:-1]
-            energy = float(np.real(np.vdot(psi_mid, -1j * g * ad_psi + 1j * np.conj(g) * a_psi)))
+            # <H> at the midpoint: H = -i g a_dag + i conj(g) a, so <H> is
+            # twice the real part of <psi|-i g a_dag|psi>.
+            energy = 2.0 * float(np.real(-1j * g * np.vdot(psi_mid[1:], sq * psi_mid[:-1])))
             dynamic -= energy * dt
             psi = _sector_step_apply(psi_mid, Dc, D, QcT, Qc, half)
 
@@ -448,8 +494,9 @@ def _propagate_sector(
                 operator = D[:, None] * M
 
             overlap_series[k + 1] = psi[initial_fock]
-            dynamic_series[k + 1] = dynamic
             leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
+            running[k - k0] = dynamic
+        dynamic_series[slots] = running[counts - 1]
 
     defect = None
     if with_operator:
@@ -511,23 +558,19 @@ def propagate(
     eigenbasis, which reduces to plain per-state propagation for diagonal
     conditioners.
 
-    On each run of at least ``_MIN_RUN_STEPS`` steps (``_MIN_RUN_STEPS_WITH_OPERATOR``
-    with ``with_operator``) whose midpoints lie in one closed-form segment, the
-    product is evaluated in closed form from S_k = L^k S_0 L^-k with
-    L = diag(exp(-i frequency dt n)), through the pulse's known eigenbasis or
-    the tone's real orthogonal one (the general eigendecomposition when the
-    eigenphase arc passes ``_ARC_LIMIT``); shorter runs and callable segments
-    are stepped one exponential at a time.  All give the per-step product up
-    to rounding.  A sector whose eigenvalue is minus that of one already
-    propagated is its parity mirror: the same overlap, dynamic and leakage
-    series and unitarity defect, and the evolution P U P with P = (-1)^n.
+    Long runs inside one closed-form segment are evaluated in closed form,
+    shorter runs and callable segments one exponential at a time (see the
+    module notes); all give the per-step product up to rounding.  A sector
+    whose eigenvalue is minus that of one already propagated is its parity
+    mirror (:func:`_parity_mirror`).
 
     ``space=None`` picks :func:`default_space` (n_max = 64, escalated when
     the loop grows, up to ``MAX_N_MAX``).  ``sample_times`` requests phase
-    snapshots on grid times; ``initial_fock`` starts every sector from that
-    Fock level instead of the vacuum.  Population reaching the top level
-    above ``leakage_tol`` raises :class:`TruncationError` with a recommended
-    truncation.
+    snapshots at grid times, checked against the grid before anything is
+    propagated; the dynamic phase is computed at those times and at tau only.
+    ``initial_fock`` starts every sector from that Fock level instead of the
+    vacuum.  Population reaching the top level above ``leakage_tol`` raises
+    :class:`TruncationError` with a recommended truncation.
     """
     if tau is None:
         tau = drive.total_duration
@@ -540,6 +583,23 @@ def propagate(
         space = default_space(drive, tau)
     if not 0 <= initial_fock <= space.n_max:
         raise ValueError(f"initial_fock {initial_fock} outside [0, {space.n_max}]")
+
+    # The sample times' step indices, checked before anything propagates.  The
+    # dynamic phase is computed at these and at the final step only.
+    sample_index = None
+    read = np.array([steps])
+    if sample_times is not None:
+        requested = np.array(sample_times, dtype=float)
+        dt = tau / steps
+        index = np.rint(requested / dt)
+        slack = np.abs(index * dt - requested)
+        on_grid = (index >= 0) & (index <= steps) & (slack <= 1e-9 * max(tau, 1.0))
+        if not np.all(on_grid):
+            bad = requested[~on_grid][0]
+            raise ValueError(f"sample time {bad} does not lie on the step grid")
+        sample_index = index.astype(int)
+        # Sorted without np.unique, whose first call imports numpy.ma (about 1 MB).
+        read = np.array(sorted({*sample_index.tolist(), steps}))
 
     values, vectors = drive.conditioner.eigensystem()
     distinct: list[float] = []
@@ -566,7 +626,9 @@ def propagate(
         )
         if mirror is None:
             sectors.append(
-                _propagate_sector(value, drive, tau, space, steps, initial_fock, with_operator)
+                _propagate_sector(
+                    value, drive, tau, space, steps, initial_fock, with_operator, read
+                )
             )
         else:
             sectors.append(_parity_mirror(mirror, value))
@@ -577,21 +639,19 @@ def propagate(
     for k in range(4):
         weights[:, column_sector[k]] += np.abs(vectors[:, k]) ** 2
 
-    n_points = steps + 1
-    overlap_by_state = np.zeros((4, n_points), dtype=complex)
-    dynamic_by_state = np.zeros((4, n_points))
-    leakage_by_state = np.zeros((4, n_points))
-    for i, sector in enumerate(sectors):
-        overlap_by_state += weights[:, i : i + 1] * sector.overlap_series[None, :]
-        dynamic_by_state += weights[:, i : i + 1] * sector.dynamic_series[None, :]
-        leakage_by_state += weights[:, i : i + 1] * sector.leakage_series[None, :]
-
-    total_by_state = np.empty((4, n_points))
-    min_moduli = np.empty(4)
+    # State by state, so no temporary outgrows one series; the phases and the
+    # leakage are kept at the read indices only.
+    total_by_state, dynamic_by_state, leakage_by_state = np.empty((3, 4, read.size))
+    overlap_modulus, min_moduli, peak_leakage = np.empty((3, 4))
     for j in range(4):
-        total_by_state[j], min_moduli[j] = _unwrap_series(overlap_by_state[j])
-
-    leakage = float(np.max(leakage_by_state))
+        parts = [(weights[j, i], s) for i, s in enumerate(sectors) if weights[j, i]]
+        overlap = sum(w * s.overlap_series for w, s in parts)
+        state_leakage = sum(w * s.leakage_series for w, s in parts)
+        dynamic_by_state[j] = sum(w * s.dynamic_series for w, s in parts)
+        phases, min_moduli[j] = _unwrap_series(overlap)
+        total_by_state[j], leakage_by_state[j] = phases[read], state_leakage[read]
+        overlap_modulus[j], peak_leakage[j] = abs(overlap[-1]), np.max(state_leakage)
+    leakage = float(np.max(peak_leakage))
     if leakage > leakage_tol:
         need = 4.0 * peak_excursion(drive, tau) ** 2
         if need <= space.n_max:
@@ -611,22 +671,15 @@ def propagate(
     defects = [s.unitarity_defect for s in sectors if s.unitarity_defect is not None]
     unitarity_defect = max(defects) if with_operator and defects else None
 
-    times = np.linspace(0.0, tau, n_points)
+    times = np.linspace(0.0, tau, steps + 1)
     samples = None
-    if sample_times is not None:
-        dt = tau / steps
-        indices = []
-        for t in sample_times:
-            idx = int(round(float(t) / dt))
-            if not 0 <= idx <= steps or abs(idx * dt - float(t)) > 1e-9 * max(tau, 1.0):
-                raise ValueError(f"sample time {t} does not lie on the step grid")
-            indices.append(idx)
-        index_arr = np.array(indices, dtype=int)
+    if sample_index is not None:
+        at = np.searchsorted(read, sample_index)
         samples = {
-            "times": times[index_arr],
-            "total_phase": total_by_state[:, index_arr].T.copy(),
-            "dynamic_phase": dynamic_by_state[:, index_arr].T.copy(),
-            "leakage": np.max(leakage_by_state[:, index_arr], axis=0),
+            "times": times[sample_index],
+            "total_phase": total_by_state[:, at].T.copy(),
+            "dynamic_phase": dynamic_by_state[:, at].T.copy(),
+            "leakage": np.max(leakage_by_state[:, at], axis=0),
         }
 
     return FockPropagation(
@@ -641,7 +694,7 @@ def propagate(
         column_sector=column_sector,
         total_phase=total_by_state[:, -1].copy(),
         dynamic_phase=dynamic_by_state[:, -1].copy(),
-        overlap_modulus=np.abs(overlap_by_state[:, -1]),
+        overlap_modulus=overlap_modulus,
         min_overlap_modulus=min_moduli,
         leakage=leakage,
         unitarity_defect=unitarity_defect,
@@ -698,7 +751,9 @@ def verify_magnus_form(
             (s.evolution for s in propagation.sectors if s.eigenvalue == 1.0), None
         )
     if evolution is None:
-        evolution = _propagate_sector(1.0, drive, tau, space, steps, 0, True).evolution
+        evolution = _propagate_sector(
+            1.0, drive, tau, space, steps, 0, True, np.array([steps])
+        ).evolution
     omega = abs(segment.amplitude)
     ratio = omega / segment.frequency
     phi = analytic_total_phase(ratio, segment.frequency, tau)

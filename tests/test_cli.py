@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from loopgate import cli
+from loopgate import cli, drives
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
+from loopgate.phasespace import analytic_total_phase
 
 HALF_PI = math.pi / 2.0
 SQUARE_SIDE = math.sqrt(math.pi) / 2.0
@@ -408,6 +409,33 @@ def test_oracle_verify_rejects_jy(capsys):
     capsys.readouterr()
 
 
+def test_oracle_verify_integrates_gamma0_only_for_drive_documents(capsys, monkeypatch, tmp_path):
+    # Constant-drive flags name a single tone, whose loop phase has a closed
+    # form; only a drive document needs the quadrature.
+    calls = []
+    quadrature = drives.gamma0
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "loopgate" or name.startswith("loopgate."):
+            for attribute, value in list(vars(module).items()):
+                if value is quadrature:
+                    monkeypatch.setattr(module, attribute, counted)
+    common = ("--n-max", "16", "--steps", "1000", "--state-only")
+    constant = run_json(capsys, "oracle-verify", "--omega-over-delta", "0.5", *common)
+    assert calls == []
+    # The report prints 12 significant digits.
+    exact = analytic_total_phase(0.5, 1.0, 2.0 * math.pi)
+    assert constant["gamma0"] == pytest.approx(exact, abs=1e-11)
+    path = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    document = run_json(capsys, "oracle-verify", "--drive", path, *common)
+    assert len(calls) == 1
+    assert document["gamma0"] == pytest.approx(constant["gamma0"], abs=1e-11)
+
+
 def test_non_diagonal_conditioner_rejected_for_diagonal_constructions(capsys, tmp_path):
     path = write_doc(tmp_path, "jy.json", dict(CIRCLE_DOC, conditioner="jy"))
     for argv in (["oracle-verify", "--drive", path], ["gate", "--conditioner", "jy", "--gamma0", "1"]):
@@ -697,7 +725,7 @@ def test_version_flag(capsys):
         (["sweep", "--parameter", "time", "--grid", "nan"], "--grid entries must be finite"),
         (["phase", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
         (["sweep", "--parameter", "omega_over_delta", "--grid=1e200"], "omega_d^2 overflows"),
-        (["oracle-verify", "--omega-over-delta", "1e155"], "loop-phase integrand"),
+        (["oracle-verify", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
     ],
 )
 def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):

@@ -8,6 +8,8 @@ recombination.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from loopgate.drives import (
 )
 from loopgate.errors import TruncationError, UndefinedPhaseError
 from loopgate.gates import (
+    SpinConditioner,
     collective_gate,
     jy_conditioner,
     jz_conditioner,
@@ -60,8 +63,13 @@ def headline_run():
 
 @pytest.fixture(scope="module")
 def operator_run():
-    """Propagation with full operator tracking on a small space."""
-    return propagate(headline_drive(), space=FockSpace(24), steps=2_000)
+    """Propagation with full operator tracking on a small space, sampled every 1/8 period."""
+    return propagate(
+        headline_drive(),
+        space=FockSpace(24),
+        steps=2_000,
+        sample_times=np.linspace(0.0, TWO_PI, 9),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +252,11 @@ def test_zero_sector_is_identity(operator_run):
     assert np.array_equal(sector.evolution, np.eye(25))
     assert np.all(sector.overlap_series == 1.0)
     assert np.all(sector.dynamic_series == 0.0)
+    # dd and uu sit in the zero sector: no phase at any sampled time.
+    samples = operator_run.samples
+    assert samples["times"].size == 9
+    for name in ("total_phase", "dynamic_phase"):
+        assert np.all(samples[name][:, [0, 3]] == 0.0), name
 
 
 def test_unitarity_defect_small(operator_run):
@@ -427,15 +440,20 @@ def test_sample_times_snapshots():
     )
 
 
-def test_sample_times_must_sit_on_grid():
-    with pytest.raises(ValueError):
-        propagate(
-            headline_drive(),
-            space=FockSpace(16),
-            steps=1_000,
-            sample_times=[TWO_PI / 3.0],
-            with_operator=False,
-        )
+def test_sample_times_must_sit_on_grid(monkeypatch):
+    # Checked before any sector is propagated.
+    calls = []
+    monkeypatch.setattr(oracle, "_propagate_sector", lambda *args: calls.append(args))
+    for bad in (TWO_PI / 3.0, -TWO_PI / 1_000, 1.001 * TWO_PI, math.nan):
+        with pytest.raises(ValueError, match="does not lie on the step grid"):
+            propagate(
+                headline_drive(jz_conditioner()),
+                space=FockSpace(16),
+                steps=1_000,
+                sample_times=[0.0, math.pi, bad],
+                with_operator=False,
+            )
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +602,16 @@ EQUIVALENCE_CASES = {
 }
 
 
+def _run_edge_times(drive, steps, tau):
+    """Grid times at 0, at tau, and at each midpoint run's edges, next to them and half way."""
+    dt = tau / steps
+    segment_index, _ = oracle._locate(drive, (np.arange(steps) + 0.5) * dt)
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(segment_index)) + 1, [steps]])
+    inside = np.concatenate([edges + 1, edges - 1, (edges[:-1] + edges[1:]) // 2])
+    index = np.unique(np.concatenate([edges, np.clip(inside, 0, steps)]))
+    return list(index * dt)
+
+
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 @pytest.mark.parametrize(
     "steps,tol,force_closed_form", [(20_000, 1e-9, False), (48, 1e-12, True)]
@@ -597,14 +625,24 @@ def test_closed_form_runs_match_per_step_product(
         monkeypatch.setattr(oracle, "_MIN_RUN_STEPS", 1)
         monkeypatch.setattr(oracle, "_MIN_RUN_STEPS_WITH_OPERATOR", 1)
     make_drive, kwargs = EQUIVALENCE_CASES[case]
-    kwargs = {"with_operator": False, "space": FockSpace(16), **kwargs}
     drive = make_drive(steps)
+    tau = kwargs.get("tau", drive.total_duration)
+    kwargs = {
+        "with_operator": False,
+        "space": FockSpace(16),
+        **kwargs,
+        # The dynamic phase is computed only where it is read: check it at
+        # every run edge, next to each edge and inside each run.
+        "sample_times": kwargs.get("sample_times", []) + _run_edge_times(drive, steps, tau),
+    }
     closed = propagate(drive, steps=steps, **kwargs)
     stepped = propagate(_stepped_twin(drive), steps=steps, **kwargs)
 
     for name in ("total_phase", "dynamic_phase", "overlap_modulus", "min_overlap_modulus"):
         assert np.max(np.abs(getattr(closed, name) - getattr(stepped, name))) < tol, name
     assert abs(closed.leakage - stepped.leakage) < tol
+    for name in ("times", "total_phase", "dynamic_phase", "leakage"):
+        assert np.max(np.abs(closed.samples[name] - stepped.samples[name])) < tol, name
     for a, b in zip(closed.sectors, stepped.sectors, strict=True):
         for name in ("overlap_series", "dynamic_series", "leakage_series"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < tol, name
@@ -612,9 +650,6 @@ def test_closed_form_runs_match_per_step_product(
             assert np.max(np.abs(a.evolution - b.evolution)) < 1e-10
     if kwargs["with_operator"]:
         assert np.max(np.abs(closed.joint_matrix() - stepped.joint_matrix())) < 1e-10
-    if "sample_times" in kwargs:
-        for name in ("times", "total_phase", "dynamic_phase", "leakage"):
-            assert np.max(np.abs(closed.samples[name] - stepped.samples[name])) < tol, name
 
 
 def test_zero_eigenvalues_of_jy_form_an_exact_identity_sector():
@@ -648,22 +683,40 @@ MIRROR_CASES = {
 }
 
 
+def _single_sector(drive, eigenvalue):
+    """``drive`` under a conditioner whose only nonzero eigenvalue, on |dd>, is ``eigenvalue``."""
+    values = (eigenvalue, 0.0, 0.0, 0.0)
+    conditioner = SpinConditioner(name="single", matrix=np.diag(values), basis_eigenvalues=values)
+    return replace(drive, conditioner=conditioner)
+
+
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
 def test_parity_mirrored_sector_matches_direct_propagation(case):
     make_drive, initial_fock = MIRROR_CASES[case]
     drive = make_drive()
-    space = FockSpace(24)
-    run = propagate(drive, space=space, steps=2_000, initial_fock=initial_fock)
+    settings = {
+        "space": FockSpace(24),
+        "steps": 2_000,
+        "initial_fock": initial_fock,
+        "sample_times": np.linspace(0.0, drive.total_duration, 9),
+    }
+    run = propagate(drive, **settings)
     nonzero = [s for s in run.sectors if s.eigenvalue != 0.0]
     assert len(nonzero) == 2 and abs(nonzero[0].eigenvalue + nonzero[1].eigenvalue) < 1e-12
     for sector in nonzero:
-        direct = oracle._propagate_sector(
-            sector.eigenvalue, drive, run.tau, space, 2_000, initial_fock, True
-        )
+        # Alone beside the zero sector, this eigenvalue is propagated, not mirrored.
+        direct_run = propagate(_single_sector(drive, sector.eigenvalue), **settings)
+        direct = direct_run.sectors[0]
+        assert direct.eigenvalue == sector.eigenvalue
         for name in ("overlap_series", "dynamic_series", "leakage_series"):
             assert np.max(np.abs(getattr(sector, name) - getattr(direct, name))) < 1e-12, name
         assert np.max(np.abs(sector.evolution - direct.evolution)) < 1e-10
         assert abs(sector.unitarity_defect - direct.unitarity_defect) < 1e-12
+        if drive.conditioner.is_diagonal:
+            state = drive.conditioner.basis_eigenvalues.index(sector.eigenvalue)
+            for name in ("total_phase", "dynamic_phase"):
+                difference = run.samples[name][:, state] - direct_run.samples[name][:, 0]
+                assert np.max(np.abs(difference)) < 1e-12, name
 
 
 def _run_matrix(g0, frequency, dt, dim):
@@ -724,6 +777,68 @@ def test_tone_eigenbasis_matches_general_eigendecomposition(monkeypatch):
         assert np.max(np.abs(closed - general)) < 1e-10
         squared = np.linalg.matrix_power(M, steps) @ psi
         assert np.max(np.abs(closed - squared)) < 1e-11
+
+
+def _direct_energy_sums(P, theta, counts):
+    """Re sum_ab P_ab exp(i (theta_b - theta_a) j) summed over steps j < K, in long double."""
+    th = theta.astype(np.longdouble)
+    differences = (th[None, :] - th[:, None]).ravel()
+    j = np.arange(max(counts), dtype=np.longdouble)
+    per_step = np.real(P.astype(np.clongdouble).ravel() @ np.exp(1j * np.outer(differences, j)))
+    return np.cumsum(per_step)[np.asarray(counts) - 1].astype(float)
+
+
+def _theta_case(case, rng):
+    if case == "pulse-degenerate":
+        # A pulse's eigenphases, each taken twice: exactly degenerate pairs.
+        w, Q = _position_eigensystem(6)
+        _, _, theta = oracle._run_eigenbasis(0.3j, 0.0, 0.01, w, Q)
+        return np.repeat(theta[:3], 2)
+    theta = rng.uniform(-3.0, 3.0, 6)
+    if case == "near-zero":
+        theta[1:3] = theta[0] + np.array([1e-9, -3e-13])
+    else:
+        # Differences 1e-13 to 3e-9 short of +-2 pi.
+        theta[:4] = (math.pi - 1e-9, -math.pi + 2e-9, -math.pi + 1e-13, math.pi)
+    return theta
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="the reference sum needs an extended long double"
+)
+@pytest.mark.parametrize("case", ["near-zero", "near-two-pi", "pulse-degenerate"])
+def test_dirichlet_energy_sum_matches_the_step_by_step_sum(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    theta = _theta_case(case, rng)
+    P = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    counts = [1, 2, 64, 20_000]
+    closed = oracle._summed_energies(P, theta, counts)
+    direct = _direct_energy_sums(P, theta, counts)
+    assert np.all(np.abs(closed - direct) <= 1e-12 * np.abs(direct)), (closed, direct)
+
+
+def test_state_only_propagation_allocates_a_few_series():
+    # The peak is about 2.3 times the four-state overlap storage.  One product
+    # over every chunk start of the closed-form run at once would add a
+    # (2, steps / 64, dim) coefficient block, 8 series at n_max 256, and
+    # reach about 4.7 times.
+    steps = 200_000
+    drive = headline_drive()
+    space = FockSpace(256)
+    propagate(drive, space=space, steps=1_000, with_operator=False)  # caches the basis
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        propagate(drive, space=space, steps=steps, with_operator=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    series = 4 * (steps + 1) * np.dtype(complex).itemsize
+    assert peak - before < 3.5 * series
 
 
 def test_magnus_form_reuses_the_unit_sector_of_a_propagation(monkeypatch):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from loopgate.drives import (
     gamma0,
 )
 from loopgate.gates import odd_parity_projector
+from loopgate.oracle import FockSpace, propagate
 from loopgate.robustness import area_invariance_study
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -91,3 +93,41 @@ def test_area_study_is_invariant_under_rotation(polygon, angle):
     report = area_invariance_study(loops, samples=POLYGON_SAMPLES, agreement_tolerance=1e-9)
     for row in report.rows:
         assert row.geometric == pytest.approx(-2.0 * shoelace_area(vertices), abs=1e-9)
+
+
+@st.composite
+def sampled_tones(draw):
+    """A tone of radius <= 0.4, its step count and step indices to sample it at."""
+    frequency = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+    radius = draw(st.floats(0.05, 0.4))
+    amplitude = radius * abs(frequency) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    duration = 2.0 * math.pi * draw(st.floats(0.2, 2.0)) / abs(frequency)
+    steps = draw(st.integers(120, 1_500))
+    index = draw(st.lists(st.integers(0, steps), max_size=6))
+    return DriveSegment(duration=duration, amplitude=amplitude, frequency=frequency), steps, index
+
+
+@PROPERTY
+@given(sampled_tones())
+def test_sampled_oracle_dynamic_phase_matches_the_stepped_twin(tone):
+    # One run of 120 steps or more takes the closed form, whose dynamic phase
+    # is the Dirichlet-kernel sum up to each sampled step; the same f(t) as a
+    # callable segment is stepped one exponential at a time.
+    segment, steps, index = tone
+    twin = DriveSegment(
+        duration=segment.duration,
+        func=lambda t: segment.amplitude * np.exp(-1j * segment.frequency * t),
+    )
+    times = [k * segment.duration / steps for k in index]
+    dynamic = [
+        propagate(
+            DriveProfile(segments=(s,), conditioner=odd_parity_projector()),
+            space=FockSpace(12),
+            steps=steps,
+            sample_times=times,
+            with_operator=False,
+        ).samples["dynamic_phase"]
+        for s in (segment, twin)
+    ]
+    assert dynamic[0].shape == (len(index), 4)
+    assert np.max(np.abs(dynamic[0] - dynamic[1]), initial=0.0) < 1e-9
