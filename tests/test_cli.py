@@ -214,6 +214,47 @@ def test_gate_requires_exactly_one_source(capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("gate", "--omega-over-delta", "0.5", "--gamma", "-0.3"),
+            "choose exactly one construction: --target-phase, --gamma0, --gamma, "
+            "or a drive (--drive FILE / --omega-over-delta)",
+        ),
+        (
+            ("gate", "--target-phase", "-1.0", "--tau", "3.0"),
+            "--tau does not apply to the designed construction",
+        ),
+        (
+            ("gate", "--target-phase", "-1.0", "--conditioner", "jz"),
+            "--conditioner does not apply to the designed construction",
+        ),
+        (
+            ("gate", "--gamma0", "0.5", "--delta", "2.0"),
+            "--delta does not apply to the direct-phase construction",
+        ),
+        (
+            ("gate", "--gamma0", "0.5", "--samples", "101"),
+            "--samples does not apply to the direct-phase construction",
+        ),
+        (
+            ("gate", "--gamma", "-0.3", "--phi-l", "0.1"),
+            "--phi-l does not apply to the squared-collective-y construction",
+        ),
+        (
+            ("gate", "--gamma", "-0.3", "--closure-tolerance", "1e-6"),
+            "--closure-tolerance does not apply to the squared-collective-y construction",
+        ),
+    ],
+)
+def test_gate_rejection_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gate_direct_gamma0_jz(capsys):
     report = run_json(
         capsys, "gate", "--conditioner", "jz", "--gamma0", "0.5"
