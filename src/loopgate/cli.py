@@ -406,44 +406,16 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
     drive_echo = None
     drive_doc = None
     quadrature_gamma0 = None
+    # The direct constructions take no drive, so no drive or quadrature flag.
+    direct_rejects = ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance")
 
-    if target is not None:
-        _reject(opts, ("tau", "conditioner", "periods", "omega_over_delta"),
-                "to the designed construction")
-        params = drives.design_constant_drive(
-            target, opts.get("delta", 1.0), opts.get("phi_l", 0.0)
-        )
-        drive = drives.constant_drive(params, periods=1.0)
-        quadrature_gamma0 = closed_loop_gamma0(
-            drive, samples=samples, closure_tolerance=closure_tolerance
-        )
-        gate, decompositions = diagonal_gate(drive.conditioner, quadrature_gamma0)
-        construction = "designed-drive"
-        design_echo = {
-            "target_phase": target,
-            "omega_d": params.omega_d,
-            "omega_over_delta": params.ratio,
-            "delta": params.delta,
-            "phi_l": params.phi_l,
-            "period": params.period,
-        }
-        drive_doc = drives.drive_to_dict(drive)
-        conditioner_name = drive.conditioner.name
-    elif gamma0_value is not None:
-        _reject(
-            opts,
-            ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance"),
-            "to the direct-phase construction",
-        )
+    if gamma0_value is not None:
+        _reject(opts, direct_rejects, "to the direct-phase construction")
         conditioner_name = opts.get("conditioner", "odd-parity-projector")
         gate, decompositions = diagonal_gate(standard_conditioner(conditioner_name), gamma0_value)
         construction = "direct-phases"
     elif gamma_value is not None:
-        _reject(
-            opts,
-            ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance"),
-            "to the squared-collective-y construction",
-        )
+        _reject(opts, direct_rejects, "to the squared-collective-y construction")
         conditioner_name = opts.get("conditioner", "jy")
         if conditioner_name != "jy":
             raise ConfigError("--gamma builds the squared-collective-y gate; use --conditioner jy")
@@ -453,14 +425,24 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
         if correct:
             raise ConfigError("--correct-to-cz needs a diagonal gate")
     else:
-        drive, constant = _resolve_drive(opts, allow_conditioner=True)
-        tau = opts.get("tau", drive.total_duration)
+        if target is not None:
+            _reject(opts, ("tau", "conditioner", "periods"), "to the designed construction")
+            params = drives.design_constant_drive(
+                target, opts.get("delta", 1.0), opts.get("phi_l", 0.0)
+            )
+            drive = drives.constant_drive(params, periods=1.0)
+            construction = "designed-drive"
+            design_echo = {"target_phase": target, **_design_echo(params)}
+        else:
+            drive, drive_echo = _resolve_drive(opts, allow_conditioner=True)
+            construction = "constant-drive" if drive_echo is not None else "drive-document"
         quadrature_gamma0 = closed_loop_gamma0(
-            drive, tau, samples=samples, closure_tolerance=closure_tolerance
+            drive,
+            opts.get("tau", drive.total_duration),
+            samples=samples,
+            closure_tolerance=closure_tolerance,
         )
         gate, decompositions = diagonal_gate(drive.conditioner, quadrature_gamma0)
-        construction = "constant-drive" if constant is not None else "drive-document"
-        drive_echo = constant
         drive_doc = drives.drive_to_dict(drive)
         conditioner_name = drive.conditioner.name
 
@@ -670,6 +652,17 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, str | None]:
     return report, None
 
 
+def _design_echo(params: ConstantDriveParams) -> dict:
+    """The parameters of a designed constant drive, as ``design`` and ``gate`` report them."""
+    return {
+        "omega_d": params.omega_d,
+        "omega_over_delta": params.ratio,
+        "delta": params.delta,
+        "phi_l": params.phi_l,
+        "period": params.period,
+    }
+
+
 def _cmd_design(opts: dict) -> tuple[dict, str | None]:
     target = opts.get("target_phase")
     if target is None:
@@ -683,11 +676,7 @@ def _cmd_design(opts: dict) -> tuple[dict, str | None]:
         "schema_version": SCHEMA_VERSION,
         "command": "design",
         "target_phase": target,
-        "omega_d": params.omega_d,
-        "omega_over_delta": params.ratio,
-        "delta": params.delta,
-        "phi_l": params.phi_l,
-        "period": params.period,
+        **_design_echo(params),
         "round_trip_error": abs(phi - target),
         "predicted": dataclasses.asdict(decomposition),
     }

@@ -401,28 +401,11 @@ def design_constant_drive(
 design_constant_drive.__doc__ = design_constant_drive.__doc__.format(cap=f"{DESIGN_PHASE_CAP:.6f}")
 
 
-def drive_h_expect(drive: DriveProfile, eigenvalue: float = 1.0) -> Callable:
-    """Hamiltonian expectation along a coherent path under this drive.
-
-    Returns h(alpha, t) = 2 * eigenvalue**2 * Im(f(t) * conj(alpha)) suitable
-    for :func:`loopgate.phasespace.dynamic_phase`; accepts scalars or arrays.
-    """
-    scale = 2.0 * float(eigenvalue) ** 2
-
-    def h_expect(alpha, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
-        values = scale * np.imag(f_array(drive, t_arr) * np.conj(alpha_arr))
-        return values if np.ndim(t) else float(values[0])
-
-    return h_expect
-
-
 def constant_drive_h_expect(params: ConstantDriveParams) -> Callable:
     """Closed-form expectation 2*(omega_d**2/delta)*(1 - cos(delta*t)).
 
-    This is the value of :func:`drive_h_expect` evaluated on the analytic
-    constant-drive path; it depends on time only.
+    This is <H> = 2*Im(f(t)*conj(alpha)) at conditioner eigenvalue 1,
+    evaluated on the analytic constant-drive path; it depends on time only.
     """
     scale = params.energy_scale
 

@@ -137,7 +137,10 @@ def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
     return FockSpace(max(DEFAULT_N_MAX, int(math.ceil(need))))
 
 
-@functools.lru_cache(maxsize=16)
+# 64 dimensions cover a caller that mixes every n_max from 24 to 64 (41
+# dimensions, under 1 MB).  An entry holds about 8 * dim**2 bytes, so the
+# cache holds at most about 507 MB: 64 entries with n_max near MAX_N_MAX.
+@functools.lru_cache(maxsize=64)
 def _position_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sq = sqrt(1..dim-1), and w, Q with X = a + a_dag = Q diag(w) Q^T on ``dim`` levels.
 

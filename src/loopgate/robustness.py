@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from ._serialize import csv_number as _csv_number, format_float as _format_number, format_tree as _format_tree
+from ._serialize import csv_number as _csv_number, format_tree as _format_tree
 from ._version import __version__
 from .drives import (
     MAX_SAMPLES,
@@ -34,6 +34,7 @@ from .gates import TwoQubitGate, gate_fidelity, phase_gate
 from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockSpace, propagate
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
+    PhaseDecomposition,
     Trajectory,
     _circle_path,
     analytic_total_phase,
@@ -120,6 +121,9 @@ class SweepRow:
     oracle_deviation: float | None = None
 
 
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Rows plus metadata, as a JSON-ready dict or a CSV table, deterministically."""
@@ -129,69 +133,53 @@ class SweepReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "parameter": self.parameter,
-            "metadata": _format_tree(self.metadata),
-            "rows": [
-                {
-                    "value": _format_number(r.value),
-                    "total": _format_number(r.total),
-                    "geometric": _format_number(r.geometric),
-                    "dynamic": _format_number(r.dynamic),
-                    "eta": _format_number(r.eta),
-                    "fidelity": _format_number(r.fidelity),
-                    "oracle_deviation": _format_number(r.oracle_deviation),
-                }
-                for r in self.rows
-            ],
-        }
+        return _format_tree(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "parameter": self.parameter,
+                "metadata": self.metadata,
+                "rows": [{name: getattr(r, name) for name in _COLUMNS} for r in self.rows],
+            }
+        )
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            [
-                "kind",
-                "parameter",
-                "value",
-                "total",
-                "geometric",
-                "dynamic",
-                "eta",
-                "fidelity",
-                "oracle_deviation",
-            ]
-        )
+        writer.writerow(["kind", "parameter", *_COLUMNS])
         for r in self.rows:
-            writer.writerow(
-                [
-                    "row",
-                    self.parameter,
-                    _csv_number(r.value),
-                    _csv_number(r.total),
-                    _csv_number(r.geometric),
-                    _csv_number(r.dynamic),
-                    _csv_number(r.eta),
-                    _csv_number(r.fidelity),
-                    _csv_number(r.oracle_deviation),
-                ]
-            )
+            cells = [_csv_number(getattr(r, name)) for name in _COLUMNS]
+            writer.writerow(["row", self.parameter, *cells])
         for key in sorted(self.metadata):
             value = self.metadata[key]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                writer.writerow(["summary", key, _csv_number(value), "", "", "", "", "", ""])
+                writer.writerow(["summary", key, _csv_number(value), *[""] * (len(_COLUMNS) - 1)])
         return buffer.getvalue()
 
 
-def _base_metadata(oracle_settings: OracleSettings | None) -> dict:
-    metadata = {
-        "package_version": __version__,
-        "oracle": None,
-    }
+def _row(
+    value: float,
+    decomposition: PhaseDecomposition,
+    fidelity: float | None = None,
+    oracle_deviation: float | None = None,
+) -> SweepRow:
+    """The report row of one grid point."""
+    return SweepRow(
+        value=value,
+        total=decomposition.total,
+        geometric=decomposition.geometric,
+        dynamic=decomposition.dynamic,
+        eta=decomposition.eta,
+        fidelity=fidelity,
+        oracle_deviation=oracle_deviation,
+    )
+
+
+def _metadata(oracle_settings: OracleSettings | None, **summary) -> dict:
+    """Report metadata: the package version, the oracle settings and the sweep's summary."""
+    oracle = None
     if oracle_settings is not None:
-        metadata["oracle"] = {"n_max": oracle_settings.n_max, "steps": oracle_settings.steps}
-    return metadata
+        oracle = {"n_max": oracle_settings.n_max, "steps": oracle_settings.steps}
+    return {"package_version": __version__, "oracle": oracle, **summary}
 
 
 def _oracle_phase_triplet(
@@ -328,32 +316,17 @@ def noncyclic_scan(
                 raise InternalConsistencyError(
                     f"oracle phase relations violated at t={t}: deviation {oracle_deviation:.3e}"
                 )
-        decomposition = decompose(geometric, dyn)
-        rows.append(
-            SweepRow(
-                value=t,
-                total=decomposition.total,
-                geometric=geometric,
-                dynamic=dyn,
-                eta=decomposition.eta,
-                fidelity=None,
-                oracle_deviation=oracle_deviation,
-            )
-        )
+        rows.append(_row(t, decompose(geometric, dyn), oracle_deviation=oracle_deviation))
 
-    metadata = _base_metadata(oracle_settings)
-    metadata.update(
-        {
-            "tolerances": {
-                "analytic": analytic_tolerance,
-                "oracle": oracle_tolerance if oracle_settings is not None else None,
-            },
-            "samples": samples,
-            "max_analytic_relation_residual": max_dev_analytic,
-            "max_oracle_relation_residual": (
-                max_dev_oracle if oracle_settings is not None else None
-            ),
-        }
+    metadata = _metadata(
+        oracle_settings,
+        tolerances={
+            "analytic": analytic_tolerance,
+            "oracle": oracle_tolerance if oracle_settings is not None else None,
+        },
+        samples=samples,
+        max_analytic_relation_residual=max_dev_analytic,
+        max_oracle_relation_residual=max_dev_oracle if oracle_settings is not None else None,
     )
     return SweepReport(parameter="time", rows=tuple(rows), metadata=metadata)
 
@@ -406,26 +379,13 @@ def timing_error_sweep(
             )
             oracle_deviation = abs(oracle_total - phi)
 
-        decomposition = decompose(-phi, 2.0 * phi)
-        rows.append(
-            SweepRow(
-                value=eps,
-                total=decomposition.total,
-                geometric=decomposition.geometric,
-                dynamic=decomposition.dynamic,
-                eta=decomposition.eta,
-                fidelity=fidelity,
-                oracle_deviation=oracle_deviation,
-            )
-        )
+        rows.append(_row(eps, decompose(-phi, 2.0 * phi), fidelity, oracle_deviation))
 
-    metadata = _base_metadata(oracle_settings)
-    metadata.update(
-        {
-            "nominal_total_phase": nominal_phase,
-            "max_abs_phase_error": max_abs_error,
-            "loglog_slope": _loglog_slope(base, epsilons),
-        }
+    metadata = _metadata(
+        oracle_settings,
+        nominal_total_phase=nominal_phase,
+        max_abs_phase_error=max_abs_error,
+        loglog_slope=_loglog_slope(base, epsilons),
     )
     return SweepReport(parameter="timing_error", rows=tuple(rows), metadata=metadata)
 
@@ -496,25 +456,13 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
                     dev if max_eta_dev_oracle is None else max(max_eta_dev_oracle, dev)
                 )
 
-        rows.append(
-            SweepRow(
-                value=value,
-                total=decomposition.total,
-                geometric=geometric,
-                dynamic=dyn,
-                eta=decomposition.eta,
-                fidelity=None,
-                oracle_deviation=oracle_deviation,
-            )
-        )
+        rows.append(_row(value, decomposition, oracle_deviation=oracle_deviation))
 
-    metadata = _base_metadata(spec.oracle_settings)
-    metadata.update(
-        {
-            "samples": samples,
-            "max_abs_eta_plus_2": max_eta_dev,
-            "max_abs_eta_plus_2_oracle": max_eta_dev_oracle,
-        }
+    metadata = _metadata(
+        spec.oracle_settings,
+        samples=samples,
+        max_abs_eta_plus_2=max_eta_dev,
+        max_abs_eta_plus_2_oracle=max_eta_dev_oracle,
     )
     return SweepReport(parameter=spec.parameter, rows=tuple(rows), metadata=metadata)
 
@@ -563,32 +511,19 @@ def area_invariance_study(
         t, f, alpha = _sample_path(loop, loop.total_duration, samples)
         trajectory = Trajectory._adopt(t, alpha)
         geometric = geometric_phase(trajectory)
-        # <H> = 2 Im(f conj(alpha)), drive_h_expect at eigenvalue 1.
+        # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1.
         dyn = dynamic_phase(trajectory, lambda points, times: 2.0 * np.imag(f * np.conj(points)))
-        decomposition = decompose(geometric, dyn)
         geometrics.append(geometric)
-        rows.append(
-            SweepRow(
-                value=float(index),
-                total=decomposition.total,
-                geometric=geometric,
-                dynamic=dyn,
-                eta=decomposition.eta,
-                fidelity=None,
-                oracle_deviation=None,
-            )
-        )
+        rows.append(_row(float(index), decompose(geometric, dyn)))
     spread = float(np.max(geometrics) - np.min(geometrics)) if len(geometrics) > 1 else 0.0
     if spread > agreement_tolerance:
         raise InternalConsistencyError(
             f"geometric phases disagree across equal-area loops: spread {spread:.3e}"
         )
-    metadata = _base_metadata(None)
-    metadata.update(
-        {
-            "samples": samples,
-            "agreement_tolerance": agreement_tolerance,
-            "geometric_phase_spread": spread,
-        }
+    metadata = _metadata(
+        None,
+        samples=samples,
+        agreement_tolerance=agreement_tolerance,
+        geometric_phase_spread=spread,
     )
     return SweepReport(parameter="loop_shape", rows=tuple(rows), metadata=metadata)

@@ -17,7 +17,6 @@ from loopgate.drives import (
     constant_drive_h_expect,
     design_constant_drive,
     drive_from_dict,
-    drive_h_expect,
     drive_to_dict,
     f_array,
     four_pulse_sequence,
@@ -311,12 +310,17 @@ def test_design_rejects_bad_detuning():
 # Hamiltonian expectation helpers
 
 
+def h_expect(drive, alpha, t, eigenvalue=1.0):
+    """<H> = 2 beta**2 Im(f(t) conj(alpha)) along a coherent path, beta the eigenvalue."""
+    return 2.0 * eigenvalue**2 * np.imag(f_array(drive, t) * np.conj(alpha))
+
+
 def test_drive_h_expect_matches_constant_form():
     params = ConstantDriveParams(omega_d=0.5, delta=1.0, phi_l=0.4)
     drive = constant_drive(params)
     t = np.linspace(0.0, params.period, 101)
     alpha = alpha_array(drive, t)
-    general = drive_h_expect(drive)(alpha, t)
+    general = h_expect(drive, alpha, t)
     closed = constant_drive_h_expect(params)(alpha, t)
     assert np.allclose(general, closed, atol=1e-12)
     # the expectation is nonnegative along this loop and peaks at T/2
@@ -328,8 +332,8 @@ def test_drive_h_expect_eigenvalue_scaling():
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
     t = np.linspace(0.0, TWO_PI, 51)
     alpha = alpha_array(drive, t)
-    unit = drive_h_expect(drive, eigenvalue=1.0)(alpha, t)
-    doubled = drive_h_expect(drive, eigenvalue=2.0)(alpha, t)
+    unit = h_expect(drive, alpha, t, eigenvalue=1.0)
+    doubled = h_expect(drive, alpha, t, eigenvalue=2.0)
     assert np.allclose(doubled, 4.0 * unit, atol=1e-12)
 
 
