@@ -577,6 +577,41 @@ def test_sweep_time_beyond_window_rejected(capsys):
     assert code == EXIT_INVALID
 
 
+# A one-pulse loop of duration 1e-320 closes within the default tolerance.
+TINY_LOOP_DOC = {
+    "schema_version": 1,
+    "conditioner": "odd-parity-projector",
+    "segments": [{"duration": 1e-320, "amplitude": [1.0, 0.0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The grid step t / 200000 underflows to 0.
+        ("sweep", "--parameter", "time", "--grid", "1e-320"),
+        # Exactly half a subnormal unit per step: the step underflows, but the
+        # first sample rounds up to one unit, so only later samples repeat.
+        ("sweep", "--parameter", "time", "--grid", "4.94066e-319"),
+        # The step rounds up to two units, which puts the last but one sample past t.
+        ("sweep", "--parameter", "time", "--grid", "1.5e-318"),
+        ("sweep", "--parameter", "loop_shape", "--drive", "TINY"),
+    ],
+)
+def test_sweep_grid_that_cannot_increase_is_invalid(capsys, tmp_path, argv):
+    argv = [write_doc(tmp_path, "tiny.json", TINY_LOOP_DOC) if a == "TINY" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: times must be strictly increasing\n"
+
+
+@pytest.mark.parametrize("t", ["3e-318", "1e-315", "1e-310"])
+def test_sweep_time_scan_of_a_subnormal_window_that_increases(capsys, t):
+    report = run_json(capsys, "sweep", "--parameter", "time", "--grid", t)
+    assert report["rows"][0]["total"] == 0.0
+
+
 def test_sweep_loop_shape_study(capsys, tmp_path):
     circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     square = write_doc(tmp_path, "square.json", SQUARE_DOC)

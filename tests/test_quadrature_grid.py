@@ -233,6 +233,27 @@ def test_trajectory_arrays_are_independent_of_the_callers():
             trajectory.points[0] = 1.0
 
 
+def test_quadratures_on_the_package_grids_build_no_trajectory(monkeypatch):
+    # The public constructor copies and checks every sample; the package's
+    # own grids are integrated without it.
+    built = []
+    real_post_init = Trajectory.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.times.size)
+        real_post_init(self)
+
+    monkeypatch.setattr(Trajectory, "__post_init__", counting_post_init)
+    eta_invariance_sweep(SweepSpec(parameter="phi_l", grid=(0.0, 1.0), base=BASE), samples=1_001)
+    noncyclic_scan(BASE, [0.0, 2.0, BASE.period], samples=1_001, analytic_tolerance=1e-4)
+    for name in sorted(MIXED_LOOPS):
+        area_invariance_study([mixed_drive(name)], samples=1_001)
+        gamma0(mixed_drive(name), samples=1_001)
+    assert built == []
+    Trajectory(np.linspace(0.0, 1.0, 3), np.zeros(3))
+    assert built == [3]
+
+
 # ---------------------------------------------------------------------------
 # structural guard: the number of exponentials, not a wall-clock time
 
