@@ -825,8 +825,7 @@ def _flatten(prefix: str, value) -> list[tuple[str, object]]:
     return [(prefix, value)]
 
 
-def _render(report: dict, fmt: str) -> str:
-    formatted = format_tree(report)
+def _render(formatted: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(formatted, indent=2, sort_keys=True, allow_nan=False) + "\n"
     buffer = io.StringIO()
@@ -887,7 +886,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # The sweep CSV is a table of rows, not key/value pairs.
             text = report.to_csv_text() if fmt == "csv" else _render(report.to_json_dict(), fmt)
         else:
-            text = _render(report, fmt)
+            text = _render(format_tree(report), fmt)
         _emit(text, out)
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)

@@ -23,13 +23,14 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InternalConsistencyError,
-    SingularDetuningError,
-    UnreachablePhaseError,
+from .errors import ConfigError, SingularDetuningError, UnreachablePhaseError
+from .phasespace import (
+    DEFAULT_CLOSURE_TOLERANCE,
+    Trajectory,
+    _require_positive_delta,
+    _trapezoid_phase,
+    uniform_exp,
 )
-from .phasespace import DEFAULT_CLOSURE_TOLERANCE, Trajectory, uniform_exp
 
 if TYPE_CHECKING:
     from .gates import SpinConditioner
@@ -67,10 +68,11 @@ class ConstantDriveParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.omega_d):
             raise ValueError(f"omega_d must be finite, got {self.omega_d}")
-        if self.delta == 0.0:
-            raise SingularDetuningError("detuning is zero: the drive never closes a loop")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise SingularDetuningError(f"detuning must be positive and finite, got {self.delta}")
+        _require_positive_delta(self.delta)
+        if not math.isfinite(self.period):
+            raise SingularDetuningError(
+                f"detuning {self.delta:g} is too small: its loop period 2*pi/delta overflows"
+            )
         if not math.isfinite(self.phi_l):
             raise ValueError(f"phi_l must be finite, got {self.phi_l}")
 
@@ -332,7 +334,7 @@ def induced_trajectory(
     if tau is None:
         tau = drive.total_duration
     t, _, alpha = _sample_path(drive, tau, samples)
-    return Trajectory._adopt(t, alpha, closure_tolerance)
+    return Trajectory(t, alpha, closure_tolerance)
 
 
 def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT_DRIVE_SAMPLES) -> float:
@@ -340,9 +342,8 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
 
     Evaluates (i/2) * integral_0^tau (conj(alpha) f - alpha conj(f)) dt by
     trapezoidal quadrature.  The bracket is purely imaginary (it equals
-    2i * Im(conj(alpha) f)), so the returned value is real; a residual real
-    part beyond rounding raises :class:`InternalConsistencyError`, and an
-    integrand that overflows raises ValueError.
+    2i * Im(conj(alpha) f)), so the value is -integral Im(conj(alpha) f) dt;
+    an integrand that overflows raises ValueError.
 
     A spin sector with conditioner eigenvalue beta accumulates the total phase
     beta**2 * gamma0(tau), split as geometric -beta**2 * gamma0 and dynamic
@@ -359,17 +360,7 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
         raise ValueError(
             "loop-phase integrand conj(alpha) f is not finite: the drive or its path overflows"
         )
-    # The bracket conj(alpha) f - alpha conj(f) equals z - conj(z), which is
-    # purely imaginary; guard the assumption before discarding the real part.
-    bracket = z - np.conj(z)
-    bracket_real = float(np.max(np.abs(bracket.real)))
-    scale = max(1.0, float(np.max(np.abs(bracket))))
-    if bracket_real > 1e-10 * scale:
-        raise InternalConsistencyError(
-            f"loop-phase integrand has a real part ({bracket_real}); "
-            "the drive and path are inconsistent"
-        )
-    return float(-np.trapezoid(z.imag, t))
+    return _trapezoid_phase(z.imag, t)
 
 
 def design_constant_drive(
@@ -382,10 +373,7 @@ def design_constant_drive(
     :class:`UnreachablePhaseError`.  The cap keeps the loop radius at or
     below 2 so the default oracle truncation remains adequate.
     """
-    if delta == 0.0:
-        raise SingularDetuningError("detuning is zero: the drive never closes a loop")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise SingularDetuningError(f"detuning must be positive and finite, got {delta}")
+    _require_positive_delta(delta)
     if not math.isfinite(target_phase) or target_phase >= 0.0:
         raise UnreachablePhaseError(
             f"one-period loop phases of this family are negative, got {target_phase}"

@@ -256,14 +256,6 @@ def extract_total_phase(propagation: FockPropagation, spin_state: int) -> float:
     return float(propagation.total_phase[spin_state])
 
 
-def _sector_step_apply(vec, Dc, D, QcT, Qc, phase_vec):
-    v = Dc * vec
-    v = QcT @ v
-    v = phase_vec * v
-    v = Qc @ v
-    return D * v
-
-
 def _summed_energies(P, theta, counts):
     """Re sum_ab P_ab D_K(theta_b - theta_a) for each K in ``counts``.
 
@@ -480,19 +472,18 @@ def _propagate_sector(
             ph = np.angle(g) - 0.5 * np.pi
             D = np.exp(1j * ph * nvec)
             Dc = np.conj(D)
-            half = np.exp(-1j * mag * (0.5 * dt) * w)
+            spin = np.exp(-1j * mag * dt * w)
 
-            psi_mid = _sector_step_apply(psi, Dc, D, QcT, Qc, half)
-            # <H> at the midpoint: H = -i g a_dag + i conj(g) a, so <H> is
-            # twice the real part of <psi|-i g a_dag|psi>.
-            energy = 2.0 * float(np.real(-1j * g * np.vdot(psi_mid[1:], sq * psi_mid[:-1])))
+            # <H> at the midpoint equals <H> before the half step to it: with
+            # H = -i g a_dag + i conj(g) a, twice Re <psi|-i g a_dag|psi>.
+            energy = 2.0 * float(np.real(-1j * g * np.vdot(psi[1:], sq * psi[:-1])))
             dynamic -= energy * dt
-            psi = _sector_step_apply(psi_mid, Dc, D, QcT, Qc, half)
+            psi = D * (Qc @ (spin * (QcT @ (Dc * psi))))
 
             if with_operator:
                 M = Dc[:, None] * operator
                 M = QcT @ M
-                M = (half * half)[:, None] * M
+                M = spin[:, None] * M
                 M = Qc @ M
                 operator = D[:, None] * M
 

@@ -61,28 +61,8 @@ class Trajectory:
     closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE
 
     def __post_init__(self) -> None:
-        self._freeze(np.array(self.times, dtype=float), np.array(self.points, dtype=complex))
-
-    @classmethod
-    def _adopt(
-        cls,
-        times: np.ndarray,
-        points: np.ndarray,
-        closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
-    ) -> "Trajectory":
-        """A trajectory over float and complex arrays the caller has just allocated.
-
-        The arrays are checked and frozen in place instead of copied, so the
-        caller must hold no writable view of them; ``times`` may be shared
-        with other trajectories, since frozen it can no longer change.
-        """
-        trajectory = object.__new__(cls)
-        object.__setattr__(trajectory, "closure_tolerance", closure_tolerance)
-        trajectory._freeze(times, points)
-        return trajectory
-
-    def _freeze(self, times: np.ndarray, points: np.ndarray) -> None:
-        """Validate the sample arrays, make them read-only and store them."""
+        times = np.array(self.times, dtype=float)
+        points = np.array(self.points, dtype=complex)
         if times.ndim != 1 or points.ndim != 1:
             raise InvalidTrajectoryError("times and points must be one-dimensional")
         if times.size < 2:
@@ -199,8 +179,7 @@ def geometric_phase(trajectory: Trajectory) -> float:
     positive.  Open paths are allowed; the value is then the line integral
     along the open path.
     """
-    z = trajectory.points
-    return float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+    return _chord_phase(trajectory.points)
 
 
 def dynamic_phase(
@@ -218,9 +197,32 @@ def dynamic_phase(
         raise ValueError(
             f"h_expect returned shape {values.shape} for {times.size} trajectory samples"
         )
-    if not np.all(np.isfinite(values)):
+    return _trapezoid_phase(values, times)
+
+
+def _require_grid_path(times: np.ndarray, points: np.ndarray) -> None:
+    """The checks of :class:`Trajectory` for a path on an ``np.linspace`` grid from 0.
+
+    Such a grid is finite, and it increases unless its step underflows to 0
+    or rounds up so far that the last but one sample reaches the end, which
+    only subnormal ends allow; so two comparisons stand in for one per sample.
+    """
+    if not np.all(np.isfinite(points)):
+        raise InvalidTrajectoryError("trajectory contains non-finite samples")
+    if not (times[-1] / (times.size - 1) > 0.0 and times[-1] > times[-2]):
+        raise InvalidTrajectoryError("times must be strictly increasing")
+
+
+def _chord_phase(z: np.ndarray) -> float:
+    """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``."""
+    return float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+
+
+def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
+    """-integral(energy dt) by the trapezoidal rule, after checking that ``energy`` is finite."""
+    if not np.all(np.isfinite(energy)):
         raise InvalidTrajectoryError("Hamiltonian expectation produced non-finite values")
-    return float(-np.trapezoid(values, times))
+    return float(-np.trapezoid(energy, times))
 
 
 def uniform_exp(rate: float, s: np.ndarray) -> np.ndarray:

@@ -35,12 +35,12 @@ from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockSpace, propagate
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
-    Trajectory,
+    _chord_phase,
     _circle_path,
+    _require_grid_path,
+    _trapezoid_phase,
     analytic_total_phase,
     decompose,
-    dynamic_phase,
-    geometric_phase,
     loop_closes,
     uniform_exp,
 )
@@ -198,16 +198,17 @@ def _oracle_phase_triplet(
 
 
 def _constant_drive_phases(
-    params: ConstantDriveParams, t: np.ndarray, rotation: np.ndarray, energy_scale: float
+    params: ConstantDriveParams, t: np.ndarray, rotation: np.ndarray
 ) -> tuple[float, float]:
-    """Geometric and dynamic phase of the constant-drive path on the grid ``t``.
+    """Geometric and dynamic phase of the constant-drive path on the ``np.linspace`` grid ``t``.
 
     ``rotation`` is exp(-i*delta*t) on that grid; the path and
     <H> = energy_scale * (1 - cos(delta*t)) are both read off it.
     """
-    trajectory = Trajectory._adopt(t, _circle_path(params.ratio, params.phi_l, rotation))
-    energy = energy_scale * (1.0 - rotation.real)
-    return geometric_phase(trajectory), dynamic_phase(trajectory, lambda points, times: energy)
+    energy_scale = params.energy_scale
+    path = _circle_path(params.ratio, params.phi_l, rotation)
+    _require_grid_path(t, path)
+    return _chord_phase(path), _trapezoid_phase(energy_scale * (1.0 - rotation.real), t)
 
 
 def _noncyclic_samples(
@@ -284,7 +285,7 @@ def noncyclic_scan(
         )
         oracle_samples = propagation.samples
 
-    energy_scale = drive.energy_scale
+    drive.energy_scale  # raises ValueError when omega_d**2 overflows
     rows = []
     max_dev_analytic = 0.0
     max_dev_oracle = 0.0
@@ -295,9 +296,7 @@ def noncyclic_scan(
             dyn = 0.0
         else:
             grid = np.linspace(0.0, t, samples)
-            geometric, dyn = _constant_drive_phases(
-                drive, grid, uniform_exp(drive.delta, grid), energy_scale
-            )
+            geometric, dyn = _constant_drive_phases(drive, grid, uniform_exp(drive.delta, grid))
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
         max_dev_analytic = max(max_dev_analytic, dev_geometric, dev_dynamic)
@@ -360,14 +359,13 @@ def timing_error_sweep(
     ideal = phase_gate(nominal_phase)
 
     rows = []
-    max_abs_error = 0.0
+    errors = []
     for eps in epsilons:
         tau = period * (1.0 + eps)
         if tau <= 0.0:
             raise ValueError(f"epsilon {eps} leaves no evolution window")
         phi = analytic_total_phase(base.ratio, base.delta, tau)
-        delta_gamma = phi - nominal_phase
-        max_abs_error = max(max_abs_error, abs(delta_gamma))
+        errors.append((eps, abs(phi - nominal_phase)))
         perturbed = phase_gate(phi)
         fidelity = gate_fidelity(perturbed, ideal)
 
@@ -384,30 +382,23 @@ def timing_error_sweep(
     metadata = _metadata(
         oracle_settings,
         nominal_total_phase=nominal_phase,
-        max_abs_phase_error=max_abs_error,
-        loglog_slope=_loglog_slope(base, epsilons),
+        max_abs_phase_error=max(error for _, error in errors),
+        loglog_slope=_loglog_slope(errors),
     )
     return SweepReport(parameter="timing_error", rows=tuple(rows), metadata=metadata)
 
 
-def _loglog_slope(base: ConstantDriveParams, epsilons: Sequence[float]) -> float | None:
-    """Slope of log|phase error| vs log(epsilon) over the window [1e-3, 1e-2]."""
-    period = base.period
-    nominal = analytic_total_phase(base.ratio, base.delta, period)
+def _loglog_slope(errors: Sequence[tuple[float, float]]) -> float | None:
+    """Slope of log(error) vs log|eps| over the (eps, error) pairs with |eps| in [1e-3, 1e-2]."""
     xs = []
     ys = []
-    for eps in epsilons:
-        if 1e-3 <= abs(eps) <= 1e-2:
-            error = abs(
-                analytic_total_phase(base.ratio, base.delta, period * (1.0 + eps)) - nominal
-            )
-            if error > 0.0:
-                xs.append(math.log(abs(eps)))
-                ys.append(math.log(error))
+    for eps, error in errors:
+        if 1e-3 <= abs(eps) <= 1e-2 and error > 0.0:
+            xs.append(math.log(abs(eps)))
+            ys.append(math.log(error))
     if len(xs) < 2:
         return None
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -> SweepReport:
@@ -433,7 +424,7 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
             delta = params.delta
             grid = np.linspace(0.0, params.period, samples)
             rotation = uniform_exp(delta, grid)
-        geometric, dyn = _constant_drive_phases(params, grid, rotation, params.energy_scale)
+        geometric, dyn = _constant_drive_phases(params, grid, rotation)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
             max_eta_dev = max(max_eta_dev, abs(decomposition.eta + 2.0))
@@ -509,10 +500,10 @@ def area_invariance_study(
                 f"loop {index} is open: residual {residual:.3e}", residual
             )
         t, f, alpha = _sample_path(loop, loop.total_duration, samples)
-        trajectory = Trajectory._adopt(t, alpha)
-        geometric = geometric_phase(trajectory)
+        _require_grid_path(t, alpha)
+        geometric = _chord_phase(alpha)
         # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1.
-        dyn = dynamic_phase(trajectory, lambda points, times: 2.0 * np.imag(f * np.conj(points)))
+        dyn = _trapezoid_phase(2.0 * np.imag(f * np.conj(alpha)), t)
         geometrics.append(geometric)
         rows.append(_row(float(index), decompose(geometric, dyn)))
     spread = float(np.max(geometrics) - np.min(geometrics)) if len(geometrics) > 1 else 0.0

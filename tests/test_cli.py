@@ -812,6 +812,23 @@ def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("design", "--target-phase", "-1", "--delta", "1e-310"),
+        ("sweep", "--parameter", "timing_error", "--grid", "0.01", "--delta", "1e-310"),
+        ("sweep", "--parameter", "delta", "--grid", "1e-310"),
+        ("sweep", "--parameter", "time", "--grid", "0.5", "--delta", "1e-310"),
+    ],
+)
+def test_detuning_whose_period_overflows_is_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "detuning 1e-310" in err and "period 2*pi/delta overflows" in err
+
+
+@pytest.mark.parametrize(
     "cfg,cause",
     [
         ({"command": "phase", "omega_over_delta": math.nan}, "--omega-over-delta must be finite"),

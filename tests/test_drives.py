@@ -58,7 +58,7 @@ def test_zero_amplitude_is_legal():
     assert params.ratio == 0.0
 
 
-@pytest.mark.parametrize("delta", [0.0, -2.0, math.inf])
+@pytest.mark.parametrize("delta", [0.0, -2.0, math.inf, 1e-310])
 def test_bad_detuning_rejected(delta):
     with pytest.raises(SingularDetuningError):
         ConstantDriveParams(omega_d=0.5, delta=delta)
@@ -223,8 +223,8 @@ def test_gamma0_ignores_drive_phase(phi_l):
 
 
 def test_gamma0_rejects_an_overflowing_integrand():
-    # conj(alpha) f ~ 1e310 overflows; the NaN it leaves must not pass the
-    # real-part guard as a value.
+    # conj(alpha) f ~ 1e310 overflows; the NaN it leaves must not come back
+    # as a value.
     drive = constant_drive(ConstantDriveParams(omega_d=1e155, delta=1.0))
     with pytest.raises(ValueError, match="loop-phase integrand"):
         gamma0(drive)
