@@ -30,16 +30,13 @@ same inputs.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import drives
-from ._serialize import csv_number, format_tree
+from ._serialize import SCHEMA_VERSION, json_text, key_value_csv, read_json, sweep_csv
 from ._version import __version__
 from .drives import ConstantDriveParams, DriveProfile
 from .errors import (
@@ -90,15 +87,12 @@ from .robustness import (
     NONCYCLIC_ANALYTIC_TOL,
     NONCYCLIC_ORACLE_TOL,
     OracleSettings,
-    SweepReport,
     SweepSpec,
     area_invariance_study,
     eta_invariance_sweep,
     noncyclic_scan,
     timing_error_sweep,
 )
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -143,11 +137,7 @@ def _load_config(path: str | None, command: str) -> dict:
     """Read and schema-check the JSON config for one command."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     allowed = {"schema_version", "command", *_COMMANDS[command].flags, *_COMMON_FLAGS} - {"config"}
@@ -213,12 +203,7 @@ def _drive_source(opts: dict):
 
 
 def _load_drive_file(path: str) -> DriveProfile:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"drive file {path} is not valid JSON: {exc}") from exc
-    return drives.drive_from_dict(data)
+    return drives.drive_from_dict(read_json(path, "drive file"))
 
 
 def _reject(opts: dict, keys: Sequence[str], reason: str) -> None:
@@ -341,7 +326,6 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
     decomposition = decompose(-phi, 2.0 * phi)
 
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "phase",
         "drive": drives.drive_to_dict(drive),
         "constant": constant,
@@ -363,7 +347,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
             work, tau, space=settings.space, steps=settings.steps, with_operator=False
         )
         total = extract_total_phase(propagation, 1)
-        dynamic = float(propagation.dynamic_phase[1])
+        dynamic = propagation.dynamic_phase[1]
         geometric = total - dynamic
         report["oracle"] = {
             "n_max": settings.n_max,
@@ -374,8 +358,8 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
             "geometric": geometric,
             "dynamic": dynamic,
             "eta": propagation.decomposition(1).eta,
-            "leakage": float(propagation.leakage),
-            "min_overlap_modulus": float(propagation.min_overlap_modulus[1]),
+            "leakage": propagation.leakage,
+            "min_overlap_modulus": propagation.min_overlap_modulus[1],
             "deviation": {
                 "total": abs(total - decomposition.total),
                 "geometric": abs(geometric - decomposition.geometric),
@@ -456,7 +440,6 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
         fidelity_vs_cz = gate_fidelity(gate, cz_gate())
 
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "gate",
         "construction": construction,
         "conditioner": conditioner_name,
@@ -515,7 +498,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     max_deviation = 0.0
     for k, (label, expected) in enumerate(zip(BASIS_LABELS, analytic)):
         oracle_total = extract_total_phase(propagation, k)
-        oracle_dynamic = float(propagation.dynamic_phase[k])
+        oracle_dynamic = propagation.dynamic_phase[k]
         deviation_total = abs(oracle_total - expected.total)
         deviation_dynamic = abs(oracle_dynamic - expected.dynamic)
         max_deviation = max(max_deviation, deviation_total, deviation_dynamic)
@@ -532,7 +515,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
                     "total": oracle_total,
                     "geometric": oracle_total - oracle_dynamic,
                     "dynamic": oracle_dynamic,
-                    "overlap_modulus": float(propagation.overlap_modulus[k]),
+                    "overlap_modulus": propagation.overlap_modulus[k],
                 },
                 "deviation": {"total": deviation_total, "dynamic": deviation_dynamic},
             }
@@ -563,7 +546,6 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
         )
     passed = not failures
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "oracle-verify",
         "drive": drives.drive_to_dict(drive),
         "constant": constant,
@@ -574,12 +556,8 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
             "steps": steps,
             "initial_fock": initial_fock,
             "conditioner": conditioner.name,
-            "leakage": float(propagation.leakage),
-            "unitarity_defect": (
-                None
-                if propagation.unitarity_defect is None
-                else float(propagation.unitarity_defect)
-            ),
+            "leakage": propagation.leakage,
+            "unitarity_defect": propagation.unitarity_defect,
         },
         "tolerance": tolerance,
         "per_state": per_state,
@@ -590,7 +568,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     return report, "; ".join(failures) or None
 
 
-def _cmd_sweep(opts: dict) -> tuple[SweepReport, str | None]:
+def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
     parameter = opts.get("parameter")
     choices = _FLAGS["parameter"]["choices"]
     if parameter is None:
@@ -611,17 +589,13 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, str | None]:
             loops = [drives.drive_from_dict(payload)]
         else:
             loops = [_load_drive_file(path) for path in payload]
-        return (
-            area_invariance_study(
-                loops,
-                samples=opts.get("samples", AREA_STUDY_SAMPLES),
-                agreement_tolerance=opts.get("agreement_tolerance", 1e-6),
-                closure_tolerance=opts.get(
-                    "closure_tolerance", DEFAULT_CLOSURE_TOLERANCE
-                ),
-            ),
-            None,
+        report = area_invariance_study(
+            loops,
+            samples=opts.get("samples", AREA_STUDY_SAMPLES),
+            agreement_tolerance=opts.get("agreement_tolerance", 1e-6),
+            closure_tolerance=opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE),
         )
+        return dataclasses.asdict(report), None
 
     if _drive_source(opts)[0] is not None:
         raise ConfigError("parameter sweeps use the constant-drive base, not drive files")
@@ -649,7 +623,7 @@ def _cmd_sweep(opts: dict) -> tuple[SweepReport, str | None]:
         report = eta_invariance_sweep(
             spec, samples=opts.get("samples", ETA_SWEEP_SAMPLES)
         )
-    return report, None
+    return dataclasses.asdict(report), None
 
 
 def _design_echo(params: ConstantDriveParams) -> dict:
@@ -673,7 +647,6 @@ def _cmd_design(opts: dict) -> tuple[dict, str | None]:
     phi = analytic_total_phase(params.ratio, params.delta, params.period)
     decomposition = decompose(-phi, 2.0 * phi)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "design",
         "target_phase": target,
         **_design_echo(params),
@@ -751,7 +724,7 @@ _CAPS = {"n_max": MAX_N_MAX, "steps": MAX_STEPS, "samples": drives.MAX_SAMPLES}
 class _Command(NamedTuple):
     # Returns the report and, for a report whose checks failed, the message
     # that goes with exit 3.
-    handler: Callable[[dict], tuple[dict | SweepReport, str | None]]
+    handler: Callable[[dict], tuple[dict, str | None]]
     help: str
     description: str
     flags: tuple[str, ...]
@@ -806,34 +779,7 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# rendering
-
-
-def _flatten(prefix: str, value) -> list[tuple[str, object]]:
-    if isinstance(value, dict):
-        pairs = []
-        for key in sorted(value):
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            pairs.extend(_flatten(sub, value[key]))
-        return pairs
-    if isinstance(value, (list, tuple)):
-        pairs = []
-        for index, item in enumerate(value):
-            sub = f"{prefix}.{index}" if prefix else str(index)
-            pairs.extend(_flatten(sub, item))
-        return pairs
-    return [(prefix, value)]
-
-
-def _render(formatted: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(formatted, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _flatten("", formatted):
-        writer.writerow([key, csv_number(value)])
-    return buffer.getvalue()
+# output
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -882,11 +828,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
         out = opts.get("out")
         report, failure = _COMMANDS[args.command].handler(opts)
-        if isinstance(report, SweepReport):
+        report = {"schema_version": SCHEMA_VERSION, **report}
+        if fmt == "json":
+            text = json_text(report)
+        elif args.command == "sweep":
             # The sweep CSV is a table of rows, not key/value pairs.
-            text = report.to_csv_text() if fmt == "csv" else _render(report.to_json_dict(), fmt)
+            text = sweep_csv(report)
         else:
-            text = _render(format_tree(report), fmt)
+            text = key_value_csv(report)
         _emit(text, out)
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)

@@ -291,11 +291,11 @@ def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:
     return float(abs(endpoints[1] - endpoints[0]))
 
 
-def peak_alpha(drive: DriveProfile, tau: float | None = None, samples: int = 2001) -> float:
-    """Largest |alpha(t)| on ``samples`` evenly spaced times of [0, tau]."""
+def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
+    """Largest |alpha(t)| on 2001 evenly spaced times of [0, tau]."""
     if tau is None:
         tau = drive.total_duration
-    t = np.linspace(0.0, float(tau), samples)
+    t = np.linspace(0.0, float(tau), 2001)
     return float(np.max(np.abs(alpha_array(drive, t))))
 
 
@@ -337,6 +337,14 @@ def induced_trajectory(
     return Trajectory(t, alpha, closure_tolerance)
 
 
+def _require_tau(drive: DriveProfile, tau: float | None) -> float:
+    """``tau`` as a float, the full duration when None; it must lie in (0, duration]."""
+    tau = drive.total_duration if tau is None else float(tau)
+    if not (0.0 < tau <= drive.total_duration * (1.0 + 1e-12)):
+        raise ValueError(f"tau must lie in (0, {drive.total_duration}], got {tau}")
+    return tau
+
+
 def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT_DRIVE_SAMPLES) -> float:
     """Loop phase functional per unit squared conditioner eigenvalue.
 
@@ -349,10 +357,7 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     beta**2 * gamma0(tau), split as geometric -beta**2 * gamma0 and dynamic
     +2 * beta**2 * gamma0.
     """
-    if tau is None:
-        tau = drive.total_duration
-    if not (0.0 < tau <= drive.total_duration * (1.0 + 1e-12)):
-        raise ValueError(f"tau must lie in (0, {drive.total_duration}], got {tau}")
+    tau = _require_tau(drive, tau)
     with np.errstate(over="ignore", invalid="ignore"):
         t, f, alpha = _sample_path(drive, tau, samples)
         z = np.conj(alpha) * f

@@ -35,7 +35,7 @@ BASIS_LABELS = ("dd", "du", "ud", "uu")
 # Unitarity budget for gate construction.
 UNITARITY_TOLERANCE = 1e-10
 
-# Default tolerance for the nontriviality predicate (mod-2*pi distance).
+# Tolerance of the nontriviality predicate (mod-2*pi distance).
 NONTRIVIALITY_TOLERANCE = 1e-9
 
 _SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
@@ -288,30 +288,25 @@ def apply_local_phase_correction(gate: TwoQubitGate, theta: float) -> TwoQubitGa
     return TwoQubitGate(matrix=corrected, phases=None)
 
 
-def gate_fidelity(
-    u: TwoQubitGate | np.ndarray,
-    v: TwoQubitGate | np.ndarray,
-    *,
-    unitarity_tolerance: float = 1e-8,
-) -> float:
-    """Phase-insensitive overlap |tr(U_dag V)| / 4 between two unitaries."""
-    mu = _as_matrix(u, unitarity_tolerance)
-    mv = _as_matrix(v, unitarity_tolerance)
+def gate_fidelity(u: TwoQubitGate | np.ndarray, v: TwoQubitGate | np.ndarray) -> float:
+    """Phase-insensitive overlap |tr(U_dag V)| / 4 between two unitaries (defects up to 1e-8)."""
+    mu = _as_matrix(u)
+    mv = _as_matrix(v)
     return float(abs(np.trace(mu.conj().T @ mv)) / 4.0)
 
 
-def is_nontrivial(gate: TwoQubitGate, tolerance: float = NONTRIVIALITY_TOLERANCE) -> bool:
+def is_nontrivial(gate: TwoQubitGate) -> bool:
     """Whether a diagonal gate entangles.
 
     A diagonal gate is a product of local phase rotations exactly when
     phi_dd + phi_uu - phi_du - phi_ud is a multiple of 2*pi; the predicate
-    returns True when that combination is farther than ``tolerance`` from
-    every multiple.
+    returns True when that combination is farther than
+    ``NONTRIVIALITY_TOLERANCE`` from every multiple.
     """
     phases = _diagonal_phases(gate)
     combination = phases[0] + phases[3] - phases[1] - phases[2]
     wrapped = math.remainder(combination, 2.0 * math.pi)
-    return abs(wrapped) > tolerance
+    return abs(wrapped) > NONTRIVIALITY_TOLERANCE
 
 
 def _diagonal_phases(gate: TwoQubitGate) -> tuple[float, float, float, float]:
@@ -323,11 +318,11 @@ def _diagonal_phases(gate: TwoQubitGate) -> tuple[float, float, float, float]:
     return tuple(float(a) for a in np.angle(np.diag(gate.matrix)))
 
 
-def _as_matrix(gate: TwoQubitGate | np.ndarray, tolerance: float) -> np.ndarray:
+def _as_matrix(gate: TwoQubitGate | np.ndarray) -> np.ndarray:
     matrix = gate.matrix if isinstance(gate, TwoQubitGate) else np.asarray(gate, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {matrix.shape}")
     defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(4), 2)
-    if defect > tolerance:
+    if defect > 1e-8:
         raise NonUnitaryError(f"matrix is not unitary: defect {defect:.3e}")
     return matrix

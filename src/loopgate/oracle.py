@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drives import DriveProfile, _locate, alpha_array, f_array, peak_alpha
+from .drives import DriveProfile, _locate, _require_tau, alpha_array, f_array, peak_alpha
 from .errors import TruncationError, UndefinedPhaseError
 from .phasespace import PhaseDecomposition, analytic_total_phase, decompose
 
@@ -117,10 +117,10 @@ class FockSpace:
         return state
 
 
-def peak_excursion(drive: DriveProfile, tau: float | None = None, scan_samples: int = 2001) -> float:
+def peak_excursion(drive: DriveProfile, tau: float | None = None) -> float:
     """Largest |beta * alpha(t)| over the evolution, across spin sectors."""
     values, _ = drive.conditioner.eigensystem()
-    return float(np.max(np.abs(values))) * peak_alpha(drive, tau, scan_samples)
+    return float(np.max(np.abs(values))) * peak_alpha(drive, tau)
 
 
 def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
@@ -202,7 +202,6 @@ class FockPropagation:
     tau: float
     initial_fock: int
     conditioner_name: str
-    sector_weights: np.ndarray
     sectors: tuple[SectorEvolution, ...]
     eigenvector_columns: np.ndarray
     column_sector: np.ndarray
@@ -212,7 +211,6 @@ class FockPropagation:
     min_overlap_modulus: np.ndarray
     leakage: float
     unitarity_defect: float | None
-    times: np.ndarray
     samples: dict | None = field(default=None)
 
     def decomposition(self, spin_state: int) -> PhaseDecomposition:
@@ -435,62 +433,64 @@ def _propagate_sector(
     leakage_series[0] = float(abs(psi[space.n_max]) ** 2)
 
     dynamic = 0.0
-    for k0, k1, segment in zip(run_edges[:-1], run_edges[1:], run_segments):
-        run = slice(k0 + 1, k1 + 1)
-        # The read indices inside the run, and how many of its steps precede each.
-        slots = np.flatnonzero((read > k0) & (read <= k1))
-        counts = read[slots] - k0
-        if segment.func is None and abs(g_mid[k0]) < 1e-300:
-            overlap_series[run] = overlap_series[k0]
-            leakage_series[run] = leakage_series[k0]
-            dynamic_series[slots] = dynamic
-            continue
-        if segment.func is None and k1 - k0 >= min_run:
-            psi, energy_sums, run_operator = _closed_form_run(
-                psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Q, sq,
-                overlap_series[run], leakage_series[run], np.append(counts, k1 - k0),
-                with_operator,
-            )
-            dynamic_series[slots] = dynamic - dt * energy_sums[:-1]
-            dynamic = float(dynamic - dt * energy_sums[-1])
-            if with_operator:
-                operator = run_operator @ operator
-            continue
-
-        if Qc is None:
-            Qc = Q.astype(complex)
-            QcT = np.ascontiguousarray(Qc.T)
-        running = np.empty(k1 - k0)
-        for k in range(k0, k1):
-            g = g_mid[k]
-            mag = abs(g)
-            if mag < 1e-300:
-                overlap_series[k + 1] = overlap_series[k]
-                leakage_series[k + 1] = leakage_series[k]
-                running[k - k0] = dynamic
+    # Midpoint energies that overflow come out non-finite, and propagate rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1, segment in zip(run_edges[:-1], run_edges[1:], run_segments):
+            run = slice(k0 + 1, k1 + 1)
+            # The read indices inside the run, and how many of its steps precede each.
+            slots = np.flatnonzero((read > k0) & (read <= k1))
+            counts = read[slots] - k0
+            if segment.func is None and abs(g_mid[k0]) < 1e-300:
+                overlap_series[run] = overlap_series[k0]
+                leakage_series[run] = leakage_series[k0]
+                dynamic_series[slots] = dynamic
                 continue
-            ph = np.angle(g) - 0.5 * np.pi
-            D = np.exp(1j * ph * nvec)
-            Dc = np.conj(D)
-            spin = np.exp(-1j * mag * dt * w)
+            if segment.func is None and k1 - k0 >= min_run:
+                psi, energy_sums, run_operator = _closed_form_run(
+                    psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Q, sq,
+                    overlap_series[run], leakage_series[run], np.append(counts, k1 - k0),
+                    with_operator,
+                )
+                dynamic_series[slots] = dynamic - dt * energy_sums[:-1]
+                dynamic = float(dynamic - dt * energy_sums[-1])
+                if with_operator:
+                    operator = run_operator @ operator
+                continue
 
-            # <H> at the midpoint equals <H> before the half step to it: with
-            # H = -i g a_dag + i conj(g) a, twice Re <psi|-i g a_dag|psi>.
-            energy = 2.0 * float(np.real(-1j * g * np.vdot(psi[1:], sq * psi[:-1])))
-            dynamic -= energy * dt
-            psi = D * (Qc @ (spin * (QcT @ (Dc * psi))))
+            if Qc is None:
+                Qc = Q.astype(complex)
+                QcT = np.ascontiguousarray(Qc.T)
+            running = np.empty(k1 - k0)
+            for k in range(k0, k1):
+                g = g_mid[k]
+                mag = abs(g)
+                if mag < 1e-300:
+                    overlap_series[k + 1] = overlap_series[k]
+                    leakage_series[k + 1] = leakage_series[k]
+                    running[k - k0] = dynamic
+                    continue
+                ph = np.angle(g) - 0.5 * np.pi
+                D = np.exp(1j * ph * nvec)
+                Dc = np.conj(D)
+                spin = np.exp(-1j * mag * dt * w)
 
-            if with_operator:
-                M = Dc[:, None] * operator
-                M = QcT @ M
-                M = spin[:, None] * M
-                M = Qc @ M
-                operator = D[:, None] * M
+                # <H> at the midpoint equals <H> before the half step to it: with
+                # H = -i g a_dag + i conj(g) a, twice Re <psi|-i g a_dag|psi>.
+                energy = 2.0 * float(np.real(-1j * g * np.vdot(psi[1:], sq * psi[:-1])))
+                dynamic -= energy * dt
+                psi = D * (Qc @ (spin * (QcT @ (Dc * psi))))
 
-            overlap_series[k + 1] = psi[initial_fock]
-            leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
-            running[k - k0] = dynamic
-        dynamic_series[slots] = running[counts - 1]
+                if with_operator:
+                    M = Dc[:, None] * operator
+                    M = QcT @ M
+                    M = spin[:, None] * M
+                    M = Qc @ M
+                    operator = D[:, None] * M
+
+                overlap_series[k + 1] = psi[initial_fock]
+                leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
+                running[k - k0] = dynamic
+            dynamic_series[slots] = running[counts - 1]
 
     defect = None
     if with_operator:
@@ -566,11 +566,7 @@ def propagate(
     vacuum.  Population reaching the top level above ``leakage_tol`` raises
     :class:`TruncationError` with a recommended truncation.
     """
-    if tau is None:
-        tau = drive.total_duration
-    tau = float(tau)
-    if not (0.0 < tau <= drive.total_duration * (1.0 + 1e-12)):
-        raise ValueError(f"tau must lie in (0, {drive.total_duration}], got {tau}")
+    tau = _require_tau(drive, tau)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     if space is None:
@@ -661,16 +657,20 @@ def propagate(
             leakage=leakage,
             recommended_n_max=recommended,
         )
+    if not np.all(np.isfinite(dynamic_by_state)):
+        raise ValueError(
+            "the dynamic phase is not finite: the midpoint energy <H> of the drive "
+            "overflows the float range"
+        )
 
     defects = [s.unitarity_defect for s in sectors if s.unitarity_defect is not None]
     unitarity_defect = max(defects) if with_operator and defects else None
 
-    times = np.linspace(0.0, tau, steps + 1)
     samples = None
     if sample_index is not None:
         at = np.searchsorted(read, sample_index)
         samples = {
-            "times": times[sample_index],
+            "times": np.linspace(0.0, tau, steps + 1)[sample_index],
             "total_phase": total_by_state[:, at].T.copy(),
             "dynamic_phase": dynamic_by_state[:, at].T.copy(),
             "leakage": np.max(leakage_by_state[:, at], axis=0),
@@ -682,7 +682,6 @@ def propagate(
         tau=tau,
         initial_fock=initial_fock,
         conditioner_name=drive.conditioner.name,
-        sector_weights=weights,
         sectors=sectors,
         eigenvector_columns=vectors,
         column_sector=column_sector,
@@ -692,7 +691,6 @@ def propagate(
         min_overlap_modulus=min_moduli,
         leakage=leakage,
         unitarity_defect=unitarity_defect,
-        times=times,
         samples=samples,
     )
 
@@ -730,9 +728,9 @@ def verify_magnus_form(
     segment = drive.segments[0]
     if segment.frequency == 0.0:
         raise ValueError("the displacement-form check needs a nonzero detuning")
-    if tau is None:
-        tau = drive.total_duration
-    tau = float(tau)
+    tau = _require_tau(drive, tau)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     if space is None:
         space = default_space(drive, tau)
 

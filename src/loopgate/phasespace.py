@@ -35,7 +35,7 @@ DEFAULT_CLOSURE_TOLERANCE = 1e-9
 # computed from terms of size |alpha| carry a few eps * |alpha| of rounding.
 CLOSURE_ROUNDING = 16.0 * np.finfo(float).eps
 
-# Default tolerance used when classifying a decomposition by its eta value.
+# Tolerance used when classifying a decomposition by its eta value.
 CLASSIFICATION_TOLERANCE = 1e-9
 
 
@@ -134,29 +134,24 @@ class PhaseDecomposition:
             )
 
 
-def decompose(
-    geometric: float,
-    dynamic: float,
-    *,
-    eta_threshold: float = ETA_GEOMETRIC_THRESHOLD,
-    classification_tolerance: float = CLASSIFICATION_TOLERANCE,
-) -> PhaseDecomposition:
+def decompose(geometric: float, dynamic: float) -> PhaseDecomposition:
     """Combine a geometric and a dynamic phase into a classified decomposition.
 
     The total is geometric + dynamic by construction.  ``eta`` is reported only
-    when |geometric| exceeds ``eta_threshold``.
+    when |geometric| exceeds ``ETA_GEOMETRIC_THRESHOLD``, and classified within
+    ``CLASSIFICATION_TOLERANCE``.
     """
     geometric = float(geometric)
     dynamic = float(dynamic)
-    if abs(geometric) > eta_threshold:
+    if abs(geometric) > ETA_GEOMETRIC_THRESHOLD:
         eta: float | None = dynamic / geometric
     else:
         eta = None
     if eta is None:
         classification = "undefined"
-    elif abs(eta) <= classification_tolerance:
+    elif abs(eta) <= CLASSIFICATION_TOLERANCE:
         classification = "conventional-geometric"
-    elif abs(eta + 1.0) <= classification_tolerance:
+    elif abs(eta + 1.0) <= CLASSIFICATION_TOLERANCE:
         classification = "trivial"
     else:
         classification = "unconventional"
@@ -214,8 +209,17 @@ def _require_grid_path(times: np.ndarray, points: np.ndarray) -> None:
 
 
 def _chord_phase(z: np.ndarray) -> float:
-    """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``."""
-    return float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+    """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``, checked finite.
+
+    A product whose real part overflows leaves its imaginary part, the one used, intact.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+    if not math.isfinite(phase):
+        raise InvalidTrajectoryError(
+            "geometric phase overflows: the chord sum of the path is not finite"
+        )
+    return phase
 
 
 def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
@@ -269,8 +273,9 @@ def constant_drive_alpha(
 
 
 def _circle_path(omega_over_delta: float, phi_l: float, rotation):
-    """The constant-drive path given ``rotation`` = exp(-i*delta*t)."""
-    return 1j * omega_over_delta * (rotation - 1.0) * np.exp(1j * phi_l)
+    """The constant-drive path given ``rotation`` = exp(-i*delta*t); overflows are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1j * omega_over_delta * (rotation - 1.0) * np.exp(1j * phi_l)
 
 
 def analytic_trajectory(

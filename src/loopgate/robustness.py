@@ -10,15 +10,12 @@ nothing in the core draws random numbers.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ._serialize import csv_number as _csv_number, format_tree as _format_tree
 from ._version import __version__
 from .drives import (
     MAX_SAMPLES,
@@ -44,8 +41,6 @@ from .phasespace import (
     loop_closes,
     uniform_exp,
 )
-
-SCHEMA_VERSION = 1
 
 # Quadrature sampling densities chosen so the stated analytic tolerances
 # (1e-9 on phase identities) hold with margin; both are second order in the
@@ -121,39 +116,13 @@ class SweepRow:
     oracle_deviation: float | None = None
 
 
-_COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-
 @dataclass(frozen=True)
 class SweepReport:
-    """Rows plus metadata, as a JSON-ready dict or a CSV table, deterministically."""
+    """Rows plus metadata; ``dataclasses.asdict`` gives the report tree."""
 
     parameter: str
     rows: tuple[SweepRow, ...]
     metadata: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return _format_tree(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "parameter": self.parameter,
-                "metadata": self.metadata,
-                "rows": [{name: getattr(r, name) for name in _COLUMNS} for r in self.rows],
-            }
-        )
-
-    def to_csv_text(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["kind", "parameter", *_COLUMNS])
-        for r in self.rows:
-            cells = [_csv_number(getattr(r, name)) for name in _COLUMNS]
-            writer.writerow(["row", self.parameter, *cells])
-        for key in sorted(self.metadata):
-            value = self.metadata[key]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                writer.writerow(["summary", key, _csv_number(value), *[""] * (len(_COLUMNS) - 1)])
-        return buffer.getvalue()
 
 
 def _row(
@@ -502,8 +471,11 @@ def area_invariance_study(
         t, f, alpha = _sample_path(loop, loop.total_duration, samples)
         _require_grid_path(t, alpha)
         geometric = _chord_phase(alpha)
-        # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1.
-        dyn = _trapezoid_phase(2.0 * np.imag(f * np.conj(alpha)), t)
+        # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1; an overflowing
+        # real part of the product leaves the imaginary part intact.
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = 2.0 * np.imag(f * np.conj(alpha))
+        dyn = _trapezoid_phase(energy, t)
         geometrics.append(geometric)
         rows.append(_row(float(index), decompose(geometric, dyn)))
     spread = float(np.max(geometrics) - np.min(geometrics)) if len(geometrics) > 1 else 0.0

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from loopgate import cli, drives
+from loopgate._serialize import json_text
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from loopgate.phasespace import analytic_total_phase
 
@@ -791,6 +792,8 @@ def test_version_flag(capsys):
 # ---------------------------------------------------------------------------
 # invalid numbers: exit 2 with a message that names the cause
 
+ENERGY_OVERFLOW = "the midpoint energy <H> of the drive overflows"
+
 
 @pytest.mark.parametrize(
     "argv,cause",
@@ -802,12 +805,21 @@ def test_version_flag(capsys):
         (["phase", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
         (["sweep", "--parameter", "omega_over_delta", "--grid=1e200"], "omega_d^2 overflows"),
         (["oracle-verify", "--omega-over-delta", "1e155"], "(omega/delta)^2"),
+        # The one-period grid of a 6e-308 period has subnormal steps, and the
+        # midpoint energies of a drive of strength 5e307 overflow.
+        (["oracle-verify", "--omega-over-delta", "0.5", "--delta", "1e308"], ENERGY_OVERFLOW),
+        (["oracle-verify", "--omega-over-delta", "0.5", "--delta", "1e307", "--state-only"],
+         ENERGY_OVERFLOW),
+        (["phase", "--omega-over-delta", "0.5", "--delta", "1e308", "--oracle"], ENERGY_OVERFLOW),
+        (["sweep", "--parameter", "omega_over_delta", "--grid", "1e154", "--delta", "1e-10"],
+         "geometric phase overflows"),
     ],
 )
 def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_INVALID
     assert out == ""
+    assert err.count("\n") == 1
     assert cause in err
 
 
@@ -826,6 +838,31 @@ def test_detuning_whose_period_overflows_is_invalid(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert "detuning 1e-310" in err and "period 2*pi/delta overflows" in err
+
+
+def test_overflowing_products_stay_silent(capsys, tmp_path):
+    # Each chord product conj(alpha_k) alpha_(k+1) of this real loop has an
+    # overflowing real part, but the imaginary part the phases use is 0.
+    doc = {
+        "schema_version": 1,
+        "conditioner": "odd-parity-projector",
+        "segments": [
+            {"duration": 1.0, "amplitude": [1e308, 0.0]},
+            {"duration": 1.0, "amplitude": [-1e308, 0.0]},
+        ],
+    }
+    path = write_doc(tmp_path, "huge.json", doc)
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "loop_shape", "--drive", path)
+    assert code == EXIT_OK
+    assert err == ""
+    row = json.loads(out)["rows"][0]
+    assert (row["total"], row["geometric"], row["dynamic"]) == (0.0, 0.0, 0.0)
+
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "phi_l", "--grid", "0",
+                             "--omega-over-delta", "1e308", "--delta", "1e-300")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: trajectory contains non-finite samples\n"
 
 
 @pytest.mark.parametrize(
@@ -847,7 +884,7 @@ def test_non_finite_config_number_is_invalid(capsys, tmp_path, cfg, cause):
 def test_json_renderer_refuses_non_finite_values():
     # Backstop behind the input checks: a NaN never reaches the JSON output.
     with pytest.raises(ValueError):
-        cli._render({"total": math.nan}, "json")
+        json_text({"total": math.nan})
 
 
 # ---------------------------------------------------------------------------

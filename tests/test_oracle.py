@@ -489,6 +489,22 @@ def test_magnus_form_rejects_unsupported_drives():
         verify_magnus_form(resonant, space=FockSpace(8), steps=100)
 
 
+@pytest.mark.parametrize(
+    "tau,steps,message",
+    [
+        (0.0, 100, "tau must lie in (0, "),
+        (None, 0, "steps must be positive, got 0"),
+        (None, -3, "steps must be positive, got -3"),
+    ],
+)
+def test_magnus_form_checks_tau_and_steps_as_propagate_does(tau, steps, message):
+    drive = headline_drive()
+    for check in (propagate, verify_magnus_form):
+        with pytest.raises(ValueError) as info:
+            check(drive, tau, FockSpace(16), steps)
+        assert str(info.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # what a propagation records
 

@@ -1,5 +1,8 @@
 """Tests for sweeps: open-path scans, timing errors, eta invariance, areas."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from loopgate import cli
+from loopgate._serialize import SCHEMA_VERSION, json_text, sweep_csv
 from loopgate.drives import ConstantDriveParams, constant_drive, four_pulse_sequence
 from loopgate.errors import InternalConsistencyError, LoopNotClosedError
 from loopgate.robustness import (
@@ -277,6 +281,18 @@ def test_area_study_rejects_empty_input():
 # report serialization
 
 
+SAMPLE_SWEEP = ["sweep", "--parameter", "omega_over_delta", "--grid", "0.3,0.5",
+                "--samples", "50001"]
+
+
+def sweep_stdout(*argv):
+    """What ``loopgate sweep`` prints for the sample sweep with ``argv`` added."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(SAMPLE_SWEEP + list(argv)) == cli.EXIT_OK
+    return out.getvalue()
+
+
 @pytest.fixture(scope="module")
 def sample_report():
     return eta_invariance_sweep(
@@ -285,8 +301,8 @@ def sample_report():
     )
 
 
-def test_report_json_structure(sample_report):
-    data = sample_report.to_json_dict()
+def test_report_json_structure():
+    data = json.loads(sweep_stdout())
     assert data["schema_version"] == 1
     assert data["parameter"] == "omega_over_delta"
     assert len(data["rows"]) == 2
@@ -297,8 +313,8 @@ def test_report_json_structure(sample_report):
     assert "seed" not in data["metadata"]
 
 
-def test_report_csv_structure(sample_report):
-    lines = sample_report.to_csv_text().splitlines()
+def test_report_csv_structure():
+    lines = sweep_stdout("--format", "csv").splitlines()
     assert lines[0] == (
         "kind,parameter,value,total,geometric,dynamic,eta,fidelity,oracle_deviation"
     )
@@ -315,19 +331,18 @@ def test_report_csv_structure(sample_report):
 
 def test_report_write_round_trip(sample_report, tmp_path, capsys):
     # Reports are written by the command line: the same sweep through
-    # `loopgate sweep --out` gives the report's own dict and CSV table.
-    argv = ["sweep", "--parameter", "omega_over_delta", "--grid", "0.3,0.5",
-            "--samples", "50001"]
+    # `loopgate sweep --out` gives the library report's tree and CSV table.
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
-    assert cli.main(argv + ["--out", str(json_path)]) == cli.EXIT_OK
-    assert cli.main(argv + ["--format", "csv", "--out", str(csv_path)]) == cli.EXIT_OK
+    assert cli.main(SAMPLE_SWEEP + ["--out", str(json_path)]) == cli.EXIT_OK
+    assert cli.main(SAMPLE_SWEEP + ["--format", "csv", "--out", str(csv_path)]) == cli.EXIT_OK
     text = json_path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text) == sample_report.to_json_dict()
-    assert csv_path.read_text() == sample_report.to_csv_text()
+    tree = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(sample_report)}
+    assert json.loads(text) == json.loads(json_text(tree))
+    assert csv_path.read_text() == sweep_csv(tree)
     with pytest.raises(SystemExit):
-        cli.main(argv + ["--format", "xml"])
+        cli.main(SAMPLE_SWEEP + ["--format", "xml"])
     capsys.readouterr()
 
 
