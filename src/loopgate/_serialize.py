@@ -38,7 +38,10 @@ def format_tree(data):
 
 
 def csv_number(value) -> str:
-    """Fixed CSV cell formatting: 12 significant digits, empty for None, text as is."""
+    """Fixed CSV cell formatting: 12 significant digits, empty for None, text as is.
+
+    NaN and infinities are refused, as :func:`json_text` refuses them.
+    """
     if value is None:
         return ""
     if isinstance(value, str):
@@ -47,7 +50,10 @@ def csv_number(value) -> str:
         return str(value).lower()
     if isinstance(value, int):
         return str(value)
-    return f"{float(value) + 0.0:.12g}"
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not CSV compliant: {value!r}")
+    return f"{value + 0.0:.12g}"
 
 
 def read_json(path: str, what: str):
@@ -85,13 +91,16 @@ def _csv_text(lines) -> str:
 
 
 def key_value_csv(report: dict) -> str:
-    """The report as CSV lines ``key,value``, one per leaf, in sorted key order."""
+    """The report as CSV lines ``key,value``, one per leaf, in sorted key order; no NaN or inf."""
     pairs = _leaves("", format_tree(report))
     return _csv_text([["key", "value"], *([key, csv_number(value)] for key, value in pairs)])
 
 
 def sweep_csv(report: dict) -> str:
-    """A sweep report as a CSV table: a line per row, then one per numeric metadata entry."""
+    """A sweep report as a CSV table: a line per row, then one per numeric metadata entry.
+
+    NaN and infinities are refused, as in :func:`key_value_csv`.
+    """
     report = format_tree(report)
     columns = list(report["rows"][0])
     lines = [["kind", "parameter", *columns]]

@@ -319,7 +319,10 @@ def _diagonal_phases(gate: TwoQubitGate) -> tuple[float, float, float, float]:
 
 
 def _as_matrix(gate: TwoQubitGate | np.ndarray) -> np.ndarray:
-    matrix = gate.matrix if isinstance(gate, TwoQubitGate) else np.asarray(gate, dtype=complex)
+    """The 4x4 matrix of ``gate``; a raw array is checked here, a gate was checked when built."""
+    if isinstance(gate, TwoQubitGate):
+        return gate.matrix
+    matrix = np.asarray(gate, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {matrix.shape}")
     defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(4), 2)

@@ -139,7 +139,8 @@ def decompose(geometric: float, dynamic: float) -> PhaseDecomposition:
 
     The total is geometric + dynamic by construction.  ``eta`` is reported only
     when |geometric| exceeds ``ETA_GEOMETRIC_THRESHOLD``, and classified within
-    ``CLASSIFICATION_TOLERANCE``.
+    ``CLASSIFICATION_TOLERANCE``.  A part that is not finite, as when a phase
+    overflows, raises ValueError naming it.
     """
     geometric = float(geometric)
     dynamic = float(dynamic)
@@ -147,6 +148,11 @@ def decompose(geometric: float, dynamic: float) -> PhaseDecomposition:
         eta: float | None = dynamic / geometric
     else:
         eta = None
+    total = geometric + dynamic
+    parts = (("geometric phase", geometric), ("dynamic phase", dynamic), ("total phase", total))
+    for name, value in (*parts, ("eta", eta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite ({value}): the phase decomposition overflows")
     if eta is None:
         classification = "undefined"
     elif abs(eta) <= CLASSIFICATION_TOLERANCE:
@@ -156,7 +162,7 @@ def decompose(geometric: float, dynamic: float) -> PhaseDecomposition:
     else:
         classification = "unconventional"
     return PhaseDecomposition(
-        total=geometric + dynamic,
+        total=total,
         geometric=geometric,
         dynamic=dynamic,
         eta=eta,
@@ -195,26 +201,36 @@ def dynamic_phase(
     return _trapezoid_phase(values, times)
 
 
-def _require_grid_path(times: np.ndarray, points: np.ndarray) -> None:
+def _require_grid_path(times: np.ndarray, points_finite: bool) -> None:
     """The checks of :class:`Trajectory` for a path on an ``np.linspace`` grid from 0.
 
-    Such a grid is finite, and it increases unless its step underflows to 0
-    or rounds up so far that the last but one sample reaches the end, which
-    only subnormal ends allow; so two comparisons stand in for one per sample.
+    ``points_finite`` tells whether every point of the path is finite.  Such
+    a grid is finite, and it increases unless its step underflows to 0 or
+    rounds up so far that the last but one sample reaches the end, which only
+    subnormal ends allow; so two comparisons stand in for one per sample.
     """
-    if not np.all(np.isfinite(points)):
+    if not points_finite:
         raise InvalidTrajectoryError("trajectory contains non-finite samples")
     if not (times[-1] / (times.size - 1) > 0.0 and times[-1] > times[-2]):
         raise InvalidTrajectoryError("times must be strictly increasing")
 
 
-def _chord_phase(z: np.ndarray) -> float:
-    """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``, checked finite.
+def _chord_sum(z: np.ndarray) -> float:
+    """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``, unchecked.
 
-    A product whose real part overflows leaves its imaginary part, the one used, intact.
+    A product whose real part overflows leaves its imaginary part, the one
+    used, intact; the caller silences the overflow.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+    return float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+
+
+def _trapezoid_sum(energy: np.ndarray, times: np.ndarray) -> float:
+    """-integral(energy dt) by the trapezoidal rule, unchecked; the caller silences overflow."""
+    return float(-np.trapezoid(energy, times))
+
+
+def _require_finite_chord(phase: float) -> float:
+    """``phase``, a chord sum, after checking that it is finite."""
     if not math.isfinite(phase):
         raise InvalidTrajectoryError(
             "geometric phase overflows: the chord sum of the path is not finite"
@@ -222,40 +238,68 @@ def _chord_phase(z: np.ndarray) -> float:
     return phase
 
 
-def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
-    """-integral(energy dt) by the trapezoidal rule, after checking that ``energy`` is finite."""
-    if not np.all(np.isfinite(energy)):
+def _require_finite_dynamic(energy_finite: bool, phase: float) -> float:
+    """``phase``, a trapezoid of energies, after checking the energies and then the integral."""
+    if not energy_finite:
         raise InvalidTrajectoryError("Hamiltonian expectation produced non-finite values")
-    return float(-np.trapezoid(energy, times))
+    if not math.isfinite(phase):
+        raise InvalidTrajectoryError(
+            "dynamic phase overflows: the integral of the Hamiltonian expectation is not finite"
+        )
+    return phase
+
+
+def _chord_phase(z: np.ndarray) -> float:
+    """The geometric phase of the samples ``z`` by :func:`_chord_sum`, checked finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _chord_sum(z)
+    return _require_finite_chord(phase)
+
+
+def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
+    """-integral(energy dt) by :func:`_trapezoid_sum`; the energies and the integral are checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _trapezoid_sum(energy, times)
+    return _require_finite_dynamic(bool(np.all(np.isfinite(energy))), phase)
+
+
+def _exp_factors(rate: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The factors of :func:`uniform_exp`'s table on the times ``s``.
+
+    With B = ceil(sqrt(N)) they are the first column
+    exp(-1j * rate * (s[b*B] - s[0])), the first row exp(-1j * rate * s[a])
+    for a < B, and the last sample exp(-1j * rate * s[-1]); sample a + b*B
+    of the table is column[b] * row[a], except the last, which is evaluated
+    directly.
+    """
+    block = math.isqrt(s.size - 1) + 1
+    return (
+        np.exp(-1j * rate * (s[::block] - s[0])),
+        np.exp(-1j * rate * s[:block]),
+        np.exp(-1j * rate * s[-1]),
+    )
 
 
 def uniform_exp(rate: float, s: np.ndarray) -> np.ndarray:
     """exp(-1j * rate * s) on the equally spaced times ``s``, with about 2*sqrt(N) exponentials.
 
-    With B = ceil(sqrt(N)), sample a + b*B is the product
-    exp(-1j * rate * (s[b*B] - s[0])) * exp(-1j * rate * s[a]), so only the
-    first B times and every B-th time are exponentiated, and each sample
-    costs one complex product.  The result differs from ``np.exp`` by the
-    rounding of the split phase: at most about 2e-15 over one period of the
-    phase and 1.6e-14 over ten.  The last sample is evaluated directly, so a
-    closed loop's endpoint, and with it its closure residual, is that of
-    ``np.exp``.
+    The result is the B x B table of :func:`_exp_factors`, with B =
+    ceil(sqrt(N)), read row by row: only the first B times and every B-th
+    time are exponentiated, and each sample costs one complex product.  It
+    differs from ``np.exp`` by the rounding of the split phase: at most about
+    2e-15 over one period of the phase and 1.6e-14 over ten.  The last sample
+    is evaluated directly, so a closed loop's endpoint, and with it its
+    closure residual, is that of ``np.exp``.  Callers that need only a few
+    rows at a time, as the eta sweep and the time scan do, build them from
+    :func:`_exp_factors` instead of calling this.
 
     ``s`` must be nonempty and equally spaced up to rounding, as
     ``np.linspace`` grids and their slices shifted by a segment start are;
     on any other times the result is wrong.
     """
-    n = s.size
-    block = math.isqrt(n - 1) + 1
-    rows = -(-n // block)
-    table = np.empty((rows, block), dtype=complex)
-    np.multiply(
-        np.exp(-1j * rate * (s[::block] - s[0]))[:, None],
-        np.exp(-1j * rate * s[:block]),
-        out=table,
-    )
-    out = table.reshape(-1)[:n]
-    out[-1] = np.exp(-1j * rate * s[-1])
+    column, row, last = _exp_factors(rate, s)
+    out = np.multiply(column[:, None], row).reshape(-1)[: s.size]
+    out[-1] = last
     return out
 
 
@@ -272,10 +316,16 @@ def constant_drive_alpha(
     return _circle_path(omega_over_delta, phi_l, np.exp(-1j * delta * np.asarray(t)))
 
 
-def _circle_path(omega_over_delta: float, phi_l: float, rotation):
-    """The constant-drive path given ``rotation`` = exp(-i*delta*t); overflows are not finite."""
+def _circle_path(omega_over_delta: float, phi_l: float, rotation, out=None):
+    """The constant-drive path given ``rotation`` = exp(-i*delta*t); overflows are not finite.
+
+    ``out``, when given, is an array shaped like ``rotation`` that receives the path.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return 1j * omega_over_delta * (rotation - 1.0) * np.exp(1j * phi_l)
+        path = np.subtract(rotation, 1.0, out=out)
+        path *= 1j * omega_over_delta
+        path *= np.exp(1j * phi_l)
+        return path
 
 
 def analytic_trajectory(

@@ -33,13 +33,17 @@ from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
     _chord_phase,
+    _chord_sum,
     _circle_path,
+    _exp_factors,
+    _require_finite_chord,
+    _require_finite_dynamic,
     _require_grid_path,
     _trapezoid_phase,
+    _trapezoid_sum,
     analytic_total_phase,
     decompose,
     loop_closes,
-    uniform_exp,
 )
 
 # Quadrature sampling densities chosen so the stated analytic tolerances
@@ -49,6 +53,12 @@ from .phasespace import (
 ETA_SWEEP_SAMPLES = 400_001
 NONCYCLIC_SAMPLES = 200_001
 AREA_STUDY_SAMPLES = 100_001
+
+# Samples per block of the streamed constant-drive quadrature, rounded down to
+# whole rows of the rotation table: a block's rotation, path and energies
+# (about 640 KB) stay in cache, and there are few enough blocks that their
+# Python overhead is small beside the arithmetic.
+_BLOCK_SAMPLES = 16_384
 
 NONCYCLIC_ANALYTIC_TOL = 1e-9
 NONCYCLIC_ORACLE_TOL = 1e-4
@@ -167,17 +177,51 @@ def _oracle_phase_triplet(
 
 
 def _constant_drive_phases(
-    params: ConstantDriveParams, t: np.ndarray, rotation: np.ndarray
+    params: ConstantDriveParams, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
 ) -> tuple[float, float]:
     """Geometric and dynamic phase of the constant-drive path on the ``np.linspace`` grid ``t``.
 
-    ``rotation`` is exp(-i*delta*t) on that grid; the path and
-    <H> = energy_scale * (1 - cos(delta*t)) are both read off it.
+    ``factors`` is ``_exp_factors(delta, t)``.  The rotation exp(-i*delta*t)
+    is rebuilt from it one block of whole table rows at a time, and the path
+    and <H> = energy_scale * (1 - cos(delta*t)) are read off each block.
+    Each block adds to one chord sum and one trapezoid, carrying the previous
+    block's last sample across the edge, so no N-sample rotation, path or
+    energy array is built.  The checks are recorded per block and raised
+    after the loop in the order of the dense quadrature: path, times, chord
+    sum, energies, integral.
     """
+    column, row, last = factors
+    width = row.size
+    rows = max(1, min(_BLOCK_SAMPLES // width, column.size))
+    rotation = np.empty(rows * width, dtype=complex)
+    # Slot 0 of path and energy carries the previous block's last sample.
+    path = np.empty(rows * width + 1, dtype=complex)
+    energy = np.empty(rows * width + 1)
     energy_scale = params.energy_scale
-    path = _circle_path(params.ratio, params.phi_l, rotation)
-    _require_grid_path(t, path)
-    return _chord_phase(path), _trapezoid_phase(energy_scale * (1.0 - rotation.real), t)
+    geometric = dynamic = 0.0
+    path_finite = energy_finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first_row in range(0, column.size, rows):
+            block_rows = column[first_row : first_row + rows, None]
+            start = first_row * width
+            stop = min(start + block_rows.size * width, t.size)
+            count = stop - start
+            table = rotation[: block_rows.size * width].reshape(-1, width)
+            np.multiply(block_rows, row, out=table)
+            if stop == t.size:
+                rotation[count - 1] = last
+            z = _circle_path(params.ratio, params.phi_l, rotation[:count], out=path[1 : count + 1])
+            e = np.subtract(1.0, rotation[:count].real, out=energy[1 : count + 1])
+            e *= energy_scale
+            path_finite = path_finite and bool(np.all(np.isfinite(z)))
+            energy_finite = energy_finite and bool(np.all(np.isfinite(e)))
+            carried = 0 if start else 1
+            geometric += _chord_sum(path[carried : count + 1])
+            dynamic += _trapezoid_sum(energy[carried : count + 1], t[start - 1 + carried : stop])
+            path[0] = z[-1]
+            energy[0] = e[-1]
+    _require_grid_path(t, path_finite)
+    return _require_finite_chord(geometric), _require_finite_dynamic(energy_finite, dynamic)
 
 
 def _noncyclic_samples(
@@ -265,7 +309,7 @@ def noncyclic_scan(
             dyn = 0.0
         else:
             grid = np.linspace(0.0, t, samples)
-            geometric, dyn = _constant_drive_phases(drive, grid, uniform_exp(drive.delta, grid))
+            geometric, dyn = _constant_drive_phases(drive, grid, _exp_factors(drive.delta, grid))
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
         max_dev_analytic = max(max_dev_analytic, dev_geometric, dev_dynamic)
@@ -383,17 +427,17 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     rows = []
     max_eta_dev = 0.0
     max_eta_dev_oracle = None
-    # Points that share delta share the one-period grid and its rotation.
-    delta = grid = rotation = None
+    # Points that share delta share the one-period grid and its exponentials.
+    delta = grid = factors = None
     for value in spec.grid:
         params = _apply_parameter(spec.base, spec.parameter, value)
         if params.delta != delta:
-            # Drop the previous pair first, so one rotation is held at a time.
-            grid = rotation = None
+            # Drop the previous grid first, so one is held at a time.
+            grid = factors = None
             delta = params.delta
             grid = np.linspace(0.0, params.period, samples)
-            rotation = uniform_exp(delta, grid)
-        geometric, dyn = _constant_drive_phases(params, grid, rotation)
+            factors = _exp_factors(delta, grid)
+        geometric, dyn = _constant_drive_phases(params, grid, factors)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
             max_eta_dev = max(max_eta_dev, abs(decomposition.eta + 2.0))
@@ -469,7 +513,7 @@ def area_invariance_study(
                 f"loop {index} is open: residual {residual:.3e}", residual
             )
         t, f, alpha = _sample_path(loop, loop.total_duration, samples)
-        _require_grid_path(t, alpha)
+        _require_grid_path(t, bool(np.all(np.isfinite(alpha))))
         geometric = _chord_phase(alpha)
         # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1; an overflowing
         # real part of the product leaves the imaginary part intact.

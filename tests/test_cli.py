@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from loopgate import cli, drives
-from loopgate._serialize import json_text
+from loopgate._serialize import json_text, key_value_csv, sweep_csv
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from loopgate.phasespace import analytic_total_phase
 
@@ -885,6 +885,39 @@ def test_json_renderer_refuses_non_finite_values():
     # Backstop behind the input checks: a NaN never reaches the JSON output.
     with pytest.raises(ValueError):
         json_text({"total": math.nan})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_csv_renderers_refuse_non_finite_values(value):
+    # The same backstop for both CSV encoders, in a row and in the summary.
+    with pytest.raises(ValueError, match="not CSV compliant"):
+        key_value_csv({"analytic": {"dynamic": value}})
+    with pytest.raises(ValueError, match="not CSV compliant"):
+        sweep_csv({"parameter": "phi_l", "rows": [{"value": 0.0, "total": value}], "metadata": {}})
+    with pytest.raises(ValueError, match="not CSV compliant"):
+        sweep_csv({"parameter": "phi_l", "rows": [{"value": 0.0}], "metadata": {"max": value}})
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        # r^2 = 1.6e307: phi = r^2 (sin x - x) is finite, dynamic = 2 phi is not.
+        (["phase", "--omega-over-delta", "4e153"], "dynamic phase is not finite (-inf)"),
+        # Every energy and the chord sum are finite; the trapezoid overflows.
+        (["sweep", "--parameter", "omega_over_delta", "--grid", "4e153"],
+         "dynamic phase overflows: the integral of the Hamiltonian expectation is not finite"),
+    ],
+)
+def test_overflowing_dynamic_phase_is_invalid_in_both_formats(capsys, argv, cause):
+    errors = []
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.count("\n") == 1
+        assert cause in err
+        errors.append(err)
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------

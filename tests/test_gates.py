@@ -282,6 +282,23 @@ def test_fidelity_accepts_plain_arrays():
     assert gate_fidelity(np.eye(4), cz_gate()) == pytest.approx(0.5)
 
 
+def test_fidelity_checks_unitarity_of_raw_arrays_only(monkeypatch):
+    # A TwoQubitGate was checked when it was built; a raw array is checked here.
+    u, v = phase_gate(0.3), cz_gate()
+    norms = []
+    real_norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        norms.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    gate_fidelity(u, v)
+    assert norms == []
+    gate_fidelity(np.eye(4), v)
+    assert norms == [1]
+
+
 def test_fidelity_rejects_non_unitary():
     with pytest.raises(NonUnitaryError):
         gate_fidelity(np.diag([1.0, 1.0, 1.0, 2.0]), cz_gate())

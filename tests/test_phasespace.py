@@ -214,6 +214,20 @@ def test_decompose_classification(geometric, dynamic, classification, eta):
         assert decomposition.eta == pytest.approx(eta, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "geometric,dynamic,part",
+    [
+        (math.nan, 1.0, "geometric phase"),
+        (1.0, -math.inf, "dynamic phase"),
+        (1e308, 1e308, "total phase"),
+        (1e-8, 1e305, "eta"),
+    ],
+)
+def test_decompose_rejects_non_finite_parts(geometric, dynamic, part):
+    with pytest.raises(ValueError, match=f"^{part} is not finite"):
+        decompose(geometric, dynamic)
+
+
 def test_decompose_total_is_exact_sum():
     decomposition = decompose(0.1, 0.2)
     assert decomposition.total == decomposition.geometric + decomposition.dynamic

@@ -4,15 +4,21 @@ The package evaluates exp(-i w t) on its own np.linspace grids as an outer
 product of about 2*sqrt(N) exponentials (phasespace.uniform_exp).  These
 tests pin that table against np.exp, and every quadrature that uses it (eta
 sweep, time scan, area study, gamma0) against a reference written here with
-one np.exp per sample.
+one np.exp per sample.  The eta sweep and the time scan stream their grid in
+blocks of table rows; they are also pinned against one dense block.
 """
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopgate import robustness
 from loopgate.drives import (
+    MAX_SAMPLES,
     ConstantDriveParams,
     DriveProfile,
     DriveSegment,
@@ -21,11 +27,14 @@ from loopgate.drives import (
     gamma0,
     induced_trajectory,
 )
+from loopgate.errors import InvalidTrajectoryError
 from loopgate.gates import jz_conditioner, odd_parity_projector
-from loopgate.phasespace import Trajectory, analytic_trajectory, uniform_exp
+from loopgate.phasespace import Trajectory, _exp_factors, analytic_trajectory, uniform_exp
 from loopgate.robustness import (
     ETA_SWEEP_SAMPLES,
+    NONCYCLIC_SAMPLES,
     SweepSpec,
+    _constant_drive_phases,
     area_invariance_study,
     eta_invariance_sweep,
     noncyclic_scan,
@@ -273,3 +282,91 @@ def test_eta_sweep_exponentiates_few_elements(monkeypatch, parameter, grid):
     )
     assert len(report.rows) == 3
     assert 0 < sum(exponentiated) < 10_000
+
+
+# ---------------------------------------------------------------------------
+# the streamed quadrature of the eta sweep and the time scan
+
+BLOCK = robustness._BLOCK_SAMPLES
+STREAM_SAMPLES = [
+    2,
+    3,
+    BLOCK - 1,
+    BLOCK,
+    BLOCK + 1,
+    2 * BLOCK - 1,
+    2 * BLOCK + 1,
+    3 * BLOCK - 1,
+    3 * BLOCK + 1,
+    # Blocks of 90 rows of 181 samples: two full ones, then two and one sample.
+    32_580,
+    32_581,
+    ETA_SWEEP_SAMPLES,
+]
+
+
+def sweep_phases(params, samples, periods):
+    """Geometric and dynamic phases of one eta-sweep point and one time-scan time."""
+    spec = SweepSpec(parameter="phi_l", grid=(params.phi_l,), base=params)
+    eta_row = eta_invariance_sweep(spec, samples=samples).rows[0]
+    time = periods * params.period
+    scan_row = noncyclic_scan(
+        params, [time], samples=samples, analytic_tolerance=math.inf
+    ).rows[0]
+    return [eta_row.geometric, eta_row.dynamic, scan_row.geometric, scan_row.dynamic]
+
+
+@pytest.mark.parametrize("samples", STREAM_SAMPLES)
+@settings(max_examples=4, deadline=None, database=None, derandomize=True)
+@given(
+    ratio=st.floats(0.05, 3.0),
+    delta=st.floats(0.2, 5.0),
+    phi_l=st.floats(-math.pi, math.pi),
+    periods=st.floats(0.05, 10.0),
+)
+def test_streamed_quadrature_matches_one_dense_block(samples, ratio, delta, phi_l, periods):
+    params = ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
+    streamed = sweep_phases(params, samples, periods)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robustness, "_BLOCK_SAMPLES", MAX_SAMPLES)
+        dense = sweep_phases(params, samples, periods)
+    for value, reference in zip(streamed, dense):
+        assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize(
+    "ratio, energy_scale, message",
+    [
+        # On half a period the energies E (1 - cos) overflow from about 0.26
+        # periods on, in the second of four blocks; the path r (1 - cos) only
+        # from about 0.40, in the third.
+        (1e308, 1.7e308, "trajectory contains non-finite samples"),
+        # A finite path whose chord products overflow.
+        (1e160, 1.7e308, "geometric phase overflows"),
+        (1.0, 1.7e308, "Hamiltonian expectation produced non-finite values"),
+        # Finite energies (at most 1.6e308) whose integral, 8e307 * pi, is not.
+        (1.0, 8e307, "dynamic phase overflows"),
+    ],
+)
+def test_streamed_checks_keep_their_order_across_blocks(ratio, energy_scale, message):
+    t = np.linspace(0.0, math.pi, 3 * BLOCK + 1)
+    params = SimpleNamespace(ratio=ratio, phi_l=0.0, energy_scale=energy_scale)
+    with pytest.raises(InvalidTrajectoryError, match=message):
+        _constant_drive_phases(params, t, _exp_factors(1.0, t))
+
+
+def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
+    spec = SweepSpec(parameter="phi_l", grid=(0.4,), base=BASE)
+    eta_invariance_sweep(spec, samples=1_001)
+    tracemalloc.start()
+    try:
+        eta_invariance_sweep(spec, samples=ETA_SWEEP_SAMPLES)
+        eta_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        noncyclic_scan(BASE, [2.0], samples=NONCYCLIC_SAMPLES)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The time grids alone take 3.2 and 1.6 MB.
+    assert eta_peak < 6e6
+    assert scan_peak < 4e6
