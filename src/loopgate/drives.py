@@ -17,9 +17,10 @@ shapes integrated numerically.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +28,14 @@ from .errors import ConfigError, SingularDetuningError, UnreachablePhaseError
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     Trajectory,
+    _all_finite,
+    _exp_factors,
+    _exp_rows,
+    _require_finite_dynamic,
     _require_positive_delta,
-    _trapezoid_phase,
-    uniform_exp,
+    _trapezoid_sum,
+    _Workspace,
+    _workspace,
 )
 
 if TYPE_CHECKING:
@@ -38,8 +44,10 @@ if TYPE_CHECKING:
 # Default quadrature sampling for drive functionals.
 DEFAULT_DRIVE_SAMPLES = 20_001
 
-# Cap on quadrature samples: past it the sampled path and drive arrays of one
-# quadrature outgrow about 100 MB.
+# Cap on quadrature samples.  The quadratures stream their grid in blocks, so
+# the cap bounds the arrays that still have one entry per sample: the
+# eta-sweep and time-scan grid (8 MB at the cap) and the times and points of
+# an induced trajectory (24 MB, and as much again while it copies them).
 MAX_SAMPLES = 1_000_001
 
 # Internal grid resolution used to integrate callable segments.
@@ -143,25 +151,8 @@ class DriveSegment:
             )
         if self.frequency == 0.0:
             return -self.amplitude * s
-        return self._tone_increment(np.exp(-1j * self.frequency * s))
-
-    def _tone_increment(self, rotation: np.ndarray) -> np.ndarray:
-        """alpha_increment of a tone given ``rotation`` = exp(-i * frequency * s)."""
+        rotation = np.exp(-1j * self.frequency * s)
         return -self.amplitude * (1.0 - rotation) / (1j * self.frequency)
-
-    def _sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and alpha_increment at the equally spaced local times ``s``.
-
-        A tone takes both from one :func:`~loopgate.phasespace.uniform_exp`
-        and a pulse needs no exponential; a callable is evaluated as in
-        :meth:`values` and :meth:`alpha_increment`.
-        """
-        if self.func is not None:
-            return self.values(s), self.alpha_increment(s)
-        if self.frequency == 0.0:
-            return np.full(s.shape, self.amplitude), -self.amplitude * s
-        rotation = uniform_exp(self.frequency, s)
-        return self.amplitude * rotation, self._tone_increment(rotation)
 
 
 @dataclass(frozen=True)
@@ -243,15 +234,20 @@ def four_pulse_sequence(
     return DriveProfile(segments=segments, conditioner=conditioner)
 
 
+def _require_window(drive: DriveProfile, low: float, high: float) -> None:
+    """Check that times from ``low`` to ``high`` lie in the drive window, up to rounding slack."""
+    slack = 1e-12 * max(1.0, drive.total_duration)
+    if low < -slack or high > drive.total_duration + slack:
+        raise ValueError(
+            f"time outside the drive window [0, {drive.total_duration}]: range [{low}, {high}]"
+        )
+
+
 def _locate(drive: DriveProfile, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment index and local time for each global time, validating the range."""
     t = np.asarray(t, dtype=float)
-    slack = 1e-12 * max(1.0, drive.total_duration)
-    if np.any(t < -slack) or np.any(t > drive.total_duration + slack):
-        raise ValueError(
-            f"time outside the drive window [0, {drive.total_duration}]: "
-            f"range [{t.min()}, {t.max()}]"
-        )
+    if t.size:
+        _require_window(drive, t.min(), t.max())
     t = np.clip(t, 0.0, drive.total_duration)
     starts = drive.segment_starts
     index = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(drive.segments) - 1)
@@ -299,29 +295,149 @@ def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
     return float(np.max(np.abs(alpha_array(drive, t))))
 
 
-def _sample_path(
-    drive: DriveProfile, tau: float, samples: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, f and alpha on ``samples`` evenly spaced times of [0, tau].
-
-    One :func:`_locate` serves both arrays, and each segment fills its run of
-    samples from :meth:`DriveSegment._sample`.
-    """
+def _require_samples(samples: int) -> int:
+    """``samples`` after checking that it makes a grid of at least two samples."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    t = np.linspace(0.0, float(tau), samples)
-    index, local = _locate(drive, t)
-    # t increases, so each segment owns one contiguous run of samples.
-    bounds = np.searchsorted(index, np.arange(len(drive.segments) + 1))
-    f = np.empty(t.shape, dtype=complex)
-    alpha = np.empty(t.shape, dtype=complex)
-    alpha_starts = drive.segment_alpha_starts
+    return samples
+
+
+def _grid_times(
+    index: np.ndarray, tau: float, samples: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.linspace(0.0, tau, samples)[index]``, bit for bit, at increasing float sample numbers.
+
+    linspace takes sample k to k * (tau / (samples - 1)), or to
+    k / (samples - 1) * tau when that step underflows to 0, and sets the
+    last sample to tau.  ``out`` may be ``index`` itself.
+    """
+    ends = index[-1] == samples - 1
+    step = tau / (samples - 1)
+    if step == 0.0:
+        out = np.divide(index, samples - 1, out=out)
+        out *= tau
+    else:
+        out = np.multiply(index, step, out=out)
+    if ends:
+        out[-1] = tau
+    return out
+
+
+def _grid_index(value: float, tau: float, samples: int) -> int:
+    """How many samples of the grid ``np.linspace(0.0, tau, samples)`` lie below ``value``.
+
+    The grid must increase; it is searched by bisection, one time at a time.
+    """
+    step = tau / (samples - 1)
+
+    def time(k: int) -> float:
+        # Sample k by the rule of _grid_times.
+        if k == samples - 1:
+            return tau
+        return k * step if step else k / (samples - 1) * tau
+
+    return bisect.bisect_left(range(samples), value, key=time)
+
+
+def _local_times(t: np.ndarray, start: float, end: float, out: np.ndarray) -> np.ndarray:
+    """Increasing times ``t`` clipped to [0, end], less ``start``: :func:`_locate`'s local times."""
+    if t[0] < 0.0 or t[-1] > end:
+        t = np.clip(t, 0.0, end, out=out)
+    return np.subtract(t, start, out=out)
+
+
+def _walk(
+    drive: DriveProfile, tau: float, samples: int, work: _Workspace
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Times, f and alpha on consecutive blocks of ``np.linspace(0.0, tau, samples)``.
+
+    Each block brings up to ``work.block`` new samples, and every block after
+    the first starts with the previous block's last sample, so a chord sum or
+    a trapezoid adds up block by block.  The arrays are views of ``work``
+    that the next block overwrites; the caller may write to f, alpha and
+    ``work.scratch``, which the walk uses only while it builds a block.
+
+    Times are the grid's bit for bit, and each sample belongs to the segment
+    :func:`_locate` assigns it to.  A pulse fills its samples in place; a
+    tone reads rows of the :func:`~loopgate.phasespace._exp_factors` table
+    of its whole run, so its samples do not depend on where blocks split it; a callable is evaluated
+    once on its whole run, by :meth:`DriveSegment.values` and
+    :meth:`DriveSegment.alpha_increment`.
+    """
+    _require_samples(samples)
+    _require_window(drive, min(0.0, tau), max(0.0, tau))
+    end = drive.total_duration
+    starts = drive.segment_starts
+    bounds = [0, *(_grid_index(start, tau, samples) for start in starts[1:]), samples]
+
+    def local(i: int, index: np.ndarray) -> np.ndarray:
+        t = _grid_times(np.add(index, bounds[i], dtype=float), tau, samples)
+        return _local_times(t, starts[i], end, out=t)
+
+    # A tone's table factors, or a callable's f and alpha, on its whole run.
+    runs = {}
     for i, segment in enumerate(drive.segments):
-        run = slice(bounds[i], bounds[i + 1])
-        if run.start < run.stop:
-            f[run], increment = segment._sample(local[run])
-            alpha[run] = alpha_starts[i] + increment
-    return t, f, alpha
+        size = bounds[i + 1] - bounds[i]
+        if size <= 0 or (segment.func is None and segment.frequency == 0.0):
+            continue
+        if segment.func is None:
+            runs[i] = _exp_factors(segment.frequency, size, lambda k, i=i: local(i, k))
+        else:
+            s = local(i, np.arange(size))
+            alpha_start = drive.segment_alpha_starts[i]
+            runs[i] = (segment.values(s), alpha_start + segment.alpha_increment(s))
+
+    def fill(i: int, first: int, stop: int, run: slice) -> None:
+        """Samples ``first`` to ``stop - 1`` of segment i's run into the block's ``run``.
+
+        No complex product overwrites one of its operands: numpy rounds some
+        such products differently, and a sample should not depend on where
+        the blocks split its run.
+        """
+        segment = drive.segments[i]
+        alpha_start = drive.segment_alpha_starts[i]
+        amplitude = segment.amplitude
+        f, alpha, scratch = work.f[run], work.alpha[run], work.scratch[run]
+        if segment.func is not None:
+            f[...] = runs[i][0][first:stop]
+            alpha[...] = runs[i][1][first:stop]
+        elif segment.frequency == 0.0:
+            # alpha = alpha_start - amplitude * s, with s held as s + 0j.
+            _local_times(work.times[run], starts[i], end, out=alpha.real)
+            alpha.imag = 0.0
+            np.add(alpha_start, np.multiply(-amplitude, alpha, out=scratch), out=alpha)
+            f[...] = amplitude
+        else:
+            size = bounds[i + 1] - bounds[i]
+            rotation = _exp_rows(runs[i], first, stop, size, out=alpha, tile=scratch)
+            np.multiply(amplitude, rotation, out=f)
+            increment = np.subtract(1.0, rotation, out=scratch)
+            np.multiply(-amplitude, increment, out=alpha)
+            np.divide(alpha, 1j * segment.frequency, out=scratch)
+            np.add(alpha_start, scratch, out=alpha)
+
+    work.reserve(min(work.block, samples) + 1)
+    i = 0
+    carried = None
+    for first in range(0, samples, work.block):
+        stop = min(first + work.block, samples)
+        offset = 0 if carried is None else 1
+        size = offset + stop - first
+        t, f, alpha = work.times[:size], work.f[:size], work.alpha[:size]
+        if carried is not None:
+            t[0], f[0], alpha[0] = carried
+        np.add(work.ramp[: stop - first], first, out=t[offset:])
+        _grid_times(t[offset:], tau, samples, out=t[offset:])
+        while True:
+            low, high = max(bounds[i], first), min(bounds[i + 1], stop)
+            if low < high:
+                run = slice(offset + low - first, offset + high - first)
+                fill(i, low - bounds[i], high - bounds[i], run)
+            if bounds[i + 1] >= stop:
+                break
+            i += 1
+        carried = t[-1], f[-1], alpha[-1]
+        yield t, f, alpha
 
 
 def induced_trajectory(
@@ -333,8 +449,16 @@ def induced_trajectory(
     """Sample the phase-space path the drive induces on [0, tau]."""
     if tau is None:
         tau = drive.total_duration
-    t, _, alpha = _sample_path(drive, tau, samples)
-    return Trajectory(t, alpha, closure_tolerance)
+    times = np.empty(_require_samples(samples))
+    points = np.empty(samples, dtype=complex)
+    stop = 0
+    with _workspace() as work:
+        for t, _, alpha in _walk(drive, float(tau), samples, work):
+            start = max(stop - 1, 0)
+            stop = start + t.size
+            times[start:stop] = t
+            points[start:stop] = alpha
+    return Trajectory(times, points, closure_tolerance)
 
 
 def _require_tau(drive: DriveProfile, tau: float | None) -> float:
@@ -358,14 +482,17 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     +2 * beta**2 * gamma0.
     """
     tau = _require_tau(drive, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, f, alpha = _sample_path(drive, tau, samples)
-        z = np.conj(alpha) * f
-    if not np.all(np.isfinite(z)):
-        raise ValueError(
-            "loop-phase integrand conj(alpha) f is not finite: the drive or its path overflows"
-        )
-    return _trapezoid_phase(z.imag, t)
+    phase = 0.0
+    with _workspace() as work, np.errstate(over="ignore", invalid="ignore"):
+        for t, f, alpha in _walk(drive, tau, samples, work):
+            z = np.multiply(np.conjugate(alpha, out=work.scratch[: t.size]), f, out=alpha)
+            if not _all_finite(z, work.flags):
+                raise ValueError(
+                    "loop-phase integrand conj(alpha) f is not finite: "
+                    "the drive or its path overflows"
+                )
+            phase += _trapezoid_sum(z.imag, t, f.view(float))
+    return _require_finite_dynamic(True, phase)
 
 
 def design_constant_drive(

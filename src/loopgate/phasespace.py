@@ -17,9 +17,11 @@ unconventional mix whose total phase still depends only on the loop geometry).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -201,32 +203,51 @@ def dynamic_phase(
     return _trapezoid_phase(values, times)
 
 
-def _require_grid_path(times: np.ndarray, points_finite: bool) -> None:
+def _require_grid_path(times: np.ndarray, samples: int, points_finite: bool) -> None:
     """The checks of :class:`Trajectory` for a path on an ``np.linspace`` grid from 0.
 
-    ``points_finite`` tells whether every point of the path is finite.  Such
-    a grid is finite, and it increases unless its step underflows to 0 or
-    rounds up so far that the last but one sample reaches the end, which only
-    subnormal ends allow; so two comparisons stand in for one per sample.
+    ``times`` ends with the last two of the grid's ``samples`` times (it is
+    the grid or its last block), and ``points_finite`` tells whether every
+    point of the path is finite.  Such a grid is finite, and it increases
+    unless its step underflows to 0 or rounds up so far that the last but one
+    sample reaches the end, which only subnormal ends allow; so two
+    comparisons stand in for one per sample.
     """
     if not points_finite:
         raise InvalidTrajectoryError("trajectory contains non-finite samples")
-    if not (times[-1] / (times.size - 1) > 0.0 and times[-1] > times[-2]):
+    if not (times[-1] / (samples - 1) > 0.0 and times[-1] > times[-2]):
         raise InvalidTrajectoryError("times must be strictly increasing")
 
 
-def _chord_sum(z: np.ndarray) -> float:
+def _chord_sum(z: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """-sum_k Im(conj(z_k) * z_{k+1}): the geometric phase of the samples ``z``, unchecked.
 
-    A product whose real part overflows leaves its imaginary part, the one
-    used, intact; the caller silences the overflow.
+    The products go to ``scratch``, a complex array of at least ``z.size - 1``
+    entries, or to a new array.  A product whose real part overflows leaves
+    its imaginary part, the one used, intact; the caller silences the
+    overflow.  Any non-finite part of any sample makes the sum non-finite.
     """
-    return float(-np.sum(np.imag(np.conj(z[:-1]) * z[1:])))
+    products = np.conjugate(z[:-1], out=None if scratch is None else scratch[: z.size - 1])
+    np.multiply(products, z[1:], out=products)
+    return float(-np.sum(products.imag))
 
 
-def _trapezoid_sum(energy: np.ndarray, times: np.ndarray) -> float:
-    """-integral(energy dt) by the trapezoidal rule, unchecked; the caller silences overflow."""
-    return float(-np.trapezoid(energy, times))
+def _trapezoid_sum(
+    energy: np.ndarray, times: np.ndarray, scratch: np.ndarray | None = None
+) -> float:
+    """-integral(energy dt) by the trapezoidal rule, unchecked; the caller silences overflow.
+
+    The terms are those of ``np.trapezoid``, in its order, written to
+    ``scratch``, a float array of at least ``2 * (times.size - 1)`` entries,
+    or to a new array.  Any non-finite energy makes the sum non-finite.
+    """
+    n = times.size - 1
+    if scratch is None:
+        scratch = np.empty(2 * n)
+    widths = np.subtract(times[1:], times[:-1], out=scratch[:n])
+    np.multiply(widths, np.add(energy[1:], energy[:-1], out=scratch[n : 2 * n]), out=widths)
+    widths /= 2.0
+    return float(-np.add.reduce(widths))
 
 
 def _require_finite_chord(phase: float) -> float:
@@ -263,43 +284,158 @@ def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
     return _require_finite_dynamic(bool(np.all(np.isfinite(energy))), phase)
 
 
-def _exp_factors(rate: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """The factors of :func:`uniform_exp`'s table on the times ``s``.
+# Samples per block of the streamed quadratures: a block's arrays (about 1 MB
+# in all) stay in cache, and there are few enough blocks that their Python
+# overhead is small beside the arithmetic.
+_BLOCK_SAMPLES = 16_384
 
-    With B = ceil(sqrt(N)) they are the first column
-    exp(-1j * rate * (s[b*B] - s[0])), the first row exp(-1j * rate * s[a])
-    for a < B, and the last sample exp(-1j * rate * s[-1]); sample a + b*B
-    of the table is column[b] * row[a], except the last, which is evaluated
-    directly.
+
+class _Workspace:
+    """The block arrays of one streamed quadrature, all of one length.
+
+    ``ramp`` holds 0, 1, 2, ... for rebuilding grid times, ``times``, ``f``
+    and ``alpha`` hold a block of the drive walk, ``scratch`` takes products
+    and trapezoid terms, and ``flags`` takes finiteness scans.  The arrays
+    only grow, so every block operation can write into them with ``out=``
+    and touches no new page once the first quadrature has run.
     """
-    block = math.isqrt(s.size - 1) + 1
+
+    def __init__(self) -> None:
+        self._allocate(0)
+
+    def _allocate(self, size: int) -> None:
+        self.ramp = np.arange(size, dtype=float)
+        self.times = np.empty(size)
+        self.f = np.empty(size, dtype=complex)
+        self.alpha = np.empty(size, dtype=complex)
+        self.scratch = np.empty(size, dtype=complex)
+        self.flags = np.empty(size, dtype=bool)
+
+    def reserve(self, size: int) -> None:
+        """Grow every array to at least ``size`` entries."""
+        if size > self.ramp.size:
+            self._allocate(size)
+
+
+_workspaces = threading.local()
+
+
+@contextlib.contextmanager
+def _workspace() -> Iterator[_Workspace]:
+    """Borrow this thread's workspace; its ``block`` is ``_BLOCK_SAMPLES``.
+
+    Each thread allocates its workspace on first use and gets it back when
+    the borrower is done, so a quadrature nested in another (a callable drive
+    segment that calls ``gamma0``, say) borrows a second one.  The borrower
+    reserves what its blocks need.
+    """
+    free = _workspaces.__dict__.setdefault("free", [])
+    work = free.pop() if free else _Workspace()
+    work.block = _BLOCK_SAMPLES
+    try:
+        yield work
+    finally:
+        free.append(work)
+
+
+def _all_finite(x: np.ndarray, flags: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite, scanned into the bool array ``flags``."""
+    return bool(np.isfinite(x, out=flags[: x.size]).all())
+
+
+def _block_phases(
+    blocks: Callable[[], Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    samples: int,
+    work: _Workspace,
+) -> tuple[float, float]:
+    """Geometric and dynamic phase of a path on an ``np.linspace`` grid of ``samples`` from 0.
+
+    ``blocks()`` yields (times, path, energy) for consecutive blocks of the
+    grid, each after the first starting with the previous block's last
+    sample; it may use ``work.scratch`` only while it builds a block, since
+    the sums use it in between.  Each block adds to one chord sum and one
+    trapezoid.  A non-finite path sample always makes the chord sum
+    non-finite and a non-finite energy the trapezoid, so the samples are
+    scanned only when a sum comes out non-finite, in a second walk; the
+    checks then run in the order of the dense quadrature: path, times, chord
+    sum, energies, integral.
+    """
+    geometric = dynamic = 0.0
+    path_finite = energy_finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for times, path, energy in blocks():
+            geometric += _chord_sum(path, work.scratch)
+            dynamic += _trapezoid_sum(energy, times, work.scratch.view(float))
+        if not (math.isfinite(geometric) and math.isfinite(dynamic)):
+            for _, path, energy in blocks():
+                path_finite = path_finite and _all_finite(path, work.flags)
+                energy_finite = energy_finite and _all_finite(energy, work.flags)
+    _require_grid_path(times, samples, path_finite)
+    return _require_finite_chord(geometric), _require_finite_dynamic(energy_finite, dynamic)
+
+
+def _exp_factors(
+    rate: float, size: int, times_at: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The factors of a table of exp(-1j * rate * s) on ``size`` equally spaced times ``s``.
+
+    ``times_at`` maps an array of sample numbers to the times ``s`` there.
+    With B = ceil(sqrt(N)) the factors are the first column
+    exp(-1j * rate * (s[b*B] - s[0])), the first row exp(-1j * rate * s[a])
+    for a < B, and the last sample exp(-1j * rate * s[-1]).  Sample a + b*B
+    of the table (:func:`_exp_rows`) is column[b] * row[a], except the last,
+    which is evaluated directly, so a closed loop's endpoint, and with it
+    its closure residual, is that of ``np.exp``.  Only about 2*sqrt(N)
+    times are exponentiated and each sample costs one complex product; the
+    table differs from ``np.exp`` by the rounding of the split phase, at
+    most about 2e-15 over one period of the phase and 1.6e-14 over ten.
+
+    The times must be equally spaced up to rounding, as ``np.linspace``
+    grids and their runs shifted by a segment start are; on any other times
+    the table is wrong.
+    """
+    block = math.isqrt(size - 1) + 1
+    column = times_at(np.arange(0, size, block))
     return (
-        np.exp(-1j * rate * (s[::block] - s[0])),
-        np.exp(-1j * rate * s[:block]),
-        np.exp(-1j * rate * s[-1]),
+        np.exp(-1j * rate * (column - column[0])),
+        np.exp(-1j * rate * times_at(np.arange(block))),
+        np.exp(-1j * rate * times_at(np.array([size - 1]))[0]),
     )
 
 
-def uniform_exp(rate: float, s: np.ndarray) -> np.ndarray:
-    """exp(-1j * rate * s) on the equally spaced times ``s``, with about 2*sqrt(N) exponentials.
+def _exp_rows(
+    factors: tuple[np.ndarray, np.ndarray, complex],
+    first: int,
+    stop: int,
+    size: int,
+    out: np.ndarray,
+    tile: np.ndarray,
+) -> np.ndarray:
+    """Samples ``first`` to ``stop - 1`` of the ``size``-sample table of ``factors``, into ``out``.
 
-    The result is the B x B table of :func:`_exp_factors`, with B =
-    ceil(sqrt(N)), read row by row: only the first B times and every B-th
-    time are exponentiated, and each sample costs one complex product.  It
-    differs from ``np.exp`` by the rounding of the split phase: at most about
-    2e-15 over one period of the phase and 1.6e-14 over ten.  The last sample
-    is evaluated directly, so a closed loop's endpoint, and with it its
-    closure residual, is that of ``np.exp``.  Callers that need only a few
-    rows at a time, as the eta sweep and the time scan do, build them from
-    :func:`_exp_factors` instead of calling this.
-
-    ``s`` must be nonempty and equally spaced up to rounding, as
-    ``np.linspace`` grids and their slices shifted by a segment start are;
-    on any other times the result is wrong.
+    Whole rows are multiplied as two full arrays, the column factors spread
+    over ``out`` and the row copied into ``tile`` (an array as long as
+    ``out``), because a broadcast product makes numpy allocate iteration
+    buffers of about 256 KB on every call.
     """
-    column, row, last = _exp_factors(rate, s)
-    out = np.multiply(column[:, None], row).reshape(-1)[: s.size]
-    out[-1] = last
+    column, row, last = factors
+    width = row.size
+    head_row, head = divmod(first, width)
+    tail_row, tail = divmod(stop, width)
+    if head_row == tail_row:
+        np.multiply(column[head_row], row[head:tail], out=out)
+    else:
+        body = width - head
+        np.multiply(column[head_row], row[head:], out=out[:body])
+        rows = slice(body, body + (tail_row - head_row - 1) * width)
+        table, tiles = out[rows].reshape(-1, width), tile[rows].reshape(-1, width)
+        np.copyto(table, column[head_row + 1 : tail_row, None])
+        np.copyto(tiles, row)
+        np.multiply(table, tiles, out=table)
+        if tail:
+            np.multiply(column[tail_row], row[:tail], out=out[stop - first - tail :])
+    if stop == size:
+        out[-1] = last
     return out
 
 

@@ -21,7 +21,8 @@ from .drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
     DriveProfile,
-    _sample_path,
+    _require_samples,
+    _walk,
     closure_residual,
     constant_drive,
     peak_alpha,
@@ -32,15 +33,12 @@ from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockSpace, propagate
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
-    _chord_phase,
-    _chord_sum,
+    _block_phases,
     _circle_path,
     _exp_factors,
-    _require_finite_chord,
-    _require_finite_dynamic,
-    _require_grid_path,
-    _trapezoid_phase,
-    _trapezoid_sum,
+    _exp_rows,
+    _Workspace,
+    _workspace,
     analytic_total_phase,
     decompose,
     loop_closes,
@@ -53,12 +51,6 @@ from .phasespace import (
 ETA_SWEEP_SAMPLES = 400_001
 NONCYCLIC_SAMPLES = 200_001
 AREA_STUDY_SAMPLES = 100_001
-
-# Samples per block of the streamed constant-drive quadrature, rounded down to
-# whole rows of the rotation table: a block's rotation, path and energies
-# (about 640 KB) stay in cache, and there are few enough blocks that their
-# Python overhead is small beside the arithmetic.
-_BLOCK_SAMPLES = 16_384
 
 NONCYCLIC_ANALYTIC_TOL = 1e-9
 NONCYCLIC_ORACLE_TOL = 1e-4
@@ -176,52 +168,52 @@ def _oracle_phase_triplet(
     return decomposition.total, decomposition.geometric, decomposition.dynamic
 
 
+def _constant_drive_grid(
+    delta: float, tau: float, samples: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, complex]]:
+    """The grid ``np.linspace(0, tau, samples)`` and the rotation factors ``_exp_factors`` on it."""
+    grid = np.linspace(0.0, tau, _require_samples(samples))
+    return grid, _exp_factors(delta, samples, grid.take)
+
+
 def _constant_drive_phases(
     params: ConstantDriveParams, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
 ) -> tuple[float, float]:
     """Geometric and dynamic phase of the constant-drive path on the ``np.linspace`` grid ``t``.
 
-    ``factors`` is ``_exp_factors(delta, t)``.  The rotation exp(-i*delta*t)
-    is rebuilt from it one block of whole table rows at a time, and the path
-    and <H> = energy_scale * (1 - cos(delta*t)) are read off each block.
-    Each block adds to one chord sum and one trapezoid, carrying the previous
-    block's last sample across the edge, so no N-sample rotation, path or
-    energy array is built.  The checks are recorded per block and raised
-    after the loop in the order of the dense quadrature: path, times, chord
-    sum, energies, integral.
+    ``factors`` is the rotation's ``_exp_factors`` on ``t``.  The rotation
+    exp(-i*delta*t) is rebuilt from them one block of whole table rows at a
+    time, and the path and <H> = energy_scale * (1 - cos(delta*t)) are read
+    off each block, which :func:`~loopgate.phasespace._block_phases` adds
+    to one chord sum and one trapezoid over its slice of ``t``.  So no
+    N-sample rotation, path or energy array is built.
     """
-    column, row, last = factors
-    width = row.size
-    rows = max(1, min(_BLOCK_SAMPLES // width, column.size))
-    rotation = np.empty(rows * width, dtype=complex)
-    # Slot 0 of path and energy carries the previous block's last sample.
-    path = np.empty(rows * width + 1, dtype=complex)
-    energy = np.empty(rows * width + 1)
+    width = factors[1].size
     energy_scale = params.energy_scale
-    geometric = dynamic = 0.0
-    path_finite = energy_finite = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first_row in range(0, column.size, rows):
-            block_rows = column[first_row : first_row + rows, None]
-            start = first_row * width
-            stop = min(start + block_rows.size * width, t.size)
-            count = stop - start
-            table = rotation[: block_rows.size * width].reshape(-1, width)
-            np.multiply(block_rows, row, out=table)
-            if stop == t.size:
-                rotation[count - 1] = last
-            z = _circle_path(params.ratio, params.phi_l, rotation[:count], out=path[1 : count + 1])
-            e = np.subtract(1.0, rotation[:count].real, out=energy[1 : count + 1])
-            e *= energy_scale
-            path_finite = path_finite and bool(np.all(np.isfinite(z)))
-            energy_finite = energy_finite and bool(np.all(np.isfinite(e)))
-            carried = 0 if start else 1
-            geometric += _chord_sum(path[carried : count + 1])
-            dynamic += _trapezoid_sum(energy[carried : count + 1], t[start - 1 + carried : stop])
-            path[0] = z[-1]
-            energy[0] = e[-1]
-    _require_grid_path(t, path_finite)
-    return _require_finite_chord(geometric), _require_finite_dynamic(energy_finite, dynamic)
+    with _workspace() as work:
+        block = max(1, min(work.block // width, factors[0].size)) * width
+        work.reserve(block + 1)
+        # No drive is walked here, so the walk's f array takes the rotation
+        # and its times array the energies.  Slot 0 of path and energy
+        # carries the previous block's last sample.
+        path, energy = work.alpha, work.times
+
+        def blocks():
+            for start in range(0, t.size, block):
+                stop = min(start + block, t.size)
+                count = stop - start
+                rotation = _exp_rows(
+                    factors, start, stop, t.size, out=work.f[:count], tile=work.scratch[:count]
+                )
+                _circle_path(params.ratio, params.phi_l, rotation, out=path[1 : count + 1])
+                e = np.subtract(1.0, rotation.real, out=energy[1 : count + 1])
+                e *= energy_scale
+                head = 0 if start else 1
+                yield t[start - 1 + head : stop], path[head : count + 1], energy[head : count + 1]
+                path[0] = path[count]
+                energy[0] = energy[count]
+
+        return _block_phases(blocks, t.size, work)
 
 
 def _noncyclic_samples(
@@ -283,6 +275,7 @@ def noncyclic_scan(
                 f"(--samples) to hold the analytic tolerance {analytic_tolerance:g}, above "
                 f"the cap {MAX_SAMPLES}; loosen --analytic-tolerance or scan a shorter window"
             )
+    _require_samples(samples)
 
     oracle_samples = None
     if oracle_settings is not None and max(times) > 0.0:
@@ -308,8 +301,9 @@ def noncyclic_scan(
             geometric = 0.0
             dyn = 0.0
         else:
-            grid = np.linspace(0.0, t, samples)
-            geometric, dyn = _constant_drive_phases(drive, grid, _exp_factors(drive.delta, grid))
+            geometric, dyn = _constant_drive_phases(
+                drive, *_constant_drive_grid(drive.delta, t, samples)
+            )
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
         max_dev_analytic = max(max_dev_analytic, dev_geometric, dev_dynamic)
@@ -435,8 +429,7 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
             # Drop the previous grid first, so one is held at a time.
             grid = factors = None
             delta = params.delta
-            grid = np.linspace(0.0, params.period, samples)
-            factors = _exp_factors(delta, grid)
+            grid, factors = _constant_drive_grid(delta, params.period, samples)
         geometric, dyn = _constant_drive_phases(params, grid, factors)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
@@ -486,6 +479,19 @@ def _apply_parameter(
     return ConstantDriveParams(omega_d=base.omega_d, delta=base.delta, phi_l=value)
 
 
+def _loop_blocks(loop: DriveProfile, samples: int, work: _Workspace):
+    """Times, path and <H> of ``loop`` on the blocks of :func:`~loopgate.drives._walk`.
+
+    <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1, written over f;
+    an overflowing real part of the product leaves the imaginary part intact.
+    """
+    for t, f, alpha in _walk(loop, loop.total_duration, samples, work):
+        np.multiply(f, np.conjugate(alpha, out=work.scratch[: t.size]), out=f)
+        energy = f.imag
+        energy *= 2.0
+        yield t, alpha, energy
+
+
 def area_invariance_study(
     loops: Sequence[DriveProfile],
     *,
@@ -512,14 +518,10 @@ def area_invariance_study(
             raise LoopNotClosedError(
                 f"loop {index} is open: residual {residual:.3e}", residual
             )
-        t, f, alpha = _sample_path(loop, loop.total_duration, samples)
-        _require_grid_path(t, bool(np.all(np.isfinite(alpha))))
-        geometric = _chord_phase(alpha)
-        # <H> = 2 Im(f conj(alpha)) at conditioner eigenvalue 1; an overflowing
-        # real part of the product leaves the imaginary part intact.
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = 2.0 * np.imag(f * np.conj(alpha))
-        dyn = _trapezoid_phase(energy, t)
+        with _workspace() as work:
+            geometric, dyn = _block_phases(
+                lambda: _loop_blocks(loop, samples, work), samples, work
+            )
         geometrics.append(geometric)
         rows.append(_row(float(index), decompose(geometric, dyn)))
     spread = float(np.max(geometrics) - np.min(geometrics)) if len(geometrics) > 1 else 0.0

@@ -813,6 +813,13 @@ ENERGY_OVERFLOW = "the midpoint energy <H> of the drive overflows"
         (["phase", "--omega-over-delta", "0.5", "--delta", "1e308", "--oracle"], ENERGY_OVERFLOW),
         (["sweep", "--parameter", "omega_over_delta", "--grid", "1e154", "--delta", "1e-10"],
          "geometric phase overflows"),
+        # Sample counts that make no grid, for the eta sweep and the time scan.
+        *[
+            (["sweep", "--parameter", parameter, "--grid", grid, "--samples", count],
+             f"need at least 2 samples, got {count}")
+            for parameter, grid in (("phi_l", "0,1"), ("time", "1"))
+            for count in ("1", "0", "-2")
+        ],
     ],
 )
 def test_non_finite_and_overflowing_input_is_invalid(capsys, argv, cause):

@@ -1,14 +1,19 @@
-"""The dense quadratures against direct np.exp references.
+"""The quadratures against direct np.exp references.
 
 The package evaluates exp(-i w t) on its own np.linspace grids as an outer
-product of about 2*sqrt(N) exponentials (phasespace.uniform_exp).  These
+product of about 2*sqrt(N) exponentials (phasespace._exp_factors and
+phasespace._exp_rows).  These
 tests pin that table against np.exp, and every quadrature that uses it (eta
 sweep, time scan, area study, gamma0) against a reference written here with
-one np.exp per sample.  The eta sweep and the time scan stream their grid in
-blocks of table rows; they are also pinned against one dense block.
+one np.exp per sample.  Every quadrature streams its grid in blocks: the eta
+sweep and the time scan in blocks of table rows, gamma0 and the area study
+through the drive walk (drives._walk); each is also pinned against one dense
+block, and the walk against np.linspace and drives._locate.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgate import robustness
+from loopgate import drives, phasespace
 from loopgate.drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
@@ -24,12 +29,20 @@ from loopgate.drives import (
     DriveSegment,
     constant_drive,
     constant_drive_h_expect,
+    four_pulse_sequence,
     gamma0,
     induced_trajectory,
 )
 from loopgate.errors import InvalidTrajectoryError
 from loopgate.gates import jz_conditioner, odd_parity_projector
-from loopgate.phasespace import Trajectory, _exp_factors, analytic_trajectory, uniform_exp
+from loopgate.phasespace import (
+    Trajectory,
+    _chord_sum,
+    _exp_factors,
+    _exp_rows,
+    _trapezoid_sum,
+    analytic_trajectory,
+)
 from loopgate.robustness import (
     ETA_SWEEP_SAMPLES,
     NONCYCLIC_SAMPLES,
@@ -118,6 +131,12 @@ def mixed_drive(name):
 
 # ---------------------------------------------------------------------------
 # the table exponential
+
+
+def uniform_exp(rate, s):
+    """The whole table of exp(-1j * rate * s) on the equally spaced times s."""
+    out, tile = np.empty((2, s.size), dtype=complex)
+    return _exp_rows(_exp_factors(rate, s.size, s.take), 0, s.size, s.size, out, tile)
 
 
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 20_001, 400_001])
@@ -287,7 +306,7 @@ def test_eta_sweep_exponentiates_few_elements(monkeypatch, parameter, grid):
 # ---------------------------------------------------------------------------
 # the streamed quadrature of the eta sweep and the time scan
 
-BLOCK = robustness._BLOCK_SAMPLES
+BLOCK = phasespace._BLOCK_SAMPLES
 STREAM_SAMPLES = [
     2,
     3,
@@ -328,7 +347,7 @@ def test_streamed_quadrature_matches_one_dense_block(samples, ratio, delta, phi_
     params = ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
     streamed = sweep_phases(params, samples, periods)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(robustness, "_BLOCK_SAMPLES", MAX_SAMPLES)
+        patch.setattr(phasespace, "_BLOCK_SAMPLES", MAX_SAMPLES)
         dense = sweep_phases(params, samples, periods)
     for value, reference in zip(streamed, dense):
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
@@ -352,7 +371,7 @@ def test_streamed_checks_keep_their_order_across_blocks(ratio, energy_scale, mes
     t = np.linspace(0.0, math.pi, 3 * BLOCK + 1)
     params = SimpleNamespace(ratio=ratio, phi_l=0.0, energy_scale=energy_scale)
     with pytest.raises(InvalidTrajectoryError, match=message):
-        _constant_drive_phases(params, t, _exp_factors(1.0, t))
+        _constant_drive_phases(params, t, _exp_factors(1.0, t.size, t.take))
 
 
 def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
@@ -370,3 +389,242 @@ def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
     # The time grids alone take 3.2 and 1.6 MB.
     assert eta_peak < 6e6
     assert scan_peak < 4e6
+
+
+# ---------------------------------------------------------------------------
+# the drive walk behind gamma0, the area study and induced_trajectory
+
+
+def walked(drive, tau, samples):
+    """Times, f and alpha of the walk's blocks joined, each carried sample dropped."""
+    blocks = []
+    with phasespace._workspace() as work:
+        for k, (t, f, alpha) in enumerate(drives._walk(drive, tau, samples, work)):
+            carried = 1 if k else 0
+            blocks.append((t[carried:].copy(), f[carried:].copy(), alpha[carried:].copy()))
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def pulses(durations):
+    """Pulses of amplitude 1, 2, 3, ...: f names the segment of each sample."""
+    segments = tuple(
+        DriveSegment(duration=d, amplitude=float(k + 1)) for k, d in enumerate(durations)
+    )
+    return DriveProfile(segments=segments, conditioner=jz_conditioner())
+
+
+WALK_SAMPLES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1, 65_537]
+
+
+@pytest.mark.parametrize("samples", WALK_SAMPLES)
+@pytest.mark.parametrize("tau", [5e-324, 1e-3, 1.0, 1e300])
+def test_walk_times_are_linspace_bit_for_bit(samples, tau):
+    t, _, _ = walked(pulses([tau]), tau, samples)
+    assert t.tobytes() == np.linspace(0.0, tau, samples).tobytes()
+
+
+@pytest.mark.parametrize(
+    "durations, samples",
+    [
+        # Grid steps of 1/8 put samples exactly on both segment starts.
+        ((0.25, 0.5, 0.25), 9),
+        ((0.25, 0.5, 0.25), 2 * BLOCK + 1),
+        ((0.5, 1e-9, 0.25), BLOCK + 1),
+    ],
+)
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-12])
+def test_walk_runs_on_segment_starts_match_locate(durations, samples, stretch):
+    drive = pulses(durations)
+    tau = drive.total_duration * stretch
+    index, _ = drives._locate(drive, np.linspace(0.0, tau, samples))
+    _, f, _ = walked(drive, tau, samples)
+    assert np.array_equal(f.real - 1.0, index)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    durations=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=6),
+    samples=st.integers(2, 3 * BLOCK + 1),
+    fraction=st.one_of(st.floats(1e-3, 1.0), st.just(1.0), st.just(1.0 + 1e-12)),
+)
+def test_walk_runs_match_locate(durations, samples, fraction):
+    drive = pulses(durations)
+    tau = drive.total_duration * fraction
+    t = np.linspace(0.0, tau, samples)
+    try:
+        index, local = drives._locate(drive, t)
+    except ValueError as exc:
+        # Past a total of 1, total * (1 + 1e-12) can round one step beyond
+        # the window's slack; the walk then refuses it as _locate does.
+        with pytest.raises(ValueError, match="outside the drive window") as refused:
+            walked(drive, tau, samples)
+        assert str(refused.value) == str(exc)
+        return
+    _, f, alpha = walked(drive, tau, samples)
+    assert np.array_equal(f.real - 1.0, index)
+    starts = drive.segment_alpha_starts[index]
+    amplitudes = np.array([s.amplitude for s in drive.segments])[index]
+    assert np.array_equal(alpha, starts + (-amplitudes) * local)
+
+
+def loop_phases(drive, samples):
+    """gamma0 and the area study's geometric and dynamic phase of one closed loop."""
+    row = area_invariance_study([drive], samples=samples).rows[0]
+    return [gamma0(drive, samples=samples), row.geometric, row.dynamic]
+
+
+@pytest.mark.parametrize("samples", [2, 3, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 65_537])
+@settings(max_examples=3, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MIXED_LOOPS)))
+def test_walked_quadratures_match_one_dense_block(samples, name):
+    drive = mixed_drive(name)
+    streamed = loop_phases(drive, samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phasespace, "_BLOCK_SAMPLES", MAX_SAMPLES)
+        dense = loop_phases(drive, samples)
+    for value, reference in zip(streamed, dense):
+        assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+def test_workspace_grows_to_the_largest_block_and_never_shrinks(monkeypatch):
+    drive = mixed_drive("two-tones")
+    gamma0(drive, samples=3 * BLOCK + 1)
+    monkeypatch.setattr(phasespace, "_BLOCK_SAMPLES", 2 * BLOCK)
+    gamma0(drive, samples=3 * BLOCK + 1)
+    monkeypatch.undo()
+    reference = gamma0(drive, samples=3 * BLOCK + 1)
+    with phasespace._workspace() as work:
+        assert work.block == BLOCK
+        assert work.ramp.size >= 2 * BLOCK + 1
+        assert np.array_equal(work.ramp[: 2 * BLOCK + 1], np.arange(2 * BLOCK + 1))
+    assert gamma0(drive, samples=3 * BLOCK + 1) == reference
+
+
+def test_a_nested_walk_borrows_its_own_workspace():
+    inner = mixed_drive("pulse-tone-pulse")
+    unnested = gamma0(inner, samples=2 * BLOCK + 1)
+    nested = []
+
+    def shape(s):
+        nested.append(gamma0(inner, samples=2 * BLOCK + 1))
+        return 0.3 * np.exp(-1.1j * np.asarray(s))
+
+    def plain(s):
+        return 0.3 * np.exp(-1.1j * np.asarray(s))
+
+    head, tail = tone(0.3, 1.7), tone(0.2, 0.6)
+    loops = [
+        DriveProfile(
+            (head, DriveSegment(duration=TWO_PI / 1.1, func=f), tail), odd_parity_projector()
+        )
+        for f in (shape, plain)
+    ]
+    assert gamma0(loops[0], samples=3 * BLOCK) == gamma0(loops[1], samples=3 * BLOCK)
+    study = [area_invariance_study([loop], samples=3 * BLOCK).rows[0] for loop in loops]
+    assert study[0] == study[1]
+    assert nested and all(value == unnested for value in nested)
+
+
+def test_threads_walk_in_their_own_workspaces():
+    drive = mixed_drive("pulse-tone-pulse")
+    reference = loop_phases(drive, 2 * BLOCK + 1)
+    results = []
+
+    def work():
+        for _ in range(3):
+            results.append(loop_phases(drive, 2 * BLOCK + 1))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [reference] * 12
+
+
+def test_walked_quadratures_allocate_no_block_arrays():
+    polygon = four_pulse_sequence([1.0, 1.0j, -1.0, -1.0j], [1.0] * 4)
+    loop = constant_drive(BASE, conditioner=jz_conditioner())
+    peaks = []
+    for run in (
+        lambda: area_invariance_study([polygon], samples=65_537),
+        lambda: gamma0(loop, samples=20_001),
+    ):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One dense 100,001-sample loop of the area study took about 10 MB.
+    assert max(peaks) < 128 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the sums find every non-finite sample, so the scans run only on failure
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def finite_samples(size, kind):
+    rng = np.random.default_rng(size)
+    if kind == "zeros":
+        return np.zeros(size)
+    scale = 1e300 if kind == "huge" else 1.0
+    return scale * rng.standard_normal(size)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    size=st.one_of(st.integers(2, 40), st.integers(2, BLOCK + 1)),
+    where=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    value=st.sampled_from(NON_FINITE),
+    part=st.sampled_from(["real", "imag"]),
+    kind=st.sampled_from(["normal", "zeros", "huge"]),
+)
+def test_a_non_finite_sample_makes_the_chord_sum_non_finite(size, where, value, part, kind):
+    z = finite_samples(size, kind) + 1j * finite_samples(size + 1, kind)[1:]
+    getattr(z, part)[round(where * (size - 1))] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(_chord_sum(z, np.empty(size, dtype=complex)))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    size=st.one_of(st.integers(2, 40), st.integers(2, BLOCK + 1)),
+    where=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    value=st.sampled_from(NON_FINITE),
+    kind=st.sampled_from(["normal", "zeros", "huge"]),
+)
+def test_a_non_finite_energy_makes_the_trapezoid_non_finite(size, where, value, kind):
+    energy = finite_samples(size, kind)
+    energy[round(where * (size - 1))] = value
+    times = np.linspace(0.0, 3.0, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(_trapezoid_sum(energy, times, np.empty(2 * size)))
+
+
+def test_area_study_checks_keep_their_order_across_blocks():
+    # A tone of amplitude 1e308 closes within the rounding of its overflowing
+    # peak.  Its energies overflow from the second sample on, its path only
+    # from about a third of the way round, in a later block.
+    loop = DriveProfile(
+        (DriveSegment(duration=2.0 * math.pi, amplitude=1e308, frequency=1.0),),
+        odd_parity_projector(),
+    )
+    samples = 4 * BLOCK + 1
+    with np.errstate(all="ignore"):
+        _, f, alpha = walked(loop, loop.total_duration, samples)
+        energy = 2.0 * np.imag(f * np.conj(alpha))
+        first_bad_energy = np.argmin(np.isfinite(energy))
+        first_bad_path = np.argmin(np.isfinite(alpha))
+        assert 0 < first_bad_energy < BLOCK < first_bad_path
+        with pytest.raises(InvalidTrajectoryError, match="trajectory contains non-finite samples"):
+            area_invariance_study([loop], samples=samples)
