@@ -39,11 +39,13 @@ from .drives import (
 from .errors import (
     ConfigError,
     InternalConsistencyError,
+    InvalidInputError,
     InvalidTrajectoryError,
     LoopGateError,
     LoopNotClosedError,
     NonDiagonalGateError,
     NonUnitaryError,
+    NumericalFailureError,
     SingularDetuningError,
     TruncationError,
     UndefinedPhaseError,
@@ -101,11 +103,13 @@ __all__ = [
     "FockPropagation",
     "FockSpace",
     "InternalConsistencyError",
+    "InvalidInputError",
     "InvalidTrajectoryError",
     "LoopGateError",
     "LoopNotClosedError",
     "NonDiagonalGateError",
     "NonUnitaryError",
+    "NumericalFailureError",
     "OracleSettings",
     "PhaseDecomposition",
     "SingularDetuningError",

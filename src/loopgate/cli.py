@@ -24,7 +24,8 @@ JSON object whose keys are the command's flag names with underscores;
 explicit flags override config values; unknown keys are rejected),
 ``--format json|csv``, and ``--out PATH``.  Numbers must be finite.  Without
 ``--out`` the report goes to stdout, byte-identical across runs with the
-same inputs.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+same inputs.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
+an error's base class in :mod:`loopgate.errors` picks between 2 and 3.
 """
 
 from __future__ import annotations
@@ -39,18 +40,7 @@ from . import drives
 from ._serialize import SCHEMA_VERSION, json_text, key_value_csv, read_json, sweep_csv
 from ._version import __version__
 from .drives import ConstantDriveParams, DriveProfile
-from .errors import (
-    ConfigError,
-    InternalConsistencyError,
-    InvalidTrajectoryError,
-    LoopNotClosedError,
-    NonDiagonalGateError,
-    NonUnitaryError,
-    SingularDetuningError,
-    TruncationError,
-    UndefinedPhaseError,
-    UnreachablePhaseError,
-)
+from .errors import ConfigError, InvalidInputError, LoopNotClosedError, NumericalFailureError
 from .gates import (
     BASIS_LABELS,
     apply_local_phase_correction,
@@ -99,23 +89,6 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_ORACLE_TOLERANCE = 1e-4
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ValueError,
-    OSError,
-    InvalidTrajectoryError,
-    LoopNotClosedError,
-    NonDiagonalGateError,
-    SingularDetuningError,
-    UnreachablePhaseError,
-)
-_NUMERICAL_ERRORS = (
-    InternalConsistencyError,
-    NonUnitaryError,
-    TruncationError,
-    UndefinedPhaseError,
-)
 
 
 def _flag(key: str) -> str:
@@ -167,7 +140,7 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
             value = config.get(key)
         if value is None:
             continue
-        spec = _FLAGS[key]
+        spec = _spec(args.command, key)
         kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
         if key not in ("drive", "grid"):
             # bool is a subclass of int, so booleans are told apart first.
@@ -175,6 +148,10 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
                 value, (int, float) if kind is float else kind
             ):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            if "choices" in spec and value not in spec["choices"]:
+                raise ConfigError(
+                    f"{key} must be one of {', '.join(spec['choices'])}, got {value!r}"
+                )
             if kind is float:
                 value = _finite(value, _flag(key))
             if key in _CAPS and value > _CAPS[key]:
@@ -182,6 +159,9 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
                     f"{_flag(key)} {value} exceeds the cap {_CAPS[key]}; "
                     f"use {_flag(key)} {_CAPS[key]} or less"
                 )
+            # Every tolerance bounds a nonnegative residual or deviation.
+            if key.endswith("tolerance") and value < 0:
+                raise ConfigError(f"{_flag(key)} must be nonnegative, got {value}")
         opts[key] = value
     return opts
 
@@ -233,17 +213,15 @@ def _constant_params(opts: dict, default_ratio: float | None = None) -> tuple[
     return echo, params
 
 
-def _resolve_drive(opts: dict, *, allow_conditioner: bool) -> tuple[DriveProfile, dict | None]:
+def _resolve_drive(opts: dict) -> tuple[DriveProfile, dict | None]:
     """Build the working drive from a file, an inline document, or constant params.
 
     Returns the profile and, for the constant family, an echo dict of the
     parameters used (None for document drives).
     """
     kind, payload = _drive_source(opts)
-    conditioner_name = opts.get("conditioner")
-    if not allow_conditioner and conditioner_name is not None:
-        raise ConfigError("--conditioner does not apply to this command")
-
+    name = opts.get("conditioner")
+    conditioner = None if name is None else standard_conditioner(name)
     if kind is not None:
         _reject(opts, (*_CONSTANT_DRIVE_FLAGS, "periods"), "to document drives")
         if kind == "paths":
@@ -252,15 +230,12 @@ def _resolve_drive(opts: dict, *, allow_conditioner: bool) -> tuple[DriveProfile
             drive = _load_drive_file(payload[0])
         else:
             drive = drives.drive_from_dict(payload)
-        if conditioner_name is not None:
-            drive = dataclasses.replace(drive, conditioner=standard_conditioner(conditioner_name))
+        if conditioner is not None:
+            drive = dataclasses.replace(drive, conditioner=conditioner)
         return drive, None
 
     echo, params = _constant_params(opts)
     echo["periods"] = opts.get("periods", 1.0)
-    conditioner = None
-    if conditioner_name is not None:
-        conditioner = standard_conditioner(conditioner_name)
     drive = drives.constant_drive(params, periods=echo["periods"], conditioner=conditioner)
     return drive, echo
 
@@ -301,7 +276,7 @@ def _parse_grid(opts: dict) -> list[float]:
 
 
 def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
-    drive, constant = _resolve_drive(opts, allow_conditioner=False)
+    drive, constant = _resolve_drive(opts)
     tau = opts.get("tau", drive.total_duration)
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
@@ -418,7 +393,7 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
             construction = "designed-drive"
             design_echo = {"target_phase": target, **_design_echo(params)}
         else:
-            drive, drive_echo = _resolve_drive(opts, allow_conditioner=True)
+            drive, drive_echo = _resolve_drive(opts)
             construction = "constant-drive" if drive_echo is not None else "drive-document"
         quadrature_gamma0 = closed_loop_gamma0(
             drive,
@@ -466,9 +441,10 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
 
 
 def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
-    drive, constant = _resolve_drive(opts, allow_conditioner=True)
+    drive, constant = _resolve_drive(opts)
     conditioner = drive.conditioner
-    tau = opts.get("tau", drive.total_duration)
+    # Checked before the reference gate, whose phases overflow far past the window.
+    tau = drives._require_tau(drive, opts.get("tau"))
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     n_max = opts.get("n_max", DEFAULT_N_MAX)
     steps = opts.get("steps", DEFAULT_STEPS)
@@ -570,11 +546,8 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
 
 def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
     parameter = opts.get("parameter")
-    choices = _FLAGS["parameter"]["choices"]
     if parameter is None:
-        raise ConfigError(f"sweep needs --parameter, one of {choices}")
-    if parameter not in choices:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; expected one of {choices}")
+        raise ConfigError(f"sweep needs --parameter, one of {_FLAGS['parameter']['choices']}")
 
     if parameter == "loop_shape":
         if "grid" in opts:
@@ -778,6 +751,11 @@ _COMMANDS = {
 }
 
 
+def _spec(command: str, key: str) -> dict:
+    """The add_argument keywords of flag ``key`` as ``command`` takes it."""
+    return {**_FLAGS[key], **_COMMANDS[command].overrides.get(key, {})}
+
+
 # ---------------------------------------------------------------------------
 # output
 
@@ -804,8 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=command.help, description=command.description)
         for dest in command.flags + _COMMON_FLAGS:
-            spec = {**_FLAGS[dest], **command.overrides.get(dest, {})}
-            sub.add_argument(_flag(dest), dest=dest, default=None, **spec)
+            sub.add_argument(_flag(dest), dest=dest, default=None, **_spec(name, dest))
     return parser
 
 
@@ -824,8 +801,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(args.config, args.command)
         opts = _options(args, config)
         fmt = opts.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
         out = opts.get("out")
         report, failure = _COMMANDS[args.command].handler(opts)
         report = {"schema_version": SCHEMA_VERSION, **report}
@@ -841,12 +816,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {failure}", file=sys.stderr)
             return EXIT_NUMERICAL
         return EXIT_OK
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalFailureError, InvalidInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NUMERICAL if isinstance(exc, NumericalFailureError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -127,15 +127,24 @@ class DriveSegment:
                 raise ValueError("segment amplitude must be finite")
             if not math.isfinite(self.frequency):
                 raise ValueError("segment frequency must be finite")
+            if not math.isfinite(self.frequency * self.duration):
+                raise ValueError(
+                    f"segment phase frequency * duration overflows: "
+                    f"{self.frequency:g} * {self.duration:g}"
+                )
             object.__setattr__(self, "amplitude", amplitude)
         elif self.amplitude != 0.0 + 0.0j or self.frequency != 0.0:
             raise ValueError("a callable segment must not also set amplitude or frequency")
+
+    # Where a closed form overflows, values and alpha_increment return
+    # non-finite entries without a warning; the checks that read them name it.
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """f evaluated at local times ``s``."""
         if self.func is not None:
             return np.asarray(self.func(s), dtype=complex)
-        return self.amplitude * np.exp(-1j * self.frequency * np.asarray(s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.amplitude * np.exp(-1j * self.frequency * np.asarray(s))
 
     def alpha_increment(self, s: np.ndarray) -> np.ndarray:
         """-integral_0^s f(u) du at local times ``s``, exact for closed forms."""
@@ -149,10 +158,11 @@ class DriveSegment:
             return -(
                 np.interp(s, grid, cumulative.real) + 1j * np.interp(s, grid, cumulative.imag)
             )
-        if self.frequency == 0.0:
-            return -self.amplitude * s
-        rotation = np.exp(-1j * self.frequency * s)
-        return -self.amplitude * (1.0 - rotation) / (1j * self.frequency)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.frequency == 0.0:
+                return -self.amplitude * s
+            rotation = np.exp(-1j * self.frequency * s)
+            return -self.amplitude * (1.0 - rotation) / (1j * self.frequency)
 
 
 @dataclass(frozen=True)
@@ -234,9 +244,14 @@ def four_pulse_sequence(
     return DriveProfile(segments=segments, conditioner=conditioner)
 
 
+def _window_slack(drive: DriveProfile) -> float:
+    """Rounding slack at each end of the drive window [0, duration]; the one rule for all checks."""
+    return 1e-12 * max(1.0, drive.total_duration)
+
+
 def _require_window(drive: DriveProfile, low: float, high: float) -> None:
     """Check that times from ``low`` to ``high`` lie in the drive window, up to rounding slack."""
-    slack = 1e-12 * max(1.0, drive.total_duration)
+    slack = _window_slack(drive)
     if low < -slack or high > drive.total_duration + slack:
         raise ValueError(
             f"time outside the drive window [0, {drive.total_duration}]: range [{low}, {high}]"
@@ -464,7 +479,7 @@ def induced_trajectory(
 def _require_tau(drive: DriveProfile, tau: float | None) -> float:
     """``tau`` as a float, the full duration when None; it must lie in (0, duration]."""
     tau = drive.total_duration if tau is None else float(tau)
-    if not (0.0 < tau <= drive.total_duration * (1.0 + 1e-12)):
+    if not (0.0 < tau <= drive.total_duration + _window_slack(drive)):
         raise ValueError(f"tau must lie in (0, {drive.total_duration}], got {tau}")
     return tau
 

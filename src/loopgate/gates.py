@@ -135,6 +135,8 @@ class TwoQubitGate:
         matrix = np.asarray(self.matrix, dtype=complex).copy()
         if matrix.shape != (4, 4):
             raise ValueError(f"gate matrix must be 4x4, got {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("gate matrix has non-finite entries")
         defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(4), 2)
         if defect > UNITARITY_TOLERANCE:
             raise NonUnitaryError(f"gate matrix is not unitary: defect {defect:.3e}")
@@ -201,7 +203,10 @@ def diagonal_gate(
             f"conditioner {conditioner.name!r} is not diagonal in the computational basis"
         )
     phases = tuple(float(b * b * gamma0_value) for b in conditioner.basis_eigenvalues)
-    gate = TwoQubitGate(matrix=np.diag(np.exp(1j * np.array(phases))), phases=phases)
+    # An overflowing phase makes a non-finite entry, which TwoQubitGate refuses.
+    with np.errstate(invalid="ignore"):
+        matrix = np.diag(np.exp(1j * np.array(phases)))
+    gate = TwoQubitGate(matrix=matrix, phases=phases)
     return gate, tuple(decompose(-phase, 2.0 * phase) for phase in phases)
 
 
@@ -264,7 +269,8 @@ def jy_squared_gate(gamma: float) -> TwoQubitGate:
     gamma = float(gamma)
     jy = jy_conditioner().matrix
     values, vectors = np.linalg.eigh(jy @ jy)
-    matrix = (vectors * np.exp(-1j * gamma * values)) @ vectors.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = (vectors * np.exp(-1j * gamma * values)) @ vectors.conj().T
     return TwoQubitGate(matrix=matrix, phases=None)
 
 

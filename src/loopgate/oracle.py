@@ -128,7 +128,8 @@ def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
 
     Raises ValueError when the escalation would pass ``MAX_N_MAX``.
     """
-    need = 4.0 * peak_excursion(drive, tau) ** 2
+    peak = peak_excursion(drive, tau)
+    need = 4.0 * peak * peak  # inf where it overflows, not OverflowError as with ** 2
     if need > MAX_N_MAX:
         raise ValueError(
             f"the loop reaches 4|beta alpha|^2 = {need:.4g}, beyond the cap n_max <= "
@@ -643,7 +644,8 @@ def propagate(
         overlap_modulus[j], peak_leakage[j] = abs(overlap[-1]), np.max(state_leakage)
     leakage = float(np.max(peak_leakage))
     if leakage > leakage_tol:
-        need = 4.0 * peak_excursion(drive, tau) ** 2
+        peak = peak_excursion(drive, tau)
+        need = 4.0 * peak * peak
         if need <= space.n_max:
             need = 2 * space.n_max
         recommended = int(math.ceil(need)) if need <= MAX_N_MAX else None

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: argument handling, config layering, outputs, exits."""
 
 import gc
+import inspect
 import json
 import math
 import os
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from loopgate import cli, drives
+from loopgate import cli, drives, errors
 from loopgate._serialize import json_text, key_value_csv, sweep_csv
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
+from loopgate.oracle import default_space
 from loopgate.phasespace import analytic_total_phase
 
 HALF_PI = math.pi / 2.0
@@ -991,3 +993,228 @@ def test_truncation_beyond_the_cap_says_so(capsys):
     )
     assert code == EXIT_NUMERICAL
     assert "beyond the cap n_max <= 1024" in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes come from the error taxonomy
+
+# Each error class and the exit code main returns for it.
+EXIT_BY_ERROR = {
+    "ConfigError": EXIT_INVALID,
+    "InvalidTrajectoryError": EXIT_INVALID,
+    "LoopNotClosedError": EXIT_INVALID,
+    "NonDiagonalGateError": EXIT_INVALID,
+    "SingularDetuningError": EXIT_INVALID,
+    "UnreachablePhaseError": EXIT_INVALID,
+    "InternalConsistencyError": EXIT_NUMERICAL,
+    "NonUnitaryError": EXIT_NUMERICAL,
+    "TruncationError": EXIT_NUMERICAL,
+    "UndefinedPhaseError": EXIT_NUMERICAL,
+}
+EXTRA_ARGUMENTS = {
+    "LoopNotClosedError": {"residual": 0.5},
+    "TruncationError": {"leakage": 0.5, "recommended_n_max": None},
+}
+
+
+def _concrete_errors():
+    bases = {errors.LoopGateError, errors.InvalidInputError, errors.NumericalFailureError}
+    return [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.LoopGateError) and cls not in bases
+    ]
+
+
+def test_every_error_class_has_one_base_and_its_exit_code(capsys, monkeypatch):
+    concrete = _concrete_errors()
+    assert sorted(cls.__name__ for cls in concrete) == sorted(EXIT_BY_ERROR)
+    for cls in concrete:
+        bases = [
+            base
+            for base in (errors.InvalidInputError, errors.NumericalFailureError)
+            if issubclass(cls, base)
+        ]
+        assert len(bases) == 1, cls
+        message = f"planted {cls.__name__}"
+        exc = cls(message, **EXTRA_ARGUMENTS.get(cls.__name__, {}))
+
+        def handler(opts, exc=exc):
+            raise exc
+
+        command = cli._COMMANDS["design"]._replace(handler=handler)
+        monkeypatch.setitem(cli._COMMANDS, "design", command)
+        code, out, err = run_cli(capsys, "design")
+        assert code == EXIT_BY_ERROR[cls.__name__], cls
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_cli_imports_only_the_error_classes_it_raises_or_catches():
+    imported = {
+        name
+        for name, value in vars(cli).items()
+        if inspect.isclass(value) and issubclass(value, errors.LoopGateError)
+    }
+    assert imported == {
+        "ConfigError",
+        "InvalidInputError",
+        "LoopNotClosedError",
+        "NumericalFailureError",
+    }
+
+
+# ---------------------------------------------------------------------------
+# every value from a config meets the flag's spec, as a flag value does
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("gate", {"omega_over_delta": 0.5, "conditioner": "JZ"},
+         "conditioner must be one of odd-parity-projector, jz, jy, got 'JZ'"),
+        ("oracle-verify", {"omega_over_delta": 0.5, "conditioner": "jy"},
+         "conditioner must be one of odd-parity-projector, jz, got 'jy'"),
+        ("sweep", {"parameter": "bogus", "grid": [1.0]},
+         "parameter must be one of time, timing_error, omega_over_delta, phi_l, delta, "
+         "loop_shape, got 'bogus'"),
+        ("design", {"target_phase": -1.0, "format": "xml"},
+         "format must be one of json, csv, got 'xml'"),
+    ],
+)
+def test_config_values_meet_the_flag_choices(capsys, tmp_path, command, cfg, message):
+    path = write_doc(tmp_path, "cfg.json", cfg)
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_without_parameter_names_the_choices(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--grid", "1")
+    assert code == EXIT_INVALID
+    assert err.startswith("error: sweep needs --parameter, one of ('time',")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["oracle-verify", "--omega-over-delta=0.5", "--n-max=16", "--steps=500",
+          "--state-only", "--tolerance=-1"], "--tolerance"),
+        (["oracle-verify", "--omega-over-delta=0.5", "--n-max=16", "--steps=500",
+          "--state-only", "--leakage-tolerance=-1"], "--leakage-tolerance"),
+        (["sweep", "--parameter=time", "--grid=1,2", "--analytic-tolerance=-1"],
+         "--analytic-tolerance"),
+        (["sweep", "--parameter=time", "--grid=1,2", "--oracle-tolerance=-1"],
+         "--oracle-tolerance"),
+        (["sweep", "--parameter=loop_shape", "--drive=CIRCLE", "--agreement-tolerance=-1"],
+         "--agreement-tolerance"),
+        (["phase", "--omega-over-delta=0.5", "--closure-tolerance=-1e+308"],
+         "--closure-tolerance"),
+    ],
+)
+def test_negative_tolerances_are_invalid(capsys, tmp_path, argv, flag):
+    circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    argv = [item.replace("CIRCLE", circle) for item in argv]
+    value = argv[-1].split("=", 1)[1]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {flag} must be nonnegative, got {float(value)}\n"
+
+
+def test_negative_config_tolerance_is_invalid(capsys, tmp_path):
+    path = write_doc(tmp_path, "cfg.json", {"omega_over_delta": 0.5, "tolerance": -1})
+    code, _, err = run_cli(capsys, "oracle-verify", "--config", path)
+    assert code == EXIT_INVALID
+    assert err == "error: --tolerance must be nonnegative, got -1.0\n"
+
+
+# ---------------------------------------------------------------------------
+# overflowing inputs end in one line that names the cause
+
+# One jz tone segment whose path overflows.
+OVERFLOWING_TONE = {
+    "schema_version": 1,
+    "conditioner": "jz",
+    "segments": [{"duration": 2.0 * math.pi, "amplitude": [1e308, 0.0], "frequency": 1.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["phase", "--drive", "TONE"], "loop-phase integrand conj(alpha) f is not finite"),
+        (["sweep", "--parameter", "loop_shape", "--drive", "TONE"],
+         "trajectory contains non-finite samples"),
+        (["phase", "--omega-over-delta=-1e+308", "--delta=1e-300"],
+         "total phase (omega/delta)^2 * (sin(delta t) - delta t) is not finite"),
+        (["phase", "--omega-over-delta", "0.5", "--delta", "1e+308", "--periods", "1e+308"],
+         "segment phase frequency * duration overflows: 1e+308 * 6.28319"),
+        (["gate", "--gamma=1e+308", "--conditioner=jy"], "gate matrix has non-finite entries"),
+        (["oracle-verify", "--omega-over-delta=-1", "--conditioner=jz", "--tau=1e+308",
+          "--state-only"], "tau must lie in (0, 6.283185307179586], got 1e+308"),
+    ],
+)
+def test_overflowing_inputs_print_one_line(capsys, tmp_path, argv, cause):
+    tone = write_doc(tmp_path, "tone.json", OVERFLOWING_TONE)
+    code, out, err = run_cli(capsys, *[item.replace("TONE", tone) for item in argv])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and cause in err
+
+
+def test_truncation_advice_for_an_overflowing_excursion(capsys, tmp_path):
+    # 4 |beta alpha|^2 overflows: the advice is the cap, not an OverflowError.
+    doc = {
+        "schema_version": 1,
+        "conditioner": "jz",
+        "segments": [{"duration": 2.0, "amplitude": [0.0, 4e153]}],
+    }
+    path = write_doc(tmp_path, "pulse.json", doc)
+    code, _, err = run_cli(
+        capsys, "oracle-verify", "--drive", path, "--n-max=24", "--steps=4960"
+    )
+    assert code == EXIT_NUMERICAL
+    assert err.count("\n") == 1
+    assert "the loop needs a truncation beyond the cap n_max <= 1024" in err
+    with pytest.raises(ValueError, match="beyond the cap"):
+        default_space(drives.drive_from_dict(doc))
+
+
+# ---------------------------------------------------------------------------
+# one drive-window rule for tau and for sample times
+
+# Segments whose total 3.000000001 rounds the two old end-of-window rules apart.
+UNEVEN_DOC = {
+    "schema_version": 1,
+    "conditioner": "odd-parity-projector",
+    "segments": [
+        {"duration": 1.0, "amplitude": [0.5, 0.0]},
+        {"duration": 1e-9, "amplitude": [0.0, 0.5]},
+        {"duration": 2.0, "amplitude": [-0.25, 0.0]},
+    ],
+}
+
+
+def test_tau_and_the_drive_window_share_one_end(capsys, tmp_path):
+    drive = drives.drive_from_dict(UNEVEN_DOC)
+    total = drive.total_duration
+    tau = total * (1.0 + 1e-12)
+    assert (total, tau) == (3.000000001, 3.0000000010030003)
+    message = r"tau must lie in \(0, 3.000000001\], got 3.0000000010030003"
+    with pytest.raises(ValueError, match=message):
+        drives.gamma0(drive, tau)
+    path = write_doc(tmp_path, "uneven.json", UNEVEN_DOC)
+    code, out, err = run_cli(capsys, "phase", "--drive", path, "--tau", repr(tau))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == (
+        "error: time outside the drive window [0, 3.000000001]: "
+        "range [0.0, 3.0000000010030003]\n"
+    )
+    # The last time the window admits passes both checks.
+    end = total + 1e-12 * total
+    assert math.isfinite(drives.gamma0(drive, end))
+    assert drives.closure_residual(drive, end) < 1.0

@@ -1,0 +1,250 @@
+"""A fuzz that holds every subcommand to the exit contract.
+
+Every argv drawn here ends in exit 0, 2 or 3.  Exit 2 or 3 prints exactly one
+stderr line, ``error: <message>``; exit 0 prints nothing on stderr and a
+report that strict JSON or ``csv`` reads back.  Arguments come from
+``cli._COMMANDS`` and the flag table (``cli._spec``), each in the form
+``--flag=value`` so that a value such as ``-1e+308`` is not read as an
+option.  Config files and drive documents come from a small grammar with
+unknown keys, wrong types and odd spellings.  The strategy bounds the cost
+of a run: n_max at most 64, steps at most 5,000, samples at most 20,001 and
+at most three grid values.
+
+numpy RuntimeWarnings are errors under pytest (pyproject.toml), so a run
+that warns fails here as an uncaught exception.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from loopgate import cli
+
+FUZZ = settings(
+    max_examples=600,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+# The largest value drawn for each flag that sizes the work.
+INT_BOUNDS = {"n_max": 64, "steps": 5_000, "samples": 20_001, "initial_fock": 70}
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 4e153, -4e153, 1e308, -1e308)
+
+# Values a run is likely to accept, then any value, with every sign, zero
+# and overflow edge.  A run draws either from these or mostly from the edges.
+moderate = st.one_of(st.sampled_from((0.25, 0.5, 1.0, 2.0)), st.floats(0.01, 3.0))
+any_float = st.one_of(
+    moderate,
+    moderate.map(lambda value: -value),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(-1e3, 1e3),
+)
+edges = st.one_of(st.sampled_from(EDGE_FLOATS), st.sampled_from(EDGE_FLOATS), any_float)
+
+# A value of the wrong type for any config key.
+wrong_types = st.sampled_from(("x", [], {}, None, True, 10**400, [1.0]))
+
+TWO_PI = 6.283185307179586
+
+
+@st.composite
+def drive_documents(draw, setting, anything):
+    """A closed loop (whole periods of a tone, or a rectangle of pulses), or any document.
+
+    The second kind has unknown keys, wrong types, odd spellings and any
+    number in any field.
+    """
+    if draw(st.booleans()):
+        segment = st.fixed_dictionaries(
+            {
+                "duration": st.one_of(anything, wrong_types),
+                "amplitude": st.one_of(st.lists(anything, min_size=2, max_size=2), wrong_types),
+            },
+            optional={"frequency": st.one_of(anything, wrong_types), "phase": anything},
+        )
+        return draw(
+            st.fixed_dictionaries(
+                {
+                    "schema_version": st.sampled_from((1, 1, 1, 2, "1")),
+                    "conditioner": st.sampled_from(
+                        ("odd-parity-projector", "jz", "jy", "JZ", "bogus", 5)
+                    ),
+                    "segments": st.one_of(st.lists(segment, min_size=1, max_size=4), wrong_types),
+                },
+                optional={"extra": st.just(1)},
+            )
+        )
+    a, b = draw(setting), draw(setting)
+    if draw(st.booleans()):
+        frequency = draw(st.one_of(moderate, st.sampled_from((1e-300, 4e153, 1e308))))
+        periods = draw(st.integers(1, 2))
+        segments = [
+            {"duration": periods * TWO_PI / frequency, "amplitude": [a, -b],
+             "frequency": frequency}
+        ]
+    else:
+        segments = [
+            {"duration": 1.0, "amplitude": [a, 0.0]},
+            {"duration": 1.0, "amplitude": [0.0, b]},
+            {"duration": 1.0, "amplitude": [-a, 0.0]},
+            {"duration": 1.0, "amplitude": [0.0, -b], "frequency": 0.0},
+        ]
+    conditioner = draw(st.sampled_from(("odd-parity-projector", "jz", "jy", "JZ")))
+    return {"schema_version": 1, "conditioner": conditioner, "segments": segments}
+
+
+@st.composite
+def runs(draw):
+    """An argv and the files it names, as {relative path: JSON document}.
+
+    Each run starts from one construction its command accepts, then adds
+    up to three flags with any value the parser takes, and maybe a config.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = cli._COMMANDS[command].flags
+    files = {}
+    setting, anything = (edges, edges) if draw(st.booleans()) else (moderate, any_float)
+    documents = drive_documents(setting, anything)
+
+    def drive_path():
+        name = f"drive{len(files)}.json"
+        files[name] = draw(documents)
+        return name
+
+    def value(key):
+        """A value the parser accepts for ``key``, as the flag table declares it."""
+        spec = cli._spec(command, key)
+        if "choices" in spec:
+            return draw(st.sampled_from(spec["choices"]))
+        if key == "drive":
+            return [drive_path() for _ in range(draw(st.integers(1, 2)))]
+        if key == "grid":
+            return ",".join(map(repr, draw(st.lists(anything, max_size=3))))
+        if spec.get("type") is float:
+            return draw(anything)
+        bound = INT_BOUNDS[key]
+        return draw(st.one_of(st.integers(max(bound - 40, 0), bound), st.integers(-2, bound)))
+
+    # One construction the command accepts.
+    given_flags = {}
+    if command == "sweep":
+        parameter = draw(st.sampled_from(cli._spec(command, "parameter")["choices"]))
+        given_flags["parameter"] = parameter
+        if parameter == "loop_shape":
+            given_flags["drive"] = [drive_path() for _ in range(draw(st.integers(1, 2)))]
+        else:
+            grid = draw(st.lists(moderate, min_size=1, max_size=3, unique=True))
+            given_flags["grid"] = ",".join(map(repr, sorted(grid)))
+    else:
+        constructions = {
+            "design": ("target_phase",),
+            "gate": ("target_phase", "gamma0", "gamma", "omega_over_delta", "drive"),
+        }.get(command, ("omega_over_delta", "drive"))
+        key = draw(st.sampled_from(constructions))
+        if key == "drive":
+            given_flags["drive"] = [drive_path()]
+        elif key == "target_phase":
+            given_flags[key] = -draw(setting)
+        else:
+            given_flags[key] = draw(setting)
+        if key == "gamma":
+            given_flags["conditioner"] = "jy"
+
+    # Then up to three flags with any value; the oracle's default size is past the bound.
+    for key in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+        given_flags[key] = True if cli._spec(command, key).get("action") == "store_true" else None
+    if command == "oracle-verify" or given_flags.get("oracle"):
+        given_flags.setdefault("n_max", None)
+        given_flags.setdefault("steps", None)
+    argv = [command]
+    for key, item in given_flags.items():
+        item = value(key) if item is None else item
+        if item is True:
+            argv.append(cli._flag(key))
+        else:
+            argv += [f"{cli._flag(key)}={entry}" for entry in (item if key == "drive" else [item])]
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(('json', 'csv')))}")
+
+    if draw(st.integers(0, 3)) == 3:
+        config = draw(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "schema_version": st.sampled_from((1, 1, 2)),
+                    "command": st.sampled_from((command, command, "phase")),
+                },
+            )
+        )
+        keys = [key for key in (*flags, "format") if key not in INT_BOUNDS]
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+            spec = cli._spec(command, key)
+            if draw(st.integers(0, 3)) == 3:
+                config[key] = draw(wrong_types)
+            elif spec.get("action") == "store_true":
+                config[key] = draw(st.booleans())
+            elif key == "drive":
+                form = draw(st.sampled_from(("path", "list", "inline")))
+                if form == "inline":
+                    config[key] = draw(documents)
+                else:
+                    config[key] = drive_path() if form == "path" else value(key)
+            elif "choices" in spec:
+                config[key] = draw(st.sampled_from((*spec["choices"], "JZ", "jy", "bogus")))
+            elif key == "grid":
+                config[key] = draw(st.lists(anything, max_size=3))
+            else:
+                config[key] = value(key)
+        if draw(st.integers(0, 5)) == 5:
+            config["unknown_key"] = 1
+        files["config.json"] = config
+        argv.append("--config=config.json")
+    return argv, files
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@FUZZ
+@given(runs())
+def test_every_argv_meets_the_exit_contract(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as directory:
+        for name, document in files.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+        here = os.getcwd()
+        os.chdir(directory)
+        try:
+            code, out, err = _run(argv)
+        finally:
+            os.chdir(here)
+
+    assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_NUMERICAL), (argv, code)
+    if code != cli.EXIT_OK:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert err.endswith("\n"), (argv, err)
+        return
+    assert err == "", (argv, err)
+    flag_format = [item.split("=", 1)[1] for item in argv if item.startswith("--format=")]
+    if (flag_format or [files.get("config.json", {}).get("format")])[0] == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, out)
+    else:
+        json.loads(out, parse_constant=_reject_constant)

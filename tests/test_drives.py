@@ -76,6 +76,19 @@ def test_segment_validation():
         DriveSegment(duration=-1.0, amplitude=1.0)
     with pytest.raises(ValueError):
         DriveSegment(duration=1.0, amplitude=1.0, func=lambda s: s)
+    with pytest.raises(ValueError, match=r"frequency \* duration overflows: 1e\+308 \* 2"):
+        DriveSegment(duration=2.0, amplitude=1.0, frequency=1e308)
+
+
+def test_overflowing_segment_values_are_silent():
+    # f = 1.7e308 (1 + i) exp(-i s) has a real part past the float range at
+    # s = pi/4, and alpha overflows by s = pi/2.  The values come back
+    # non-finite for the checks that read them, with no RuntimeWarning (an
+    # error under pytest).
+    segment = DriveSegment(duration=2.0 * math.pi, amplitude=1.7e308 * (1 + 1j), frequency=1.0)
+    s = np.array([0.25 * math.pi, 0.5 * math.pi])
+    assert not np.isfinite(segment.values(s)).all()
+    assert not np.isfinite(segment.alpha_increment(s)).all()
 
 
 def test_callable_segment_matches_closed_form():
