@@ -577,6 +577,8 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
     settings = _oracle_settings(opts)
 
     if parameter == "time":
+        if settings is None:
+            _reject(opts, ("oracle_tolerance",), "without --oracle")
         report = noncyclic_scan(
             base,
             grid,
@@ -772,8 +774,20 @@ def _emit(text: str, out: str | None) -> None:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigError (exit 2) for an argv it refuses.
+
+    Its sub-parsers are of this class too.  ``--help`` and ``--version``
+    still print and raise SystemExit(0).
+    """
+
+    def error(self, message: str):
+        # An unrecognized argument is echoed as given; keep the message one line.
+        raise ConfigError(" ".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopgate",
         description="Phase-space loop gates: phases, gates, brute-force checks, sweeps.",
     )
@@ -796,8 +810,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         config = _load_config(args.config, args.command)
         opts = _options(args, config)
         fmt = opts.get("format", "json")

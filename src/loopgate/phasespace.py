@@ -449,19 +449,10 @@ def constant_drive_alpha(
     circle of radius |omega/delta| that closes after each period 2*pi/delta.
     """
     _require_positive_delta(delta)
-    return _circle_path(omega_over_delta, phi_l, np.exp(-1j * delta * np.asarray(t)))
-
-
-def _circle_path(omega_over_delta: float, phi_l: float, rotation, out=None):
-    """The constant-drive path given ``rotation`` = exp(-i*delta*t); overflows are not finite.
-
-    ``out``, when given, is an array shaped like ``rotation`` that receives the path.
-    """
+    rotation = np.exp(-1j * delta * np.asarray(t))
+    # A path that overflows is not finite; Trajectory refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
-        path = np.subtract(rotation, 1.0, out=out)
-        path *= 1j * omega_over_delta
-        path *= np.exp(1j * phi_l)
-        return path
+        return (rotation - 1.0) * (1j * omega_over_delta) * np.exp(1j * phi_l)
 
 
 def analytic_trajectory(

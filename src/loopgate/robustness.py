@@ -34,9 +34,13 @@ from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
     _block_phases,
-    _circle_path,
+    _chord_sum,
     _exp_factors,
     _exp_rows,
+    _require_finite_chord,
+    _require_finite_dynamic,
+    _require_grid_path,
+    _trapezoid_sum,
     _Workspace,
     _workspace,
     analytic_total_phase,
@@ -176,44 +180,77 @@ def _constant_drive_grid(
     return grid, _exp_factors(delta, samples, grid.take)
 
 
+def _unit_sums(
+    t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
+) -> tuple[float, float, float]:
+    """Chord sum, trapezoid and peak energy of the unit loop on the ``np.linspace`` grid ``t``.
+
+    ``factors`` is the rotation's ``_exp_factors`` on ``t``.  The unit loop
+    is u = exp(-i*delta*t) - 1 and its energy 1 - cos(delta*t) = -Re(u),
+    rounded alike.  The rotation is rebuilt from the factors one block of
+    whole table rows at a time and turned into u in place, so no N-sample
+    array is built.  Returns the chord sum of u, the trapezoid
+    -integral(1 - cos(delta*t) dt) and max(1 - cos(delta*t)); every sample
+    is at most 2 in modulus, so all three are finite.
+    """
+    width = factors[1].size
+    chord = trapezoid = peak = 0.0
+    with _workspace() as work:
+        block = max(1, min(work.block // width, factors[0].size)) * width
+        work.reserve(block + 1)
+        # Slot 0 of u carries the previous block's last sample.
+        u = work.alpha
+        for start in range(0, t.size, block):
+            stop = min(start + block, t.size)
+            count = stop - start
+            fresh = _exp_rows(
+                factors, start, stop, t.size, out=u[1 : count + 1], tile=work.scratch[:count]
+            )
+            fresh -= 1.0
+            peak = max(peak, -float(fresh.real.min()))
+            head = 0 if start else 1
+            part = u[head : count + 1]
+            chord += _chord_sum(part, work.scratch)
+            trapezoid -= _trapezoid_sum(
+                part.real, t[start - 1 + head : stop], work.scratch.view(float)
+            )
+            u[0] = u[count]
+    return chord, trapezoid, peak
+
+
+def _scaled_phases(
+    ratio: float, energy_scale: float, t: np.ndarray, unit: tuple[float, float, float]
+) -> tuple[float, float]:
+    """Geometric and dynamic phase of the constant-drive path from its ``unit`` loop sums on ``t``.
+
+    The path is i*ratio*exp(i*phi_l)*u, so its chord sum is ratio**2 times
+    that of u, and <H> = energy_scale * (1 - cos(delta*t)), so its
+    trapezoid is energy_scale times the unit one.  The checks of
+    :func:`~loopgate.phasespace._block_phases` run in its order (path,
+    times, chord sum, energies, integral), each decided from a scalar: the
+    peak |path| = |ratio| * sqrt(2 * max(1 - cos)), the scaled chord sum,
+    the peak energy energy_scale * max(1 - cos) and the scaled integral.
+    """
+    chord, trapezoid, peak = unit
+    _require_grid_path(t, t.size, math.isfinite(abs(ratio) * math.sqrt(2.0 * peak)))
+    geometric = _require_finite_chord(ratio * ratio * chord)
+    return geometric, _require_finite_dynamic(
+        math.isfinite(energy_scale * peak), energy_scale * trapezoid
+    )
+
+
 def _constant_drive_phases(
     params: ConstantDriveParams, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
 ) -> tuple[float, float]:
     """Geometric and dynamic phase of the constant-drive path on the ``np.linspace`` grid ``t``.
 
-    ``factors`` is the rotation's ``_exp_factors`` on ``t``.  The rotation
-    exp(-i*delta*t) is rebuilt from them one block of whole table rows at a
-    time, and the path and <H> = energy_scale * (1 - cos(delta*t)) are read
-    off each block, which :func:`~loopgate.phasespace._block_phases` adds
-    to one chord sum and one trapezoid over its slice of ``t``.  So no
-    N-sample rotation, path or energy array is built.
+    ``factors`` is the rotation's ``_exp_factors`` on ``t``; the unit loop
+    is integrated on ``t`` and its sums scaled by :func:`_scaled_phases`.
+    ``params.energy_scale`` is read first, so an overflowing omega_d**2
+    raises its ValueError before any sum.
     """
-    width = factors[1].size
     energy_scale = params.energy_scale
-    with _workspace() as work:
-        block = max(1, min(work.block // width, factors[0].size)) * width
-        work.reserve(block + 1)
-        # No drive is walked here, so the walk's f array takes the rotation
-        # and its times array the energies.  Slot 0 of path and energy
-        # carries the previous block's last sample.
-        path, energy = work.alpha, work.times
-
-        def blocks():
-            for start in range(0, t.size, block):
-                stop = min(start + block, t.size)
-                count = stop - start
-                rotation = _exp_rows(
-                    factors, start, stop, t.size, out=work.f[:count], tile=work.scratch[:count]
-                )
-                _circle_path(params.ratio, params.phi_l, rotation, out=path[1 : count + 1])
-                e = np.subtract(1.0, rotation.real, out=energy[1 : count + 1])
-                e *= energy_scale
-                head = 0 if start else 1
-                yield t[start - 1 + head : stop], path[head : count + 1], energy[head : count + 1]
-                path[0] = path[count]
-                energy[0] = energy[count]
-
-        return _block_phases(blocks, t.size, work)
+    return _scaled_phases(params.ratio, energy_scale, t, _unit_sums(t, factors))
 
 
 def _noncyclic_samples(
@@ -421,16 +458,19 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     rows = []
     max_eta_dev = 0.0
     max_eta_dev_oracle = None
-    # Points that share delta share the one-period grid and its exponentials.
-    delta = grid = factors = None
+    # Points that share delta share the one-period grid and its unit loop
+    # sums, so an omega_over_delta or phi_l sweep integrates one loop.
+    delta = grid = unit = None
     for value in spec.grid:
         params = _apply_parameter(spec.base, spec.parameter, value)
+        energy_scale = params.energy_scale  # raises ValueError when omega_d**2 overflows
         if params.delta != delta:
             # Drop the previous grid first, so one is held at a time.
-            grid = factors = None
+            grid = None
             delta = params.delta
             grid, factors = _constant_drive_grid(delta, params.period, samples)
-        geometric, dyn = _constant_drive_phases(params, grid, factors)
+            unit = _unit_sums(grid, factors)
+        geometric, dyn = _scaled_phases(params.ratio, energy_scale, grid, unit)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
             max_eta_dev = max(max_eta_dev, abs(decomposition.eta + 2.0))

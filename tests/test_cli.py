@@ -447,10 +447,13 @@ def test_oracle_verify_initial_fock(capsys):
 
 
 def test_oracle_verify_rejects_jy(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["oracle-verify", "--omega-over-delta", "0.5", "--conditioner", "jy"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    code, out, err = run_cli(
+        capsys, "oracle-verify", "--omega-over-delta", "0.5", "--conditioner", "jy"
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: argument --conditioner: invalid choice: 'jy'")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_oracle_verify_integrates_gamma0_only_for_drive_documents(capsys, monkeypatch, tmp_path):
@@ -638,10 +641,11 @@ def test_sweep_loop_shape_rejects_open_loop(capsys, tmp_path):
 
 
 def test_sweep_unknown_parameter_rejected_by_parser(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--parameter", "voltage", "--grid", "1"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "voltage", "--grid", "1")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: argument --parameter: invalid choice: 'voltage'")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_sweep_empty_grid_rejected(capsys):
@@ -664,6 +668,38 @@ def test_sweep_oracle_settings_require_flag(capsys):
     )
     assert code == EXIT_INVALID
     assert "oracle" in err
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_time_scan_oracle_tolerance_requires_oracle(capsys, tmp_path, given):
+    argv = ["sweep", "--parameter=time", "--grid=1,2"]
+    if given == "flag":
+        argv.append("--oracle-tolerance=0.1")
+    else:
+        config = write_doc(tmp_path, "config.json", {"oracle_tolerance": 0.1})
+        argv.append(f"--config={config}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: --oracle-tolerance does not apply without --oracle\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["phase", "--conditioner", "jz"], "unrecognized arguments: --conditioner jz"),
+        (["phase", "--delta", "one"], "argument --delta: invalid float value: 'one'"),
+        (["phase", "--x\ny"], "unrecognized arguments: --x y"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_parser_refusals_return_two_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ unknown keys, wrong types and odd spellings.  The strategy bounds the cost
 of a run: n_max at most 64, steps at most 5,000, samples at most 20,001 and
 at most three grid values.
 
+Argv the parser refuses (an unknown flag, a value that is not a number, a
+value outside a flag's choices, no command) is drawn too: each returns 2
+with one ``error: `` line, and prints no report.
+
 numpy RuntimeWarnings are errors under pytest (pyproject.toml), so a run
 that warns fails here as an uncaught exception.
 """
@@ -210,6 +214,37 @@ def runs(draw):
     return argv, files
 
 
+# Words that no flag takes as a number or as a choice.
+junk_words = st.sampled_from(("x", "1,2", "--", "JZ", "0x1p", "", "one two"))
+
+
+@st.composite
+def refused_argv(draw):
+    """An argv the parser refuses, maybe with a valid ``--format`` beside it.
+
+    It has an unknown flag, a value that is not a number or not a choice, or
+    no command.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    keys = cli._COMMANDS[command].flags + cli._COMMON_FLAGS
+    specs = {key: cli._spec(command, key) for key in keys}
+    kind = draw(st.sampled_from(("unknown flag", "not a number", "not a choice", "no command")))
+    if kind == "no command":
+        return draw(st.sampled_from(([], ["--format=json"], ["--bogus"])))
+    if kind == "unknown flag":
+        words = ("--bogus", "--n_max", "--conditioner", "-x", "extra")
+        taken = {cli._flag(key) for key in keys}
+        refused = draw(st.sampled_from([word for word in words if word not in taken]))
+    else:
+        wanted = "choices" if kind == "not a choice" else "type"
+        key = draw(st.sampled_from(sorted(key for key, spec in specs.items() if wanted in spec)))
+        refused = f"{cli._flag(key)}={draw(junk_words)}"
+    argv = [command, refused]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, 2)), "--format=csv")
+    return argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -248,3 +283,12 @@ def test_every_argv_meets_the_exit_contract(run):
         assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, out)
     else:
         json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(refused_argv())
+def test_refused_argv_returns_two_with_one_line(argv):
+    code, out, err = _run(argv)
+    assert code == cli.EXIT_INVALID, (argv, code, err)
+    assert out == "", (argv, out)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -12,6 +12,8 @@ from loopgate.drives import (
     DriveProfile,
     DriveSegment,
     constant_drive,
+    drive_from_dict,
+    drive_to_dict,
     gamma0,
 )
 from loopgate.gates import odd_parity_projector
@@ -93,6 +95,26 @@ def test_area_study_is_invariant_under_rotation(polygon, angle):
     report = area_invariance_study(loops, samples=POLYGON_SAMPLES, agreement_tolerance=1e-9)
     for row in report.rows:
         assert row.geometric == pytest.approx(-2.0 * shoelace_area(vertices), abs=1e-9)
+
+
+@PROPERTY
+@given(polygons(), st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6))
+def test_area_study_is_invariant_under_time_reparametrisation(polygon, stretches):
+    # Each pulse of the document lasts s times as long at 1/s of its
+    # amplitude: the same polygon, traversed at a different rate per side.
+    vertices, cuts, total = polygon
+    document = drive_to_dict(polygon_drive(vertices, cuts, total))
+    for segment, stretch in zip(document["segments"], stretches):
+        segment["duration"] *= stretch
+        segment["amplitude"] = [part / stretch for part in segment["amplitude"]]
+    loops = [polygon_drive(vertices, cuts, total), drive_from_dict(document)]
+    # The study itself raises when the two geometric phases differ by more
+    # than its agreement tolerance.
+    report = area_invariance_study(loops)
+    tolerance = report.metadata["agreement_tolerance"]
+    assert report.metadata["geometric_phase_spread"] <= tolerance
+    for row in report.rows:
+        assert row.geometric == pytest.approx(-2.0 * shoelace_area(vertices), abs=tolerance)
 
 
 @st.composite

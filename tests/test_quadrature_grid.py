@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgate import drives, phasespace
+from loopgate import drives, phasespace, robustness
 from loopgate.drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
@@ -42,6 +42,7 @@ from loopgate.phasespace import (
     _exp_rows,
     _trapezoid_sum,
     analytic_trajectory,
+    constant_drive_alpha,
 )
 from loopgate.robustness import (
     ETA_SWEEP_SAMPLES,
@@ -389,6 +390,67 @@ def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
     # The time grids alone take 3.2 and 1.6 MB.
     assert eta_peak < 6e6
     assert scan_peak < 4e6
+
+
+def dense_constant_phases(params, t):
+    """Chord sum and np.trapezoid of the path constant_drive_alpha on t, one sample at a time."""
+    alpha = constant_drive_alpha(params.ratio, params.delta, params.phi_l, t)
+    geometric = -np.sum(np.imag(np.conj(alpha[:-1]) * alpha[1:]))
+    return geometric, -np.trapezoid(constant_drive_h_expect(params)(alpha, t), t)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    ratios=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+    delta=st.floats(0.2, 5.0),
+    phi_l=st.floats(-math.pi, math.pi),
+    samples=st.one_of(st.integers(2, 200), st.integers(2, 3 * BLOCK + 1)),
+    periods=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=2),
+)
+def test_scaled_unit_loop_matches_a_dense_reference(ratios, delta, phi_l, samples, periods):
+    # Every point of an omega_over_delta sweep scales one unit loop; each
+    # time of a scan integrates its own.
+    base = ConstantDriveParams(omega_d=ratios[0] * delta, delta=delta, phi_l=phi_l)
+    sweep = eta_invariance_sweep(
+        SweepSpec(parameter="omega_over_delta", grid=tuple(ratios), base=base), samples=samples
+    )
+    times = [p * base.period for p in periods]
+    scan = noncyclic_scan(base, times, samples=samples, analytic_tolerance=math.inf)
+    checks = []
+    for ratio, row in zip(ratios, sweep.rows):
+        params = ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
+        t = np.linspace(0.0, params.period, samples)
+        checks.append(((row.geometric, row.dynamic), dense_constant_phases(params, t)))
+    for time, row in zip(times, scan.rows):
+        t = np.linspace(0.0, time, samples)
+        checks.append(((row.geometric, row.dynamic), dense_constant_phases(base, t)))
+    for values, references in checks:
+        for value, reference in zip(values, references):
+            assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize(
+    "parameter, grid, walks",
+    [
+        ("omega_over_delta", (0.2, 0.5, 1.0, 1.4), 1),
+        ("phi_l", (-2.0, 0.0, 1.5), 1),
+        ("delta", (1.0, 1.0, 2.0), 2),
+    ],
+)
+def test_eta_sweep_walks_one_unit_loop_per_run_of_equal_delta(
+    monkeypatch, parameter, grid, walks
+):
+    calls = []
+    real_unit_sums = robustness._unit_sums
+
+    def counting_unit_sums(t, factors):
+        calls.append(t.size)
+        return real_unit_sums(t, factors)
+
+    monkeypatch.setattr(robustness, "_unit_sums", counting_unit_sums)
+    report = eta_invariance_sweep(SweepSpec(parameter=parameter, grid=grid, base=BASE))
+    assert len(report.rows) == len(grid)
+    assert calls == [ETA_SWEEP_SAMPLES] * walks
 
 
 # ---------------------------------------------------------------------------

@@ -341,9 +341,12 @@ def test_report_write_round_trip(sample_report, tmp_path, capsys):
     tree = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(sample_report)}
     assert json.loads(text) == json.loads(json_text(tree))
     assert csv_path.read_text() == sweep_csv(tree)
-    with pytest.raises(SystemExit):
-        cli.main(SAMPLE_SWEEP + ["--format", "xml"])
     capsys.readouterr()
+    assert cli.main(SAMPLE_SWEEP + ["--format", "xml"]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --format: invalid choice: 'xml'")
+    assert captured.err.count("\n") == 1
 
 
 def test_report_rows_are_frozen(sample_report):
