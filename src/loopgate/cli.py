@@ -648,7 +648,8 @@ _FLAGS = {
     "tau": {"type": float, "metavar": "T",
             "help": "evaluation time (default: full drive duration)"},
     "samples": {"type": int, "metavar": "N",
-                "help": "quadrature samples (per point in sweeps)"},
+                "help": "quadrature samples (per point in sweeps; an eta sweep takes an odd "
+                        "count per run of equal delta and extrapolates to fourth order)"},
     "require_closed": {"action": "store_true",
                        "help": "fail (exit 2) when the loop is open at tau"},
     "closure_tolerance": {"type": float, "metavar": "TOL",
@@ -774,12 +775,32 @@ def _emit(text: str, out: str | None) -> None:
 # parser
 
 
+class _Numbers:
+    """Matches an argument that is a number or a comma list of numbers."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            for part in arg.split(","):
+                float(part)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises ConfigError (exit 2) for an argv it refuses.
 
     Its sub-parsers are of this class too.  ``--help`` and ``--version``
-    still print and raise SystemExit(0).
+    still print and raise SystemExit(0).  An argument with a leading minus
+    that reads as a number or a comma list of numbers, such as ``-1e-3`` or
+    ``-0.5,0.5``, is a flag's value; argparse's own rule takes only a plain
+    ``-1`` or ``-0.5``.  No flag looks like a number, so none is shadowed.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _Numbers
 
     def error(self, message: str):
         # An unrecognized argument is echoed as given; keep the message one line.

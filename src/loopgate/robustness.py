@@ -49,10 +49,12 @@ from .phasespace import (
 )
 
 # Quadrature sampling densities chosen so the stated analytic tolerances
-# (1e-9 on phase identities) hold with margin; both are second order in the
-# grid spacing.  NONCYCLIC_SAMPLES is the floor of a time scan's sample
-# count; see _noncyclic_samples.
-ETA_SWEEP_SAMPLES = 400_001
+# (1e-9 on phase identities) hold with margin.  The time scan and the area
+# study are second order in the grid spacing; NONCYCLIC_SAMPLES is the floor
+# of a time scan's sample count (see _noncyclic_samples).  The eta sweep
+# extrapolates from every other sample, per run of equal delta, so it is
+# fourth order and its count is odd; see _extrapolated_unit_sums.
+ETA_SWEEP_SAMPLES = 4_097
 NONCYCLIC_SAMPLES = 200_001
 AREA_STUDY_SAMPLES = 100_001
 
@@ -216,6 +218,41 @@ def _unit_sums(
             )
             u[0] = u[count]
     return chord, trapezoid, peak
+
+
+def _require_odd_samples(samples: int) -> int:
+    """``samples`` after checking that it makes a grid of an even number of intervals."""
+    if _require_samples(samples) % 2 == 0:
+        raise ValueError(f"an eta sweep needs an odd number of samples, got {samples}")
+    return samples
+
+
+def _extrapolated_unit_sums(
+    delta: float, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
+) -> tuple[float, float, float]:
+    """:func:`_unit_sums` on the one-period grid ``t`` of odd size, Richardson-extrapolated.
+
+    The chord sum and the trapezoid are also taken over every other sample
+    of ``t``, S_half beside S_N, and each is reported as
+    S_N + (S_N - S_half) / 3 = (4 S_N - S_half) / 3, written so that it
+    overflows only where S_N does.  On M = N - 1 intervals of a loop of
+    phase x = delta * period the unit chord sum is off by
+    M sin(x/M) - x = -x**3 / (6 M**2) + x**5 / (120 M**4) - ..., so
+    (S_N - S_half) / 3 estimates its correction, and the extrapolation
+    cancels the M**-2 term and leaves -x**5 / (30 M**4) to leading order.
+    The trapezoid of 1 - cos over whole periods is exact up to rounding on
+    either grid.  The peak comes from the fine walk.
+    """
+    chord, trapezoid, peak = _unit_sums(t, factors)
+    half = t[::2]
+    coarse_chord, coarse_trapezoid, _ = _unit_sums(
+        half, _exp_factors(delta, half.size, half.take)
+    )
+    return (
+        chord + (chord - coarse_chord) / 3.0,
+        trapezoid + (trapezoid - coarse_trapezoid) / 3.0,
+        peak,
+    )
 
 
 def _scaled_phases(
@@ -453,7 +490,9 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     changes), or phi_l.  Every point is evaluated at exactly one period, so
     the loop is closed and eta is well defined; the metadata summarizes
     max |eta + 2| for the analytic rows and, when oracle settings are given,
-    for the brute-force rows as well.
+    for the brute-force rows as well.  The quadrature is extrapolated from
+    every other sample (:func:`_extrapolated_unit_sums`), so ``samples``
+    must be odd; an even count raises ValueError.
     """
     rows = []
     max_eta_dev = 0.0
@@ -468,8 +507,10 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
             # Drop the previous grid first, so one is held at a time.
             grid = None
             delta = params.delta
-            grid, factors = _constant_drive_grid(delta, params.period, samples)
-            unit = _unit_sums(grid, factors)
+            grid, factors = _constant_drive_grid(
+                delta, params.period, _require_odd_samples(samples)
+            )
+            unit = _extrapolated_unit_sums(delta, grid, factors)
         geometric, dyn = _scaled_phases(params.ratio, energy_scale, grid, unit)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:

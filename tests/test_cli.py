@@ -702,6 +702,50 @@ def test_parser_refusals_return_two_with_one_line(capsys, argv, message):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--parameter", "phi_l", "--grid", "-0.5,0.5"],
+        ["sweep", "--parameter", "omega_over_delta", "--grid", "-1e-3,2E+0"],
+        ["phase", "--omega-over-delta", "-1e-3"],
+        ["phase", "--omega-over-delta", "0.5", "--phi-l", "-1"],
+        ["gate", "--gamma0", "-.25"],
+        ["sweep", "--parameter", "time", "--grid", "-1e-3"],
+    ],
+)
+def test_a_negative_value_after_a_separate_flag_is_its_value(capsys, argv):
+    # argparse alone reads "-0.5,0.5" or "-1e-3" as a flag and refuses the
+    # argv with "expected one argument"; the value must act as "--flag=value".
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    expected = run_cli(capsys, *joined)
+    assert run_cli(capsys, *argv) == expected
+    assert "expected one argument" not in expected[2]
+
+
+@pytest.mark.parametrize("argv", [["--grid", "-x"], ["--grid", "--samples"], ["--grid", "-1,x"]])
+def test_a_flag_like_value_after_a_separate_flag_is_still_refused(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "phi_l", *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: argument --grid: expected one argument\n"
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("parameter", ["omega_over_delta", "phi_l", "delta"])
+def test_eta_sweep_refuses_an_even_sample_count(capsys, tmp_path, given, parameter):
+    argv = ["sweep", f"--parameter={parameter}", "--grid=0.5,1"]
+    if given == "flag":
+        argv += ["--samples", "1000"]
+    else:
+        argv.append(f"--config={write_doc(tmp_path, 'config.json', {'samples': 1000})}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: an eta sweep needs an odd number of samples, got 1000\n"
+    # One more sample runs.
+    assert run_cli(capsys, *argv[:3], "--samples=1001")[0] == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # design
 

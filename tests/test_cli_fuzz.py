@@ -4,8 +4,9 @@ Every argv drawn here ends in exit 0, 2 or 3.  Exit 2 or 3 prints exactly one
 stderr line, ``error: <message>``; exit 0 prints nothing on stderr and a
 report that strict JSON or ``csv`` reads back.  Arguments come from
 ``cli._COMMANDS`` and the flag table (``cli._spec``), each in the form
-``--flag=value`` so that a value such as ``-1e+308`` is not read as an
-option.  Config files and drive documents come from a small grammar with
+``--flag=value`` or ``--flag value``; the parser takes a value with a
+leading minus, such as ``-1e+308`` or ``-0.5,1.0``, after a separate flag
+too, so no drawn argv is refused with "expected one argument".  Config files and drive documents come from a small grammar with
 unknown keys, wrong types and odd spellings.  The strategy bounds the cost
 of a run: n_max at most 64, steps at most 5,000, samples at most 20,001 and
 at most three grid values.
@@ -171,10 +172,12 @@ def runs(draw):
     argv = [command]
     for key, item in given_flags.items():
         item = value(key) if item is None else item
+        flag = cli._flag(key)
         if item is True:
-            argv.append(cli._flag(key))
-        else:
-            argv += [f"{cli._flag(key)}={entry}" for entry in (item if key == "drive" else [item])]
+            argv.append(flag)
+            continue
+        for entry in item if key == "drive" else [item]:
+            argv += [f"{flag}={entry}"] if draw(st.booleans()) else [flag, str(entry)]
     if draw(st.booleans()):
         argv.append(f"--format={draw(st.sampled_from(('json', 'csv')))}")
 
@@ -272,6 +275,7 @@ def test_every_argv_meets_the_exit_contract(run):
             os.chdir(here)
 
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_NUMERICAL), (argv, code)
+    assert "expected one argument" not in err, (argv, err)
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert err.endswith("\n"), (argv, err)

@@ -5,10 +5,12 @@ product of about 2*sqrt(N) exponentials (phasespace._exp_factors and
 phasespace._exp_rows).  These
 tests pin that table against np.exp, and every quadrature that uses it (eta
 sweep, time scan, area study, gamma0) against a reference written here with
-one np.exp per sample.  Every quadrature streams its grid in blocks: the eta
-sweep and the time scan in blocks of table rows, gamma0 and the area study
-through the drive walk (drives._walk); each is also pinned against one dense
-block, and the walk against np.linspace and drives._locate.
+one np.exp per sample; the eta sweep's reference is extrapolated from the
+grid and its every other sample, as the sweep is.  Every quadrature streams
+its grid in blocks: the eta sweep and the time scan in blocks of table
+rows, gamma0 and the area study through the drive walk (drives._walk); each
+is also pinned against one dense block, and the walk against np.linspace
+and drives._locate.
 """
 
 import math
@@ -73,6 +75,11 @@ def direct_constant_phases(params, t):
     geometric = -np.sum(np.imag(np.conj(alpha[:-1]) * alpha[1:]))
     energy = 2.0 * params.omega_d**2 / params.delta * (1.0 - np.cos(params.delta * t))
     return geometric, -np.trapezoid(energy, t)
+
+
+def extrapolated(fine, coarse):
+    """Richardson's (4 S_N - S_half) / 3 of the sums on a grid and on its every other sample."""
+    return [(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)]
 
 
 def direct_path(drive, t):
@@ -172,8 +179,9 @@ def test_eta_sweep_matches_direct_reference(parameter, grid):
             params = ConstantDriveParams(BASE.omega_d, BASE.delta, value)
         else:
             params = ConstantDriveParams(BASE.ratio * value, value, BASE.phi_l)
-        geometric, dynamic = direct_constant_phases(
-            params, np.linspace(0.0, params.period, samples)
+        t = np.linspace(0.0, params.period, samples)
+        geometric, dynamic = extrapolated(
+            direct_constant_phases(params, t), direct_constant_phases(params, t[::2])
         )
         assert row.geometric == pytest.approx(geometric, rel=1e-12, abs=1e-12)
         assert row.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12)
@@ -321,14 +329,18 @@ STREAM_SAMPLES = [
     # Blocks of 90 rows of 181 samples: two full ones, then two and one sample.
     32_580,
     32_581,
-    ETA_SWEEP_SAMPLES,
+    400_001,
 ]
 
 
 def sweep_phases(params, samples, periods):
-    """Geometric and dynamic phases of one eta-sweep point and one time-scan time."""
+    """Geometric and dynamic phases of one eta-sweep point and one time-scan time.
+
+    The eta sweep takes an odd count, so it runs on 2 * samples - 1, whose
+    every other sample makes a walk of ``samples``.
+    """
     spec = SweepSpec(parameter="phi_l", grid=(params.phi_l,), base=params)
-    eta_row = eta_invariance_sweep(spec, samples=samples).rows[0]
+    eta_row = eta_invariance_sweep(spec, samples=2 * samples - 1).rows[0]
     time = periods * params.period
     scan_row = noncyclic_scan(
         params, [time], samples=samples, analytic_tolerance=math.inf
@@ -377,7 +389,7 @@ def test_streamed_checks_keep_their_order_across_blocks(ratio, energy_scale, mes
 
 def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
     spec = SweepSpec(parameter="phi_l", grid=(0.4,), base=BASE)
-    eta_invariance_sweep(spec, samples=1_001)
+    eta_invariance_sweep(spec, samples=ETA_SWEEP_SAMPLES)
     tracemalloc.start()
     try:
         eta_invariance_sweep(spec, samples=ETA_SWEEP_SAMPLES)
@@ -387,8 +399,9 @@ def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
         scan_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The time grids alone take 3.2 and 1.6 MB.
-    assert eta_peak < 6e6
+    # The time grids alone take 32 KB and 1.6 MB; the scan's first walk of
+    # whole blocks also grows the workspace to about 1.07 MB.
+    assert eta_peak < 128 * 1024
     assert scan_peak < 4e6
 
 
@@ -399,28 +412,41 @@ def dense_constant_phases(params, t):
     return geometric, -np.trapezoid(constant_drive_h_expect(params)(alpha, t), t)
 
 
+# Odd sample counts, as the eta sweep takes them: 2 * intervals + 1.
+odd_samples = st.one_of(st.integers(1, 100), st.integers(1, 3 * BLOCK // 2)).map(
+    lambda half: 2 * half + 1
+)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     ratios=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
     delta=st.floats(0.2, 5.0),
     phi_l=st.floats(-math.pi, math.pi),
+    eta_samples=odd_samples,
     samples=st.one_of(st.integers(2, 200), st.integers(2, 3 * BLOCK + 1)),
     periods=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=2),
 )
-def test_scaled_unit_loop_matches_a_dense_reference(ratios, delta, phi_l, samples, periods):
-    # Every point of an omega_over_delta sweep scales one unit loop; each
-    # time of a scan integrates its own.
+def test_scaled_unit_loop_matches_a_dense_reference(
+    ratios, delta, phi_l, eta_samples, samples, periods
+):
+    # Every point of an omega_over_delta sweep scales one extrapolated unit
+    # loop; each time of a scan integrates its own, unextrapolated.
     base = ConstantDriveParams(omega_d=ratios[0] * delta, delta=delta, phi_l=phi_l)
     sweep = eta_invariance_sweep(
-        SweepSpec(parameter="omega_over_delta", grid=tuple(ratios), base=base), samples=samples
+        SweepSpec(parameter="omega_over_delta", grid=tuple(ratios), base=base),
+        samples=eta_samples,
     )
     times = [p * base.period for p in periods]
     scan = noncyclic_scan(base, times, samples=samples, analytic_tolerance=math.inf)
     checks = []
     for ratio, row in zip(ratios, sweep.rows):
         params = ConstantDriveParams(omega_d=ratio * delta, delta=delta, phi_l=phi_l)
-        t = np.linspace(0.0, params.period, samples)
-        checks.append(((row.geometric, row.dynamic), dense_constant_phases(params, t)))
+        t = np.linspace(0.0, params.period, eta_samples)
+        reference = extrapolated(
+            dense_constant_phases(params, t), dense_constant_phases(params, t[::2])
+        )
+        checks.append(((row.geometric, row.dynamic), reference))
     for time, row in zip(times, scan.rows):
         t = np.linspace(0.0, time, samples)
         checks.append(((row.geometric, row.dynamic), dense_constant_phases(base, t)))
@@ -450,7 +476,47 @@ def test_eta_sweep_walks_one_unit_loop_per_run_of_equal_delta(
     monkeypatch.setattr(robustness, "_unit_sums", counting_unit_sums)
     report = eta_invariance_sweep(SweepSpec(parameter=parameter, grid=grid, base=BASE))
     assert len(report.rows) == len(grid)
-    assert calls == [ETA_SWEEP_SAMPLES] * walks
+    # The whole grid, then every other sample.
+    assert calls == [ETA_SWEEP_SAMPLES, (ETA_SWEEP_SAMPLES + 1) // 2] * walks
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    radius=st.floats(-1.0, 2.0).map(lambda e: 10.0**e),
+    delta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    phi_l=st.floats(-math.pi, math.pi),
+    samples=st.one_of(st.integers(1, 100), st.integers(100, 50_000)).map(lambda k: 2 * k + 1),
+)
+def test_extrapolated_eta_sweep_is_fourth_order(radius, delta, phi_l, samples):
+    # On M intervals of one period (x = 2 pi) the unit chord sum S_N is off
+    # by M sin(x/M) - x, and the extrapolation S_N + (S_N - S_half) / 3 by
+    # -x**5 / (30 M**4) to leading order, with alternating terms beyond.
+    sums = []
+    real_unit_sums = robustness._unit_sums
+
+    def recording_unit_sums(t, factors):
+        sums.append(real_unit_sums(t, factors))
+        return sums[-1]
+
+    params = ConstantDriveParams(omega_d=radius * delta, delta=delta, phi_l=phi_l)
+    spec = SweepSpec(parameter="phi_l", grid=(phi_l,), base=params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robustness, "_unit_sums", recording_unit_sums)
+        row = eta_invariance_sweep(spec, samples=samples).rows[0]
+    intervals, x = samples - 1, TWO_PI
+    area = TWO_PI * radius**2
+    bound = radius**2 * x**5 / (30.0 * intervals**4) + 1e-13 * max(1.0, area)
+    assert abs(row.total + area) <= bound
+    assert abs(row.geometric - area) <= bound
+    assert abs(row.dynamic + 2.0 * area) <= 2.0 * bound
+    # (S_N - S_half) / 3 estimates the correction x - S_N of the plain sum,
+    # up to a relative x**2 / (5 M**2) of it.
+    (chord, _, _), (coarse_chord, _, _) = sums
+    if intervals >= 200:
+        correction = x - chord
+        assert abs((chord - coarse_chord) / 3.0 - correction) <= 1e-3 * abs(correction)
+    with pytest.raises(ValueError, match="an eta sweep needs an odd number of samples"):
+        eta_invariance_sweep(spec, samples=samples + 1)
 
 
 # ---------------------------------------------------------------------------
