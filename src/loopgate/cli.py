@@ -649,7 +649,7 @@ _FLAGS = {
             "help": "evaluation time (default: full drive duration)"},
     "samples": {"type": int, "metavar": "N",
                 "help": "quadrature samples (per point in sweeps; an eta sweep takes an odd "
-                        "count per run of equal delta and extrapolates to fourth order)"},
+                        "count per sweep and extrapolates to fourth order)"},
     "require_closed": {"action": "store_true",
                        "help": "fail (exit 2) when the loop is open at tau"},
     "closure_tolerance": {"type": float, "metavar": "TOL",
@@ -805,6 +805,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         # An unrecognized argument is echoed as given; keep the message one line.
         raise ConfigError(" ".join(message.splitlines()))
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Python 3.13 reads "-h5" as -h; refuse it, as 3.10-3.12 do, with their message.
+        args = sys.argv[1:] if args is None else list(args)
+        for arg in args[: args.index("--")] if "--" in args else args:
+            if arg.startswith("-h") and arg[1:].strip("h"):
+                explicit = arg[3:] if arg[2] == "=" else arg[2:].lstrip("h")
+                self.error(f"argument -h/--help: ignored explicit argument {explicit!r}")
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

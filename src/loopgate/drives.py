@@ -45,9 +45,9 @@ if TYPE_CHECKING:
 DEFAULT_DRIVE_SAMPLES = 20_001
 
 # Cap on quadrature samples.  The quadratures stream their grid in blocks, so
-# the cap bounds the arrays that still have one entry per sample: the
-# eta-sweep and time-scan grid (8 MB at the cap) and the times and points of
-# an induced trajectory (24 MB, and as much again while it copies them).
+# the cap bounds only the arrays of an induced trajectory, which have one
+# entry per sample: its times and points (24 MB at the cap, and as much
+# again while it copies them).
 MAX_SAMPLES = 1_000_001
 
 # Internal grid resolution used to integrate callable segments.

@@ -21,6 +21,7 @@ from .drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
     DriveProfile,
+    _grid_times,
     _require_samples,
     _walk,
     closure_residual,
@@ -52,8 +53,8 @@ from .phasespace import (
 # (1e-9 on phase identities) hold with margin.  The time scan and the area
 # study are second order in the grid spacing; NONCYCLIC_SAMPLES is the floor
 # of a time scan's sample count (see _noncyclic_samples).  The eta sweep
-# extrapolates from every other sample, per run of equal delta, so it is
-# fourth order and its count is odd; see _extrapolated_unit_sums.
+# extrapolates from every other sample, once per sweep, so it is fourth
+# order and its count is odd; see _extrapolated_unit_sums.
 ETA_SWEEP_SAMPLES = 4_097
 NONCYCLIC_SAMPLES = 200_001
 AREA_STUDY_SAMPLES = 100_001
@@ -174,80 +175,56 @@ def _oracle_phase_triplet(
     return decomposition.total, decomposition.geometric, decomposition.dynamic
 
 
-def _constant_drive_grid(
-    delta: float, tau: float, samples: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, complex]]:
-    """The grid ``np.linspace(0, tau, samples)`` and the rotation factors ``_exp_factors`` on it."""
-    grid = np.linspace(0.0, tau, _require_samples(samples))
-    return grid, _exp_factors(delta, samples, grid.take)
+def _unit_sums(delta: float, tau: float, samples: int) -> tuple[float, float, float]:
+    """Chord sum, trapezoid and peak energy of the unit loop on ``np.linspace(0, tau, samples)``.
 
-
-def _unit_sums(
-    t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
-) -> tuple[float, float, float]:
-    """Chord sum, trapezoid and peak energy of the unit loop on the ``np.linspace`` grid ``t``.
-
-    ``factors`` is the rotation's ``_exp_factors`` on ``t``.  The unit loop
-    is u = exp(-i*delta*t) - 1 and its energy 1 - cos(delta*t) = -Re(u),
-    rounded alike.  The rotation is rebuilt from the factors one block of
-    whole table rows at a time and turned into u in place, so no N-sample
-    array is built.  Returns the chord sum of u, the trapezoid
-    -integral(1 - cos(delta*t) dt) and max(1 - cos(delta*t)); every sample
-    is at most 2 in modulus, so all three are finite.
+    The unit loop is u = exp(-i*delta*t) - 1 and its energy
+    1 - cos(delta*t) = -Re(u), rounded alike.  Each block's times come from
+    ``drives._grid_times`` and its u from whole rows of the ``_exp_factors``
+    table, so no N-sample array is built.  Returns the chord sum of u,
+    -integral(1 - cos(delta*t) dt) and max(1 - cos(delta*t)), all finite.
     """
+    factors = _exp_factors(delta, samples, lambda k: _grid_times(k, tau, samples))
     width = factors[1].size
     chord = trapezoid = peak = 0.0
     with _workspace() as work:
         block = max(1, min(work.block // width, factors[0].size)) * width
         work.reserve(block + 1)
-        # Slot 0 of u carries the previous block's last sample.
-        u = work.alpha
-        for start in range(0, t.size, block):
-            stop = min(start + block, t.size)
+        # Slot 0 of u and of t carries the previous block's last sample.
+        u, t = work.alpha, work.times
+        for start in range(0, samples, block):
+            stop = min(start + block, samples)
             count = stop - start
             fresh = _exp_rows(
-                factors, start, stop, t.size, out=u[1 : count + 1], tile=work.scratch[:count]
+                factors, start, stop, samples, out=u[1 : count + 1], tile=work.scratch[:count]
             )
             fresh -= 1.0
             peak = max(peak, -float(fresh.real.min()))
+            times = np.add(work.ramp[:count], start, out=t[1 : count + 1])
+            _grid_times(times, tau, samples, out=times)
             head = 0 if start else 1
             part = u[head : count + 1]
             chord += _chord_sum(part, work.scratch)
-            trapezoid -= _trapezoid_sum(
-                part.real, t[start - 1 + head : stop], work.scratch.view(float)
-            )
-            u[0] = u[count]
+            trapezoid -= _trapezoid_sum(part.real, t[head : count + 1], work.scratch.view(float))
+            u[0], t[0] = u[count], t[count]
     return chord, trapezoid, peak
 
 
-def _require_odd_samples(samples: int) -> int:
-    """``samples`` after checking that it makes a grid of an even number of intervals."""
+def _extrapolated_unit_sums(samples: int) -> tuple[float, float, float]:
+    """:func:`_unit_sums` of one period at delta = 1, Richardson-extrapolated.
+
+    ``samples`` must be odd, so that (samples + 1) // 2 samples make every
+    other one of the grid.  Each of the chord sum and the trapezoid is
+    S_N + (S_N - S_half) / 3 = (4 S_N - S_half) / 3, written so that it
+    overflows only where S_N does.  On M = N - 1 intervals the unit chord
+    sum is off by M sin(x/M) - x = -x**3 / (6 M**2) + x**5 / (120 M**4) - ...
+    at x = 2 pi, so the extrapolation leaves -x**5 / (30 M**4) to leading
+    order.  The trapezoid of 1 - cos over one period is exact up to rounding.
+    """
     if _require_samples(samples) % 2 == 0:
         raise ValueError(f"an eta sweep needs an odd number of samples, got {samples}")
-    return samples
-
-
-def _extrapolated_unit_sums(
-    delta: float, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
-) -> tuple[float, float, float]:
-    """:func:`_unit_sums` on the one-period grid ``t`` of odd size, Richardson-extrapolated.
-
-    The chord sum and the trapezoid are also taken over every other sample
-    of ``t``, S_half beside S_N, and each is reported as
-    S_N + (S_N - S_half) / 3 = (4 S_N - S_half) / 3, written so that it
-    overflows only where S_N does.  On M = N - 1 intervals of a loop of
-    phase x = delta * period the unit chord sum is off by
-    M sin(x/M) - x = -x**3 / (6 M**2) + x**5 / (120 M**4) - ..., so
-    (S_N - S_half) / 3 estimates its correction, and the extrapolation
-    cancels the M**-2 term and leaves -x**5 / (30 M**4) to leading order.
-    The trapezoid of 1 - cos over whole periods is exact up to rounding on
-    either grid.  The peak comes from the fine walk.
-    """
-    chord, trapezoid, peak = _unit_sums(t, factors)
-    half = t[::2]
-    coarse_chord, coarse_trapezoid, _ = _unit_sums(
-        half, _exp_factors(delta, half.size, half.take)
-    )
+    chord, trapezoid, peak = _unit_sums(1.0, 2.0 * math.pi, samples)
+    coarse_chord, coarse_trapezoid, _ = _unit_sums(1.0, 2.0 * math.pi, (samples + 1) // 2)
     return (
         chord + (chord - coarse_chord) / 3.0,
         trapezoid + (trapezoid - coarse_trapezoid) / 3.0,
@@ -256,38 +233,25 @@ def _extrapolated_unit_sums(
 
 
 def _scaled_phases(
-    ratio: float, energy_scale: float, t: np.ndarray, unit: tuple[float, float, float]
+    ratio: float, energy_scale: float, tau: float, samples: int, unit: tuple[float, float, float]
 ) -> tuple[float, float]:
-    """Geometric and dynamic phase of the constant-drive path from its ``unit`` loop sums on ``t``.
+    """Geometric and dynamic phase of the constant-drive path from its ``unit`` loop sums.
 
-    The path is i*ratio*exp(i*phi_l)*u, so its chord sum is ratio**2 times
-    that of u, and <H> = energy_scale * (1 - cos(delta*t)), so its
-    trapezoid is energy_scale times the unit one.  The checks of
-    :func:`~loopgate.phasespace._block_phases` run in its order (path,
-    times, chord sum, energies, integral), each decided from a scalar: the
-    peak |path| = |ratio| * sqrt(2 * max(1 - cos)), the scaled chord sum,
-    the peak energy energy_scale * max(1 - cos) and the scaled integral.
+    The path is i*ratio*exp(i*phi_l)*u on ``np.linspace(0, tau, samples)``,
+    so its chord sum is ratio**2 times that of u, and its trapezoid of
+    <H> = energy_scale * (1 - cos(delta*t)) is energy_scale times the unit
+    one.  The checks of :func:`~loopgate.phasespace._block_phases` run in
+    its order, from scalars and the grid's last two times: the peak
+    |path| = |ratio| * sqrt(2 * max(1 - cos)), the times, the scaled chord
+    sum, the peak energy energy_scale * max(1 - cos) and the scaled integral.
     """
     chord, trapezoid, peak = unit
-    _require_grid_path(t, t.size, math.isfinite(abs(ratio) * math.sqrt(2.0 * peak)))
+    last = _grid_times(np.array([samples - 2, samples - 1]), tau, samples)
+    _require_grid_path(last, samples, math.isfinite(abs(ratio) * math.sqrt(2.0 * peak)))
     geometric = _require_finite_chord(ratio * ratio * chord)
     return geometric, _require_finite_dynamic(
         math.isfinite(energy_scale * peak), energy_scale * trapezoid
     )
-
-
-def _constant_drive_phases(
-    params: ConstantDriveParams, t: np.ndarray, factors: tuple[np.ndarray, np.ndarray, complex]
-) -> tuple[float, float]:
-    """Geometric and dynamic phase of the constant-drive path on the ``np.linspace`` grid ``t``.
-
-    ``factors`` is the rotation's ``_exp_factors`` on ``t``; the unit loop
-    is integrated on ``t`` and its sums scaled by :func:`_scaled_phases`.
-    ``params.energy_scale`` is read first, so an overflowing omega_d**2
-    raises its ValueError before any sum.
-    """
-    energy_scale = params.energy_scale
-    return _scaled_phases(params.ratio, energy_scale, t, _unit_sums(t, factors))
 
 
 def _noncyclic_samples(
@@ -365,7 +329,7 @@ def noncyclic_scan(
         )
         oracle_samples = propagation.samples
 
-    drive.energy_scale  # raises ValueError when omega_d**2 overflows
+    energy_scale = drive.energy_scale  # raises ValueError when omega_d**2 overflows
     rows = []
     max_dev_analytic = 0.0
     max_dev_oracle = 0.0
@@ -375,8 +339,8 @@ def noncyclic_scan(
             geometric = 0.0
             dyn = 0.0
         else:
-            geometric, dyn = _constant_drive_phases(
-                drive, *_constant_drive_grid(drive.delta, t, samples)
+            geometric, dyn = _scaled_phases(
+                drive.ratio, energy_scale, t, samples, _unit_sums(drive.delta, t, samples)
             )
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
@@ -490,28 +454,24 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     changes), or phi_l.  Every point is evaluated at exactly one period, so
     the loop is closed and eta is well defined; the metadata summarizes
     max |eta + 2| for the analytic rows and, when oracle settings are given,
-    for the brute-force rows as well.  The quadrature is extrapolated from
-    every other sample (:func:`_extrapolated_unit_sums`), so ``samples``
-    must be odd; an even count raises ValueError.
+    for the brute-force rows as well.  Every point scales one unit loop,
+    integrated once per sweep and extrapolated from every other sample
+    (:func:`_extrapolated_unit_sums`), so ``samples`` must be odd; an even
+    count raises ValueError.
     """
     rows = []
     max_eta_dev = 0.0
     max_eta_dev_oracle = None
-    # Points that share delta share the one-period grid and its unit loop
-    # sums, so an omega_over_delta or phi_l sweep integrates one loop.
-    delta = grid = unit = None
+    sums = None
     for value in spec.grid:
         params = _apply_parameter(spec.base, spec.parameter, value)
         energy_scale = params.energy_scale  # raises ValueError when omega_d**2 overflows
-        if params.delta != delta:
-            # Drop the previous grid first, so one is held at a time.
-            grid = None
-            delta = params.delta
-            grid, factors = _constant_drive_grid(
-                delta, params.period, _require_odd_samples(samples)
-            )
-            unit = _extrapolated_unit_sums(delta, grid, factors)
-        geometric, dyn = _scaled_phases(params.ratio, energy_scale, grid, unit)
+        if sums is None:
+            sums = _extrapolated_unit_sums(samples)
+        chord, trapezoid, peak = sums
+        # The unit loop runs over delta*t, so its trapezoid is divided by delta.
+        unit = chord, trapezoid / params.delta, peak
+        geometric, dyn = _scaled_phases(params.ratio, energy_scale, params.period, samples, unit)
         decomposition = decompose(geometric, dyn)
         if decomposition.eta is not None:
             max_eta_dev = max(max_eta_dev, abs(decomposition.eta + 2.0))

@@ -702,6 +702,71 @@ def test_parser_refusals_return_two_with_one_line(capsys, argv, message):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("flag, explicit", [("-h5", "5"), ("-hx", "x"), ("-h=5", "5")])
+def test_a_value_after_short_help_is_refused_on_every_python(capsys, flag, explicit):
+    # Python 3.13's argparse alone reads "-h5" as -h and prints the help.
+    code, out, err = run_cli(capsys, "sweep", flag)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: argument -h/--help: ignored explicit argument '{explicit}'\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "-hh"])
+def test_short_help_still_prints_the_help(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["time", "--grid", "5e-324"], EXIT_INVALID, "times must be strictly increasing"),
+        (["time", "--grid", "5e-324", "--samples", "2"], EXIT_OK, None),
+        (
+            ["time", "--grid", "1e-300", "--omega-over-delta", "1e154"],
+            EXIT_INVALID,
+            "Hamiltonian expectation produced non-finite values",
+        ),
+        (
+            ["phi_l", "--grid", "0", "--omega-over-delta", "1e300", "--delta", "1e-300"],
+            EXIT_INVALID,
+            "geometric phase overflows: the chord sum of the path is not finite",
+        ),
+        (
+            ["omega_over_delta", "--grid", "1.7e308", "--delta", "1e-300"],
+            EXIT_INVALID,
+            "trajectory contains non-finite samples",
+        ),
+        (
+            ["omega_over_delta", "--grid", "1e300", "--samples", "4096"],
+            EXIT_INVALID,
+            "omega_d^2 overflows at omega_d = 1e+300",
+        ),
+        (
+            ["omega_over_delta", "--grid", "1e154,1e155", "--samples", "4096"],
+            EXIT_INVALID,
+            "an eta sweep needs an odd number of samples, got 4096",
+        ),
+        (["delta", "--grid", "1e-300,1e300", "--omega-over-delta", "1e-150"], EXIT_OK, None),
+        (["delta", "--grid", "1e-10,1,1e10"], EXIT_OK, None),
+        (
+            ["delta", "--grid", "5e-324"],
+            EXIT_INVALID,
+            "detuning 4.94066e-324 is too small: its loop period 2*pi/delta overflows",
+        ),
+    ],
+)
+def test_float_edge_sweeps_keep_their_exit_and_message(capsys, argv, code, message):
+    result, out, err = run_cli(capsys, "sweep", "--parameter", *argv)
+    assert result == code
+    if message is None:
+        assert err == "" and json.loads(out)["rows"]
+    else:
+        assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
