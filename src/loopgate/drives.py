@@ -269,18 +269,6 @@ def _locate(drive: DriveProfile, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return index, t - starts[index]
 
 
-def f_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Drive values f(t) on an array of global times."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    index, local = _locate(drive, t)
-    out = np.empty(t.shape, dtype=complex)
-    for i, segment in enumerate(drive.segments):
-        mask = index == i
-        if np.any(mask):
-            out[mask] = segment.values(local[mask])
-    return out
-
-
 def alpha_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndarray:
     """Phase-space positions alpha(t) = -integral_0^t f for an array of times."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -338,20 +326,15 @@ def _grid_times(
     return out
 
 
-def _grid_index(value: float, tau: float, samples: int) -> int:
-    """How many samples of the grid ``np.linspace(0.0, tau, samples)`` lie below ``value``.
+def _segment_bounds(drive: DriveProfile, time: Callable[[int], float], count: int) -> list[int]:
+    """``[0, b_1, ..., count]``: sample k of ``count`` lies in segment i for b_i <= k < b_(i+1).
 
-    The grid must increase; it is searched by bisection, one time at a time.
+    b_i is the first k with ``time(k)`` at or past the start of segment i,
+    found by bisection, so the times must not decrease.  Each sample then
+    belongs to the segment :func:`_locate` assigns it to, clipping included.
     """
-    step = tau / (samples - 1)
-
-    def time(k: int) -> float:
-        # Sample k by the rule of _grid_times.
-        if k == samples - 1:
-            return tau
-        return k * step if step else k / (samples - 1) * tau
-
-    return bisect.bisect_left(range(samples), value, key=time)
+    starts = drive.segment_starts[1:]
+    return [0, *(bisect.bisect_left(range(count), start, key=time) for start in starts), count]
 
 
 def _local_times(t: np.ndarray, start: float, end: float, out: np.ndarray) -> np.ndarray:
@@ -383,7 +366,15 @@ def _walk(
     _require_window(drive, min(0.0, tau), max(0.0, tau))
     end = drive.total_duration
     starts = drive.segment_starts
-    bounds = [0, *(_grid_index(start, tau, samples) for start in starts[1:]), samples]
+    step = tau / (samples - 1)
+
+    def time(k: int) -> float:
+        # Sample k by the rule of _grid_times.
+        if k == samples - 1:
+            return tau
+        return k * step if step else k / (samples - 1) * tau
+
+    bounds = _segment_bounds(drive, time, samples)
 
     def local(i: int, index: np.ndarray) -> np.ndarray:
         t = _grid_times(np.add(index, bounds[i], dtype=float), tau, samples)

@@ -50,7 +50,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .drives import DriveProfile, _locate, _require_tau, alpha_array, f_array, peak_alpha
+from .drives import (
+    DriveProfile, _grid_times, _local_times, _require_tau, _segment_bounds, alpha_array, peak_alpha
+)
 from .errors import TruncationError, UndefinedPhaseError
 from .phasespace import PhaseDecomposition, analytic_total_phase, decompose
 
@@ -413,12 +415,9 @@ def _propagate_sector(
         )
 
     dt = tau / steps
-    t_mid = (np.arange(steps) + 0.5) * dt
-    g_mid = eigenvalue * f_array(drive, t_mid)
-    # Runs of consecutive steps whose midpoints share one segment.
-    segment_index, _ = _locate(drive, t_mid)
-    run_edges = np.concatenate([[0], np.flatnonzero(np.diff(segment_index)) + 1, [steps]])
-    run_segments = [drive.segments[i] for i in segment_index[run_edges[:-1]]]
+    # Segment i's run: the steps bounds[i] to bounds[i + 1] - 1, whose midpoints it holds.
+    bounds = _segment_bounds(drive, lambda k: (k + 0.5) * dt, steps)
+    starts, end = drive.segment_starts, drive.total_duration
     min_run = _MIN_RUN_STEPS_WITH_OPERATOR if with_operator else _MIN_RUN_STEPS
 
     sq, w, Q = _position_eigenbasis(dim)
@@ -436,19 +435,27 @@ def _propagate_sector(
     dynamic = 0.0
     # Midpoint energies that overflow come out non-finite, and propagate rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1, segment in zip(run_edges[:-1], run_edges[1:], run_segments):
+        for i, segment in enumerate(drive.segments):
+            k0, k1 = bounds[i], bounds[i + 1]
+            if k0 == k1:
+                continue
             run = slice(k0 + 1, k1 + 1)
             # The read indices inside the run, and how many of its steps precede each.
             slots = np.flatnonzero((read > k0) & (read <= k1))
             counts = read[slots] - k0
-            if segment.func is None and abs(g_mid[k0]) < 1e-300:
+            # g at the midpoints the run reads: the first only, for a closed form.
+            closed_form = segment.func is None and k1 - k0 >= min_run
+            t = (np.arange(k0, k0 + 1 if closed_form else k1) + 0.5) * dt
+            g_run = eigenvalue * segment.values(_local_times(t, starts[i], end, out=t))
+            # A step turns the state by |g| dt: below 1e-300 it is the identity.
+            if segment.func is None and abs(g_run[0]) * dt < 1e-300:
                 overlap_series[run] = overlap_series[k0]
                 leakage_series[run] = leakage_series[k0]
                 dynamic_series[slots] = dynamic
                 continue
-            if segment.func is None and k1 - k0 >= min_run:
+            if closed_form:
                 psi, energy_sums, run_operator = _closed_form_run(
-                    psi, g_mid[k0], segment.frequency, dt, initial_fock, w, Q, sq,
+                    psi, g_run[0], segment.frequency, dt, initial_fock, w, Q, sq,
                     overlap_series[run], leakage_series[run], np.append(counts, k1 - k0),
                     with_operator,
                 )
@@ -463,9 +470,9 @@ def _propagate_sector(
                 QcT = np.ascontiguousarray(Qc.T)
             running = np.empty(k1 - k0)
             for k in range(k0, k1):
-                g = g_mid[k]
+                g = g_run[k - k0]
                 mag = abs(g)
-                if mag < 1e-300:
+                if mag * dt < 1e-300:
                     overlap_series[k + 1] = overlap_series[k]
                     leakage_series[k + 1] = leakage_series[k]
                     running[k - k0] = dynamic
@@ -482,11 +489,8 @@ def _propagate_sector(
                 psi = D * (Qc @ (spin * (QcT @ (Dc * psi))))
 
                 if with_operator:
-                    M = Dc[:, None] * operator
-                    M = QcT @ M
-                    M = spin[:, None] * M
-                    M = Qc @ M
-                    operator = D[:, None] * M
+                    M = QcT @ (Dc[:, None] * operator)
+                    operator = D[:, None] * (Qc @ (spin[:, None] * M))
 
                 overlap_series[k + 1] = psi[initial_fock]
                 leakage_series[k + 1] = float(abs(psi[space.n_max]) ** 2)
@@ -495,9 +499,7 @@ def _propagate_sector(
 
     defect = None
     if with_operator:
-        defect = float(
-            np.linalg.norm(operator.conj().T @ operator - np.eye(dim), 2)
-        )
+        defect = float(np.linalg.norm(operator.conj().T @ operator - np.eye(dim), 2))
     return SectorEvolution(
         eigenvalue=float(eigenvalue),
         evolution=operator,
@@ -672,7 +674,7 @@ def propagate(
     if sample_index is not None:
         at = np.searchsorted(read, sample_index)
         samples = {
-            "times": np.linspace(0.0, tau, steps + 1)[sample_index],
+            "times": _grid_times(read.astype(float), tau, steps + 1)[at],
             "total_phase": total_by_state[:, at].T.copy(),
             "dynamic_phase": dynamic_by_state[:, at].T.copy(),
             "leakage": np.max(leakage_by_state[:, at], axis=0),
@@ -741,13 +743,10 @@ def verify_magnus_form(
         propagation is not None
         and (propagation.space, propagation.steps, propagation.tau) == (space, steps, tau)
     ):
-        evolution = next(
-            (s.evolution for s in propagation.sectors if s.eigenvalue == 1.0), None
-        )
+        evolution = next((s.evolution for s in propagation.sectors if s.eigenvalue == 1.0), None)
     if evolution is None:
-        evolution = _propagate_sector(
-            1.0, drive, tau, space, steps, 0, True, np.array([steps])
-        ).evolution
+        unit = _propagate_sector(1.0, drive, tau, space, steps, 0, True, np.array([steps]))
+        evolution = unit.evolution
     omega = abs(segment.amplitude)
     ratio = omega / segment.frequency
     phi = analytic_total_phase(ratio, segment.frequency, tau)

@@ -369,6 +369,22 @@ def test_oracle_verify_with_displacement_form(capsys):
     assert report["oracle"]["unitarity_defect"] < 1e-9
 
 
+def test_oracle_steps_a_tiny_detuning_as_it_steps_a_unit_one(capsys):
+    # At delta 1e-300 the drive is 5e-301 but each step turns the state by
+    # |g| dt = 1.6e-3, as at delta 1: the oracle must not read it as zero.
+    tone = ("--omega-over-delta", "0.5", "--steps", "2000")
+
+    def oracle_phases(delta):
+        verify = run_json(capsys, "oracle-verify", *tone, "--delta", delta, "--n-max", "40")
+        assert verify["pass"] is True
+        phase = run_json(capsys, "phase", *tone, "--delta", delta, "--oracle", "--n-max", "16")
+        return phase["oracle"]
+
+    tiny, unit = oracle_phases("1e-300"), oracle_phases("1")
+    for name in ("total", "dynamic"):
+        assert tiny[name] == pytest.approx(unit[name], abs=1e-11)
+
+
 def test_oracle_verify_tight_tolerance_fails(capsys):
     code, out, err = run_cli(
         capsys,

@@ -18,7 +18,6 @@ from loopgate.drives import (
     design_constant_drive,
     drive_from_dict,
     drive_to_dict,
-    f_array,
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
@@ -148,22 +147,20 @@ def test_constant_drive_path_matches_formula(ratio, delta, phi_l):
     t = np.linspace(0.0, params.period, 301)
     expected_f = -ratio * delta * np.exp(-1j * delta * t + 1j * phi_l)
     expected_alpha = 1j * ratio * (np.exp(-1j * delta * t) - 1.0) * np.exp(1j * phi_l)
-    assert np.allclose(f_array(drive, t), expected_f, atol=1e-12)
+    assert np.allclose(drive.segments[0].values(t), expected_f, atol=1e-12)
     assert np.allclose(alpha_array(drive, t), expected_alpha, atol=1e-12)
 
 
 def test_point_accessors():
-    # A single time goes through the array functions as a length-1 array.
+    # A single time goes through alpha_array as a length-1 array.
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
-    assert f_array(drive, 0.0).shape == (1,)
-    assert f_array(drive, 0.0)[0] == pytest.approx(-0.5)
+    assert drive.segments[0].values(0.0) == pytest.approx(-0.5)
+    assert alpha_array(drive, math.pi).shape == (1,)
     assert abs(alpha_array(drive, math.pi)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_time_outside_window_rejected():
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
-    with pytest.raises(ValueError):
-        f_array(drive, [drive.total_duration + 1.0])
     with pytest.raises(ValueError):
         alpha_array(drive, [-0.5])
 
@@ -324,8 +321,8 @@ def test_design_rejects_bad_detuning():
 
 
 def h_expect(drive, alpha, t, eigenvalue=1.0):
-    """<H> = 2 beta**2 Im(f(t) conj(alpha)) along a coherent path, beta the eigenvalue."""
-    return 2.0 * eigenvalue**2 * np.imag(f_array(drive, t) * np.conj(alpha))
+    """<H> = 2 beta**2 Im(f(t) conj(alpha)) on a one-segment drive's path, beta the eigenvalue."""
+    return 2.0 * eigenvalue**2 * np.imag(drive.segments[0].values(t) * np.conj(alpha))
 
 
 def test_drive_h_expect_matches_constant_form():

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from loopgate import oracle
+from loopgate import drives, oracle
 from loopgate.drives import (
     ConstantDriveParams,
     DriveProfile,
     DriveSegment,
     constant_drive,
-    f_array,
     four_pulse_sequence,
+    gamma0,
 )
 from loopgate.errors import TruncationError, UndefinedPhaseError
 from loopgate.gates import (
@@ -100,8 +100,8 @@ def test_fock_space_validation():
 
 
 def joint_hamiltonian(drive, t, space):
-    """kron(C, -i (f(t) a_dag - conj(f(t)) a)), spin-major, from the public builders."""
-    f = complex(f_array(drive, np.array([float(t)]))[0])
+    """kron(C, -i (f(t) a_dag - conj(f(t)) a)), spin-major, for a one-segment drive."""
+    f = complex(drive.segments[0].values(float(t)))
     a = space.lowering()
     return np.kron(drive.conditioner.matrix, -1j * (f * a.conj().T - np.conj(f) * a))
 
@@ -118,7 +118,7 @@ def test_build_hamiltonian_structure():
     drive = headline_drive()
     h = joint_hamiltonian(drive, 0.3, space)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
-    f = complex(f_array(drive, np.array([0.3]))[0])
+    f = complex(drive.segments[0].values(0.3))
     a = space.lowering()
     block = -1j * (f * a.conj().T - np.conj(f) * a)
     expected = np.kron(np.diag([0.0, 1.0, 1.0, 0.0]), block)
@@ -218,7 +218,7 @@ def test_single_step_matches_dense_exponential():
     drive = headline_drive()
     tau = 0.3
     run = propagate(drive, tau=tau, space=space, steps=1)
-    f = complex(f_array(drive, np.array([tau / 2.0]))[0])
+    f = complex(drive.segments[0].values(tau / 2.0))
     a = space.lowering()
     h = -1j * (f * a.conj().T - np.conj(f) * a)
     expected = expm(-1j * tau * h)
@@ -621,7 +621,7 @@ EQUIVALENCE_CASES = {
 def _run_edge_times(drive, steps, tau):
     """Grid times at 0, at tau, and at each midpoint run's edges, next to them and half way."""
     dt = tau / steps
-    segment_index, _ = oracle._locate(drive, (np.arange(steps) + 0.5) * dt)
+    segment_index, _ = drives._locate(drive, (np.arange(steps) + 0.5) * dt)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(segment_index)) + 1, [steps]])
     inside = np.concatenate([edges + 1, edges - 1, (edges[:-1] + edges[1:]) // 2])
     index = np.unique(np.concatenate([edges, np.clip(inside, 0, steps)]))
@@ -666,6 +666,44 @@ def test_closed_form_runs_match_per_step_product(
             assert np.max(np.abs(a.evolution - b.evolution)) < 1e-10
     if kwargs["with_operator"]:
         assert np.max(np.abs(closed.joint_matrix() - stepped.joint_matrix())) < 1e-10
+
+
+@pytest.mark.parametrize("steps", [2_000, 100])
+@pytest.mark.parametrize("scale", [1e-305, 1e-300, 1e-150, 1e5])
+def test_propagation_is_invariant_under_time_rescaling(scale, steps):
+    # Scaling omega and delta by s stretches time by 1/s: each step turns the
+    # state by the same |g| dt, however small g gets.  2,000 steps take the
+    # closed form, 100 the per-step loop.
+    def phases(s):
+        drive = constant_drive(ConstantDriveParams(omega_d=0.5 * s, delta=s))
+        run = propagate(drive, space=FockSpace(24), steps=steps, with_operator=False)
+        return np.concatenate([run.total_phase, run.dynamic_phase])
+
+    assert np.max(np.abs(phases(scale) - phases(1.0))) < 1e-12
+
+
+def test_dynamic_phase_of_a_later_tone_matches_the_walk():
+    # The second tone starts at 1.7 and reads its local time t - 1.7; gamma0
+    # integrates the same drive through the quadrature walk, and the dynamic
+    # phase is 2 beta^2 gamma0 whether or not the loop closes.  A midpoint
+    # rule across the jump between the tones leaves about 1.2e-7.
+    drive = EQUIVALENCE_CASES["two-tones"][0](20_000)
+    run = propagate(drive, space=FockSpace(16), steps=20_000, with_operator=False)
+    assert run.dynamic_phase[1] == pytest.approx(2.0 * gamma0(drive, samples=200_001), abs=1e-6)
+
+
+def test_sample_times_keep_their_order_and_repeats():
+    drive = headline_drive()
+    steps, tau = 1_000, 0.6 * TWO_PI
+    grid = np.linspace(0.0, tau, steps + 1)
+    index = [700, 3, steps, 3, 0, 512]
+    run = propagate(
+        drive, tau=tau, space=FockSpace(16), steps=steps, sample_times=grid[index],
+        with_operator=False,
+    )
+    assert run.samples["times"].tobytes() == grid[index].tobytes()
+    assert np.array_equal(run.samples["total_phase"][1], run.samples["total_phase"][3])
+    assert np.array_equal(run.samples["total_phase"][2], run.total_phase)
 
 
 def test_zero_eigenvalues_of_jy_form_an_exact_identity_sector():
@@ -833,11 +871,31 @@ def test_dirichlet_energy_sum_matches_the_step_by_step_sum(case):
     assert np.all(np.abs(closed - direct) <= 1e-12 * np.abs(direct)), (closed, direct)
 
 
+def test_runs_evaluate_the_drive_only_where_they_read_it(monkeypatch):
+    # A closed-form run reads g at its first midpoint; a per-step run at each
+    # of its own.  The short-run polygon's last pulse gets 20 of 20,000 steps.
+    polygon = _polygon((-0.4, -0.4j, 0.4, 0.4j), (1.0, 1.0, 1.0, 1.0))
+    short = EQUIVALENCE_CASES["short-run"][0](20_000)
+    evaluated = []
+    values = DriveSegment.values
+
+    def counted(self, s):
+        evaluated.append(np.size(s))
+        return values(self, s)
+
+    monkeypatch.setattr(DriveSegment, "values", counted)
+    for drive, expected in ((polygon, 4), (short, 3 + 20)):
+        evaluated.clear()
+        propagate(drive, space=FockSpace(16), steps=20_000, with_operator=False)
+        assert sum(evaluated) == expected
+
+
 def test_state_only_propagation_allocates_a_few_series():
-    # The peak is about 2.3 times the four-state overlap storage.  One product
-    # over every chunk start of the closed-form run at once would add a
-    # (2, steps / 64, dim) coefficient block, 8 series at n_max 256, and
-    # reach about 4.7 times.
+    # The peak is about 2.0 times the four-state overlap storage: no array of
+    # step midpoints or drive values joins the series.  A time and a drive
+    # value per midpoint added 0.35 times, and one product over every chunk
+    # start of the closed-form run at once would add a (2, steps / 64, dim)
+    # coefficient block, 8 series at n_max 256, and reach about 4.7 times.
     steps = 200_000
     drive = headline_drive()
     space = FockSpace(256)
@@ -854,7 +912,7 @@ def test_state_only_propagation_allocates_a_few_series():
         if not tracing:
             tracemalloc.stop()
     series = 4 * (steps + 1) * np.dtype(complex).itemsize
-    assert peak - before < 3.5 * series
+    assert peak - before < 2.2 * series
 
 
 def test_magnus_form_reuses_the_unit_sector_of_a_propagation(monkeypatch):

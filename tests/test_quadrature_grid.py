@@ -10,7 +10,7 @@ grid and its every other sample, as the sweep is.  Every quadrature streams
 its grid in blocks: the eta sweep and the time scan in blocks of table
 rows, gamma0 and the area study through the drive walk (drives._walk); each
 is also pinned against one dense block, and the walk against np.linspace
-and drives._locate.
+and drives._locate, as are the oracle's runs of step midpoints.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgate import drives, phasespace, robustness
+from loopgate import drives, oracle, phasespace, robustness
 from loopgate.drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
@@ -549,6 +549,21 @@ def test_walk_times_are_linspace_bit_for_bit(samples, tau):
     assert t.tobytes() == np.linspace(0.0, tau, samples).tobytes()
 
 
+def midpoint_runs(drive, tau, steps, monkeypatch):
+    """The segment of each step midpoint, from the runs the oracle finds for them."""
+    found = []
+
+    def recording(*args):
+        found.append(drives._segment_bounds(*args))
+        return found[-1]
+
+    monkeypatch.setattr(oracle, "_segment_bounds", recording)
+    # jz propagates one sector and mirrors the other; leakage does not matter here.
+    oracle.propagate(drive, tau, oracle.FockSpace(2), steps, with_operator=False, leakage_tol=2.0)
+    (bounds,) = found
+    return np.repeat(np.arange(len(drive.segments)), np.diff(bounds))
+
+
 @pytest.mark.parametrize(
     "durations, samples",
     [
@@ -556,15 +571,21 @@ def test_walk_times_are_linspace_bit_for_bit(samples, tau):
         ((0.25, 0.5, 0.25), 9),
         ((0.25, 0.5, 0.25), 2 * BLOCK + 1),
         ((0.5, 1e-9, 0.25), BLOCK + 1),
+        # Steps of 1/2 and 1/10 put midpoints exactly on both segment starts.
+        ((0.25, 0.5, 0.25), 2),
+        ((0.25, 0.5, 0.25), 10),
     ],
 )
-@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-12])
-def test_walk_runs_on_segment_starts_match_locate(durations, samples, stretch):
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-12, 1.0 + 1e-13])
+def test_walk_runs_on_segment_starts_match_locate(durations, samples, stretch, monkeypatch):
+    # The walk on samples grid times, and the oracle on as many step midpoints.
     drive = pulses(durations)
     tau = drive.total_duration * stretch
     index, _ = drives._locate(drive, np.linspace(0.0, tau, samples))
     _, f, _ = walked(drive, tau, samples)
     assert np.array_equal(f.real - 1.0, index)
+    index, _ = drives._locate(drive, (np.arange(samples) + 0.5) * (tau / samples))
+    assert np.array_equal(midpoint_runs(drive, tau, samples, monkeypatch), index)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
