@@ -36,9 +36,17 @@ product up to rounding; unit tests hold the two paths together.
 
 Two propagations are never repeated.  With P = (-1)^n, H(-g) = P H(g) P
 exactly on the truncated space, so the sector of eigenvalue -beta (jz and
-jy have +-2) is the parity mirror of the sector of +beta.  And
-:func:`verify_magnus_form` takes the unit-eigenvalue operator from a
-propagation it is handed instead of propagating that sector again.
+jy have +-2) is the parity mirror of the sector of +beta, and shares its
+series arrays.  And :func:`verify_magnus_form` takes the unit-eigenvalue
+operator from a propagation it is handed instead of propagating that sector
+again.
+
+Nor are the states recombined more often than their mixes differ.  The
+zero-eigenvalue sector is the identity; its series are read-only constant
+views.  :func:`propagate` recombines once per distinct mix of series, a
+mirrored sector counting as its source, and states with the same mix share
+every result.  A state that sits in the identity sector alone takes its
+constant phases and leakage without an unwrap.
 """
 
 from __future__ import annotations
@@ -59,8 +67,10 @@ from .phasespace import PhaseDecomposition, analytic_total_phase, decompose
 DEFAULT_N_MAX = 64
 DEFAULT_STEPS = 20_000
 
-# Caps on the truncation and the step count.  Past them one dense
-# (n_max+1)^2 block, or one steps-long phase series, outgrows about 100 MB.
+# Caps on the truncation and the step count.  At MAX_STEPS a state-only
+# propagation peaks at about 80 MB (tracemalloc, n_max 64): 1.25 times the
+# 64 MB of four overlap series.  At MAX_N_MAX the dense (n_max+1)^2 blocks,
+# 17 MB each, peak at about 120 MB, or 150 MB with the operator tracked.
 MAX_N_MAX = 1024
 MAX_STEPS = 1_000_000
 
@@ -179,6 +189,8 @@ class SectorEvolution:
     The overlap and leakage series hold every grid point; ``dynamic_series``
     holds the dynamic phase at the propagation's read indices only: the step
     index of each sample time and the final step, increasing, without repeats.
+    A parity-mirrored sector holds the same series arrays as its source, and
+    the zero-eigenvalue sector holds read-only constant views.
     """
 
     eigenvalue: float
@@ -403,18 +415,18 @@ def _propagate_sector(
     """
     dim = space.dimension
     n_points = steps + 1
-    dynamic_series = np.zeros(read.size)
     if eigenvalue == 0.0:
         return SectorEvolution(
             eigenvalue=0.0,
             evolution=np.eye(dim, dtype=complex) if with_operator else None,
-            overlap_series=np.ones(n_points, dtype=complex),
-            dynamic_series=dynamic_series,
-            leakage_series=np.full(n_points, 1.0 if initial_fock == space.n_max else 0.0),
+            overlap_series=np.broadcast_to(1.0 + 0.0j, n_points),
+            dynamic_series=np.broadcast_to(0.0, read.size),
+            leakage_series=np.broadcast_to(1.0 if initial_fock == space.n_max else 0.0, n_points),
             unitarity_defect=0.0 if with_operator else None,
         )
 
     dt = tau / steps
+    dynamic_series = np.zeros(read.size)
     # Segment i's run: the steps bounds[i] to bounds[i + 1] - 1, whose midpoints it holds.
     bounds = _segment_bounds(drive, lambda k: (k + 0.5) * dt, steps)
     starts, end = drive.segment_starts, drive.total_duration
@@ -526,13 +538,15 @@ def _parity_mirror(sector: SectorEvolution, eigenvalue: float) -> SectorEvolutio
     return replace(sector, eigenvalue=float(eigenvalue), evolution=evolution)
 
 
-def _unwrap_series(overlaps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Accumulated argument along an overlap series, plus its smallest modulus."""
-    moduli = np.abs(overlaps)
-    ratios = overlaps[1:] * np.conj(overlaps[:-1])
-    increments = np.angle(ratios)
-    phases = np.concatenate([[0.0], np.cumsum(increments)])
-    return phases, float(np.min(moduli))
+def _unwrapped_phases(overlaps: np.ndarray, read: np.ndarray) -> tuple[np.ndarray, float]:
+    """Accumulated argument of an overlap series at the indices ``read``, and its smallest modulus.
+
+    The argument after k points is the sum of the first k step increments,
+    so index 0 reads 0.0.
+    """
+    least = float(np.min(np.abs(overlaps)))
+    accumulated = np.cumsum(np.angle(overlaps[1:] * np.conj(overlaps[:-1])))
+    return np.where(read > 0, accumulated[read - 1], 0.0), least
 
 
 def propagate(
@@ -552,8 +566,8 @@ def propagate(
     its own oscillator block driven by beta * f(t), stepped with midpoint
     exponentials exp(-i H(t_mid) dt) evaluated exactly on the truncated
     space.  Per-basis-state phases are recombined through the conditioner
-    eigenbasis, which reduces to plain per-state propagation for diagonal
-    conditioners.
+    eigenbasis, once per distinct mix of sector series, which reduces to
+    plain per-state propagation for diagonal conditioners.
 
     Long runs inside one closed-form segment are evaluated in closed form,
     shorter runs and callable segments one exponential at a time (see the
@@ -610,21 +624,25 @@ def propagate(
             column_sector[k] = len(distinct)
             distinct.append(float(value))
 
+    # source[i]: the propagated sector whose series sector i holds.
     sectors: list[SectorEvolution] = []
+    source: list[int] = []
     for value in distinct:
         mirror = next(
-            (s for s in sectors
+            (i for i, s in enumerate(sectors)
              if s.eigenvalue != 0.0 and abs(s.eigenvalue + value) <= _EIGENVALUE_RESOLUTION),
             None,
         )
         if mirror is None:
+            source.append(len(sectors))
             sectors.append(
                 _propagate_sector(
                     value, drive, tau, space, steps, initial_fock, with_operator, read
                 )
             )
         else:
-            sectors.append(_parity_mirror(mirror, value))
+            source.append(source[mirror])
+            sectors.append(_parity_mirror(sectors[mirror], value))
     sectors = tuple(sectors)
 
     # weights[j, i]: probability that basis state j sits in sector i.
@@ -632,18 +650,29 @@ def propagate(
     for k in range(4):
         weights[:, column_sector[k]] += np.abs(vectors[:, k]) ** 2
 
-    # State by state, so no temporary outgrows one series; the phases and the
-    # leakage are kept at the read indices only.
+    # Once per distinct mix of series: states with equal weights on the same
+    # series share every result.  No temporary outgrows one series, and the
+    # phases and the leakage are kept at the read indices only.
+    mixes: dict[tuple, list[int]] = {}
+    for j in range(4):
+        key = tuple((source[i], w) for i, w in enumerate(weights[j]) if w)
+        mixes.setdefault(key, []).append(j)
     total_by_state, dynamic_by_state, leakage_by_state = np.empty((3, 4, read.size))
     overlap_modulus, min_moduli, peak_leakage = np.empty((3, 4))
-    for j in range(4):
-        parts = [(weights[j, i], s) for i, s in enumerate(sectors) if weights[j, i]]
-        overlap = sum(w * s.overlap_series for w, s in parts)
-        state_leakage = sum(w * s.leakage_series for w, s in parts)
-        dynamic_by_state[j] = sum(w * s.dynamic_series for w, s in parts)
-        phases, min_moduli[j] = _unwrap_series(overlap)
-        total_by_state[j], leakage_by_state[j] = phases[read], state_leakage[read]
-        overlap_modulus[j], peak_leakage[j] = abs(overlap[-1]), np.max(state_leakage)
+    for states in mixes.values():
+        parts = [(w, sectors[i]) for i, w in enumerate(weights[states[0]]) if w]
+        dynamic_by_state[states] = sum(w * s.dynamic_series for w, s in parts)
+        if len(parts) == 1 and parts[0][0] == 1.0 and parts[0][1].eigenvalue == 0.0:
+            # The identity sector alone: a constant overlap of 1 and constant leakage.
+            state_leakage = parts[0][1].leakage_series
+            total_by_state[states], min_moduli[states], overlap_modulus[states] = 0.0, 1.0, 1.0
+        else:
+            overlap = sum(w * s.overlap_series for w, s in parts)
+            total_by_state[states], min_moduli[states] = _unwrapped_phases(overlap, read)
+            overlap_modulus[states] = abs(overlap[-1])
+            del overlap
+            state_leakage = sum(w * s.leakage_series for w, s in parts)
+        leakage_by_state[states], peak_leakage[states] = state_leakage[read], np.max(state_leakage)
     leakage = float(np.max(peak_leakage))
     if leakage > leakage_tol:
         peak = peak_excursion(drive, tau)

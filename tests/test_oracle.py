@@ -250,8 +250,7 @@ def test_zero_sector_is_identity(operator_run):
     sector = operator_run.sectors[operator_run.column_sector[0]]
     assert sector.eigenvalue == 0.0
     assert np.array_equal(sector.evolution, np.eye(25))
-    assert np.all(sector.overlap_series == 1.0)
-    assert np.all(sector.dynamic_series == 0.0)
+    _assert_constant_identity_series(sector, leakage=0.0)
     # dd and uu sit in the zero sector: no phase at any sampled time.
     samples = operator_run.samples
     assert samples["times"].size == 9
@@ -716,8 +715,47 @@ def test_zero_eigenvalues_of_jy_form_an_exact_identity_sector():
     run = propagate(drive, space=FockSpace(7), steps=50, leakage_tol=1e-3)
     zero = [sector for sector in run.sectors if sector.eigenvalue == 0.0]
     assert len(zero) == 1
-    assert np.all(zero[0].overlap_series == 1.0)
+    _assert_constant_identity_series(zero[0], leakage=0.0)
     assert np.array_equal(zero[0].evolution, np.eye(8))
+
+
+def _assert_constant_identity_series(sector, leakage):
+    """The identity sector's series: read-only, overlap 1, dynamic phase 0, constant leakage."""
+    for name, value in (
+        ("overlap_series", 1.0), ("dynamic_series", 0.0), ("leakage_series", leakage)
+    ):
+        series = getattr(sector, name)
+        assert not series.flags.writeable, name
+        assert np.all(series == value), name
+
+
+@pytest.mark.parametrize(
+    "conditioner, initial_fock",
+    [(jz_conditioner, 0), (odd_parity_projector, 0), (jz_conditioner, 7)],
+)
+def test_states_are_recombined_once_per_distinct_mix(monkeypatch, conditioner, initial_fock):
+    # jz: dd and uu share one series through the parity mirror, du and ud sit
+    # in the identity sector.  The odd-parity projector: du and ud share the
+    # unit sector, dd and uu sit in the identity sector.  One unwrap each.
+    calls = []
+    unwrapped = oracle._unwrapped_phases
+    monkeypatch.setattr(
+        oracle, "_unwrapped_phases", lambda *args: calls.append(1) or unwrapped(*args)
+    )
+    drive = headline_drive(conditioner())
+    run = propagate(
+        drive, space=FockSpace(7), steps=300, initial_fock=initial_fock, leakage_tol=2.0,
+        sample_times=[0.0, drive.total_duration / 2],
+    )
+    assert len(calls) == 1
+    idle = [1, 2] if conditioner is jz_conditioner else [0, 3]
+    zero = run.sectors[run.column_sector[idle[0]]]
+    assert zero.eigenvalue == 0.0
+    _assert_constant_identity_series(zero, leakage=1.0 if initial_fock == 7 else 0.0)
+    for name in ("total_phase", "dynamic_phase"):
+        assert np.all(getattr(run, name)[idle] == 0.0), name
+        assert np.all(run.samples[name][:, idle] == 0.0), name
+    assert np.all(run.min_overlap_modulus[idle] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +929,15 @@ def test_runs_evaluate_the_drive_only_where_they_read_it(monkeypatch):
 
 
 def test_state_only_propagation_allocates_a_few_series():
-    # The peak is about 2.0 times the four-state overlap storage: no array of
-    # step midpoints or drive values joins the series.  A time and a drive
-    # value per midpoint added 0.35 times, and one product over every chunk
-    # start of the closed-form run at once would add a (2, steps / 64, dim)
-    # coefficient block, 8 series at n_max 256, and reach about 4.7 times.
+    # The peak is about 1.35 times the four-state overlap storage, reached
+    # inside the closed-form run of the unit sector: its overlap and leakage
+    # series (0.375) and the run's chunk groups, whose (2, group, dim)
+    # coefficient block is as large as one overlap series and lives on beside
+    # the next group's block and phase factors (0.97).  The identity sector
+    # holds constant views, and the recombination afterwards peaks at 1.0.
+    # Full identity-sector series and one recombination per state would read
+    # 2.0, a time and a drive value per midpoint 0.35 more, and one product
+    # over every chunk start at once (8 series at n_max 256) about 4.7.
     steps = 200_000
     drive = headline_drive()
     space = FockSpace(256)
@@ -912,7 +954,7 @@ def test_state_only_propagation_allocates_a_few_series():
         if not tracing:
             tracemalloc.stop()
     series = 4 * (steps + 1) * np.dtype(complex).itemsize
-    assert peak - before < 2.2 * series
+    assert peak - before < 1.5 * series
 
 
 def test_magnus_form_reuses_the_unit_sector_of_a_propagation(monkeypatch):

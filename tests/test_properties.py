@@ -1,6 +1,7 @@
 """Properties of the loop phase over generated tones and pulse polygons."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from loopgate.drives import (
     drive_to_dict,
     gamma0,
 )
-from loopgate.gates import odd_parity_projector
-from loopgate.oracle import FockSpace, propagate
+from loopgate.gates import jy_conditioner, jz_conditioner, odd_parity_projector
+from loopgate.oracle import DEFAULT_LEAKAGE_TOL, FockSpace, propagate
 from loopgate.robustness import area_invariance_study
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -153,3 +154,64 @@ def test_sampled_oracle_dynamic_phase_matches_the_stepped_twin(tone):
     ]
     assert dynamic[0].shape == (len(index), 4)
     assert np.max(np.abs(dynamic[0] - dynamic[1]), initial=0.0) < 1e-9
+
+
+def _recombined_per_state(run):
+    """Each basis state's series recombined on its own, from ``run.sectors``.
+
+    Returns, per state, the unwrapped total phase at every grid point, the
+    dynamic phase at the read indices, the leakage at every grid point and
+    the final and smallest overlap moduli.
+    """
+    weights = np.zeros((4, len(run.sectors)))
+    for k in range(4):
+        weights[:, run.column_sector[k]] += np.abs(run.eigenvector_columns[:, k]) ** 2
+    states = []
+    for j in range(4):
+        parts = [(weights[j, i], s) for i, s in enumerate(run.sectors) if weights[j, i]]
+        overlap = sum(w * s.overlap_series for w, s in parts)
+        increments = np.angle(overlap[1:] * np.conj(overlap[:-1]))
+        states.append((
+            np.concatenate([[0.0], np.cumsum(increments)]),
+            sum(w * s.dynamic_series for w, s in parts),
+            sum(w * s.leakage_series for w, s in parts),
+            abs(overlap[-1]),
+            np.min(np.abs(overlap)),
+        ))
+    return states
+
+
+@PROPERTY
+@given(sampled_tones())
+def test_states_sharing_a_mix_of_series_keep_their_own_recombination(tone):
+    # propagate recombines once per distinct mix of sector series and takes
+    # the identity sector alone without an unwrap; every float must equal
+    # the state-by-state recombination bit for bit.
+    segment, steps, index = tone
+    space = FockSpace(32)
+    times = [k * segment.duration / steps for k in index]
+    read = sorted({*index, steps})
+    at = [read.index(k) for k in index]
+    for conditioner, initial_fock, with_operator in itertools.product(
+        (jy_conditioner, jz_conditioner, odd_parity_projector), (0, 2, space.n_max), (True, False)
+    ):
+        run = propagate(
+            DriveProfile(segments=(segment,), conditioner=conditioner()),
+            space=space,
+            steps=steps,
+            initial_fock=initial_fock,
+            leakage_tol=2.0 if initial_fock == space.n_max else DEFAULT_LEAKAGE_TOL,
+            sample_times=times,
+            with_operator=with_operator,
+        )
+        states = _recombined_per_state(run)
+        for j, (phases, dynamic, leakage, final, least) in enumerate(states):
+            assert run.total_phase[j] == phases[steps]
+            assert run.dynamic_phase[j] == dynamic[-1]
+            assert run.overlap_modulus[j] == final
+            assert run.min_overlap_modulus[j] == least
+            assert np.array_equal(run.samples["total_phase"][:, j], phases[index])
+            assert np.array_equal(run.samples["dynamic_phase"][:, j], dynamic[at])
+        assert run.leakage == max(np.max(leakage) for _, _, leakage, _, _ in states)
+        sampled = np.max([leakage[index] for _, _, leakage, _, _ in states], axis=0)
+        assert np.array_equal(run.samples["leakage"], sampled)
