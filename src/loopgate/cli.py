@@ -17,9 +17,12 @@ Five subcommands:
 ``design``
     Inverse design of a constant drive for a target one-period phase.
 
-Each flag is defined once, in ``_FLAGS``; ``_COMMANDS`` lists the flags each
-subcommand takes, and both the argument parser and the config-file schema
-are built from those two tables.  Every command accepts ``--config FILE`` (a
+Each flag is defined once, in ``_FLAGS``.  ``_COMMANDS`` declares each
+subcommand's modes (such as a constant or a document drive, or one kind of
+sweep), the flags each mode reads, and how the given options pick the mode.
+The argument parser and the config-file schema take the union of the modes'
+flags; a run refuses every given flag that its mode does not read, with one
+message that names the mode.  Every command accepts ``--config FILE`` (a
 JSON object whose keys are the command's flag names with underscores;
 explicit flags override config values; unknown keys are rejected),
 ``--format json|csv``, and ``--out PATH``.  Numbers must be finite.  Without
@@ -131,10 +134,14 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
     """The given flag values layered over config-file values, checked against their specs.
 
     Drive and grid values stay raw: each comes in several forms, which
-    :func:`_drive_source` and :func:`_parse_grid` read.
+    :func:`_drive_source` and :func:`_parse_grid` read.  A store_true flag
+    that a config sets false is not given.  Then every given flag must be
+    one that the command's mode reads, and where the mode takes
+    ``--oracle``, the oracle's settings need it.
     """
+    command = _COMMANDS[args.command]
     opts = {}
-    for key in (*_COMMANDS[args.command].flags, *_COMMON_FLAGS):
+    for key in (*command.flags, *_COMMON_FLAGS):
         value = getattr(args, key)
         if value is None:
             value = config.get(key)
@@ -148,6 +155,8 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
                 value, (int, float) if kind is float else kind
             ):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            if value is False:  # only a store_true flag passes its check as False
+                continue
             if "choices" in spec and value not in spec["choices"]:
                 raise ConfigError(
                     f"{key} must be one of {', '.join(spec['choices'])}, got {value!r}"
@@ -163,6 +172,16 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
             if key.endswith("tolerance") and value < 0:
                 raise ConfigError(f"{_flag(key)} must be nonnegative, got {value}")
         opts[key] = value
+
+    mode = command.mode(opts)
+    flags = command.modes[mode]
+    for key in opts:
+        if key not in flags and key not in _COMMON_FLAGS:
+            raise ConfigError(f"{_flag(key)} does not apply to {mode}")
+    if "oracle" in flags and "oracle" not in opts:
+        for key in ("n_max", "steps", "oracle_tolerance"):
+            if key in opts:
+                raise ConfigError(f"{_flag(key)} does not apply without --oracle")
     return opts
 
 
@@ -184,12 +203,6 @@ def _drive_source(opts: dict):
 
 def _load_drive_file(path: str) -> DriveProfile:
     return drives.drive_from_dict(read_json(path, "drive file"))
-
-
-def _reject(opts: dict, keys: Sequence[str], reason: str) -> None:
-    for key in keys:
-        if key in opts:
-            raise ConfigError(f"{_flag(key)} does not apply {reason}")
 
 
 def _constant_params(opts: dict, default_ratio: float | None = None) -> tuple[
@@ -223,7 +236,6 @@ def _resolve_drive(opts: dict) -> tuple[DriveProfile, dict | None]:
     name = opts.get("conditioner")
     conditioner = None if name is None else standard_conditioner(name)
     if kind is not None:
-        _reject(opts, (*_CONSTANT_DRIVE_FLAGS, "periods"), "to document drives")
         if kind == "paths":
             if len(payload) != 1:
                 raise ConfigError("this command takes exactly one drive file")
@@ -242,8 +254,6 @@ def _resolve_drive(opts: dict) -> tuple[DriveProfile, dict | None]:
 
 def _oracle_settings(opts: dict) -> OracleSettings | None:
     if not opts.get("oracle", False):
-        if "n_max" in opts or "steps" in opts:
-            raise ConfigError("--n-max/--steps require --oracle")
         return None
     return OracleSettings(
         n_max=opts.get("n_max", DEFAULT_N_MAX),
@@ -348,15 +358,6 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
     target = opts.get("target_phase")
     gamma0_value = opts.get("gamma0")
     gamma_value = opts.get("gamma")
-    source_kind, _ = _drive_source(opts)
-    has_drive = source_kind is not None or "omega_over_delta" in opts
-    chosen = [target is not None, gamma0_value is not None, gamma_value is not None, has_drive]
-    if sum(chosen) != 1:
-        raise ConfigError(
-            "choose exactly one construction: --target-phase, --gamma0, --gamma, "
-            "or a drive (--drive FILE / --omega-over-delta)"
-        )
-
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
     correct = opts.get("correct_to_cz", False)
@@ -365,27 +366,20 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
     drive_echo = None
     drive_doc = None
     quadrature_gamma0 = None
-    # The direct constructions take no drive, so no drive or quadrature flag.
-    direct_rejects = ("delta", "phi_l", "periods", "tau", "samples", "closure_tolerance")
 
     if gamma0_value is not None:
-        _reject(opts, direct_rejects, "to the direct-phase construction")
         conditioner_name = opts.get("conditioner", "odd-parity-projector")
         gate, decompositions = diagonal_gate(standard_conditioner(conditioner_name), gamma0_value)
         construction = "direct-phases"
     elif gamma_value is not None:
-        _reject(opts, direct_rejects, "to the squared-collective-y construction")
         conditioner_name = opts.get("conditioner", "jy")
         if conditioner_name != "jy":
             raise ConfigError("--gamma builds the squared-collective-y gate; use --conditioner jy")
         gate = jy_squared_gate(gamma_value)
         decompositions = None
         construction = "jy-exponential"
-        if correct:
-            raise ConfigError("--correct-to-cz needs a diagonal gate")
     else:
         if target is not None:
-            _reject(opts, ("tau", "conditioner", "periods"), "to the designed construction")
             params = drives.design_constant_drive(
                 target, opts.get("delta", 1.0), opts.get("phi_l", 0.0)
             )
@@ -545,16 +539,8 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
 
 
 def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
-    parameter = opts.get("parameter")
-    if parameter is None:
-        raise ConfigError(f"sweep needs --parameter, one of {_FLAGS['parameter']['choices']}")
-
+    parameter = opts["parameter"]
     if parameter == "loop_shape":
-        if "grid" in opts:
-            raise ConfigError("loop_shape sweeps take --drive files, not a grid")
-        if opts.get("oracle", False) or "n_max" in opts or "steps" in opts:
-            raise ConfigError("the equal-area study is analytic-only; drop --oracle")
-        _reject(opts, _CONSTANT_DRIVE_FLAGS, "to loop_shape sweeps")
         kind, payload = _drive_source(opts)
         if kind is None:
             raise ConfigError("loop_shape sweeps need at least one --drive FILE")
@@ -570,15 +556,11 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
         )
         return dataclasses.asdict(report), None
 
-    if _drive_source(opts)[0] is not None:
-        raise ConfigError("parameter sweeps use the constant-drive base, not drive files")
     grid = _parse_grid(opts)
     _, base = _constant_params(opts, default_ratio=0.5)
     settings = _oracle_settings(opts)
 
     if parameter == "time":
-        if settings is None:
-            _reject(opts, ("oracle_tolerance",), "without --oracle")
         report = noncyclic_scan(
             base,
             grid,
@@ -588,11 +570,8 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
             oracle_tolerance=opts.get("oracle_tolerance", NONCYCLIC_ORACLE_TOL),
         )
     elif parameter == "timing_error":
-        _reject(opts, ("samples", "analytic_tolerance", "oracle_tolerance"),
-                "to timing_error sweeps")
         report = timing_error_sweep(base, grid, oracle_settings=settings)
     else:
-        _reject(opts, ("analytic_tolerance", "oracle_tolerance"), "to eta sweeps")
         spec = SweepSpec(parameter=parameter, grid=tuple(grid), base=base,
                          oracle_settings=settings)
         report = eta_invariance_sweep(
@@ -703,53 +682,110 @@ class _Command(NamedTuple):
     handler: Callable[[dict], tuple[dict, str | None]]
     help: str
     description: str
+    # Names the mode of the checked options, or raises ConfigError.
+    mode: Callable[[dict], str]
+    # Each mode's name and the flags it reads; _options refuses every other flag.
+    modes: dict[str, tuple[str, ...]]
+    # The union of the modes' flags: the parser's flags and the config keys.
     flags: tuple[str, ...]
     # Keywords that replace a flag's spec for this subcommand only.
     overrides: dict = {}
 
 
+def _command(handler, help, description, mode, modes, overrides={}) -> _Command:
+    flags = tuple(dict.fromkeys(key for keys in modes.values() for key in keys))
+    return _Command(handler, help, description, mode, modes, flags, overrides)
+
+
+def _drive_mode(opts: dict) -> str:
+    # Reading the source refuses a malformed drive value with its own message.
+    return "constant drives" if _drive_source(opts)[0] is None else "document drives"
+
+
+def _gate_mode(opts: dict) -> str:
+    drive = _drive_mode(opts)
+    # --drive beside --omega-over-delta is a document drive, which refuses the ratio.
+    given = ("target_phase" in opts, "gamma0" in opts, "gamma" in opts,
+             "drive" in opts or "omega_over_delta" in opts)
+    if sum(given) != 1:
+        raise ConfigError(
+            "choose exactly one construction: --target-phase, --gamma0, --gamma, "
+            "or a drive (--drive FILE / --omega-over-delta)"
+        )
+    return ("the designed construction", "the direct-phase construction",
+            "the squared-collective-y construction", drive)[given.index(True)]
+
+
+def _sweep_mode(opts: dict) -> str:
+    parameter = opts.get("parameter")
+    if parameter is None:
+        raise ConfigError(f"sweep needs --parameter, one of {_FLAGS['parameter']['choices']}")
+    return "eta sweeps" if parameter in ETA_SWEEP_PARAMETERS else f"{parameter} sweeps"
+
+
+_ORACLE_FLAGS = ("oracle", "n_max", "steps")
+
 _COMMANDS = {
-    "phase": _Command(
+    "phase": _command(
         _cmd_phase,
         "phase decomposition of a drive loop",
         "Total, geometric, and dynamic phase of a drive loop, with the "
         "dynamic-to-geometric ratio eta.",
-        (*_CONSTANT_DRIVE_FLAGS, "periods", "drive", "tau", "samples", "require_closed",
-         "closure_tolerance", "oracle", "n_max", "steps"),
+        _drive_mode,
+        {"constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "tau", "require_closed",
+                             "closure_tolerance", *_ORACLE_FLAGS),
+         "document drives": ("drive", "tau", "samples", "require_closed", "closure_tolerance",
+                             *_ORACLE_FLAGS)},
     ),
-    "gate": _Command(
+    "gate": _command(
         _cmd_gate,
         "two-qubit gate construction",
         "Build the two-qubit gate from a designed drive, a drive document, or "
         "direct phase parameters.",
-        ("target_phase", "gamma0", "gamma", "conditioner", "correct_to_cz",
-         *_CONSTANT_DRIVE_FLAGS, "periods", "drive", "tau", "samples", "closure_tolerance"),
+        _gate_mode,
+        {"the designed construction": ("target_phase", "delta", "phi_l", "samples",
+                                       "closure_tolerance", "correct_to_cz"),
+         "the direct-phase construction": ("gamma0", "conditioner", "correct_to_cz"),
+         "the squared-collective-y construction": ("gamma", "conditioner"),
+         "constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "conditioner", "tau", "samples",
+                             "closure_tolerance", "correct_to_cz"),
+         "document drives": ("drive", "conditioner", "tau", "samples", "closure_tolerance",
+                             "correct_to_cz")},
     ),
-    "oracle-verify": _Command(
+    "oracle-verify": _command(
         _cmd_oracle_verify,
         "brute-force check of the analytic phases",
         "Propagate the drive in a truncated number basis and compare per-state "
         "phases against the analytic predictions.",
-        (*_CONSTANT_DRIVE_FLAGS, "periods", "drive", "conditioner", "tau", "samples",
-         "n_max", "steps", "initial_fock", "tolerance", "leakage_tolerance", "state_only"),
+        _drive_mode,
+        {"constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "conditioner", "tau", "n_max",
+                             "steps", "initial_fock", "tolerance", "leakage_tolerance",
+                             "state_only"),
+         "document drives": ("drive", "conditioner", "tau", "samples", "n_max", "steps",
+                             "initial_fock", "tolerance", "leakage_tolerance", "state_only")},
         {"conditioner": {"choices": ("odd-parity-projector", "jz")}},
     ),
-    "sweep": _Command(
+    "sweep": _command(
         _cmd_sweep,
         "robustness sweeps and scans",
         "Parameter sweeps: eta invariance (omega_over_delta, phi_l, delta), "
         "timing_error response, noncyclic time scans, and the equal-area "
         "loop_shape study.",
-        ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, "drive", "oracle", "n_max", "steps",
-         "samples", "analytic_tolerance", "oracle_tolerance", "agreement_tolerance",
-         "closure_tolerance"),
+        _sweep_mode,
+        {"time sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS, "samples",
+                         "analytic_tolerance", "oracle_tolerance"),
+         "timing_error sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS),
+         "eta sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS, "samples"),
+         "loop_shape sweeps": ("parameter", "drive", "samples", "agreement_tolerance",
+                               "closure_tolerance")},
     ),
-    "design": _Command(
+    "design": _command(
         _cmd_design,
         "inverse design of a constant drive",
         "Constant-drive parameters whose one-period loop accumulates a requested "
         "total phase.",
-        ("target_phase", "delta", "phi_l"),
+        lambda opts: "design",
+        {"design": ("target_phase", "delta", "phi_l")},
     ),
 }
 

@@ -249,6 +249,10 @@ def test_gate_requires_exactly_one_source(capsys):
             ("gate", "--gamma", "-0.3", "--closure-tolerance", "1e-6"),
             "--closure-tolerance does not apply to the squared-collective-y construction",
         ),
+        (
+            ("gate", "--gamma", "-0.3", "--correct-to-cz"),
+            "--correct-to-cz does not apply to the squared-collective-y construction",
+        ),
     ],
 )
 def test_gate_rejection_messages(capsys, argv, message):
@@ -698,6 +702,92 @@ def test_time_scan_oracle_tolerance_requires_oracle(capsys, tmp_path, given):
     assert code == EXIT_INVALID
     assert out == ""
     assert err == "error: --oracle-tolerance does not apply without --oracle\n"
+
+
+# ---------------------------------------------------------------------------
+# flags by mode: each mode reads the flags cli._COMMANDS lists for it
+
+TIME = ("sweep", "--parameter", "time", "--grid", "1")
+TIMING = ("sweep", "--parameter", "timing_error", "--grid", "0.01")
+ETA = ("sweep", "--parameter", "phi_l", "--grid", "0.1")
+# "{circle}" stands for the path of a drive file holding CIRCLE_DOC.
+SHAPE = ("sweep", "--parameter", "loop_shape", "--drive", "{circle}")
+
+
+def run_with_circle(capsys, tmp_path, argv, config=None):
+    circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    argv = [circle if arg == "{circle}" else arg for arg in argv]
+    if config is not None:
+        argv.append(f"--config={write_doc(tmp_path, 'config.json', config)}")
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, mode",
+    [
+        (("phase", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
+        (("oracle-verify", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
+        (TIME, "--agreement-tolerance=0.1", "time sweeps"),
+        (TIME, "--closure-tolerance=0.1", "time sweeps"),
+        (TIMING, "--agreement-tolerance=0.1", "timing_error sweeps"),
+        (TIMING, "--closure-tolerance=0.1", "timing_error sweeps"),
+        (ETA, "--agreement-tolerance=0.1", "eta sweeps"),
+        (ETA, "--closure-tolerance=0.1", "eta sweeps"),
+        (SHAPE, "--analytic-tolerance=0.1", "loop_shape sweeps"),
+        (SHAPE, "--oracle-tolerance=0.1", "loop_shape sweeps"),
+    ],
+)
+def test_flag_outside_its_mode_is_refused(capsys, tmp_path, argv, flag, mode):
+    code, out, err = run_with_circle(capsys, tmp_path, [*argv, flag])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {flag.split('=')[0]} does not apply to {mode}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("phase", "--omega-over-delta", "0.5", "--n-max=16"),
+         "--n-max does not apply without --oracle"),
+        (("phase", "--drive", "{circle}", "--steps=500"),
+         "--steps does not apply without --oracle"),
+        ((*TIME, "--n-max=16"), "--n-max does not apply without --oracle"),
+        ((*TIMING, "--steps=500"), "--steps does not apply without --oracle"),
+        ((*ETA, "--n-max=16"), "--n-max does not apply without --oracle"),
+        ((*SHAPE, "--grid=1"), "--grid does not apply to loop_shape sweeps"),
+        ((*SHAPE, "--oracle"), "--oracle does not apply to loop_shape sweeps"),
+        ((*SHAPE, "--n-max=16"), "--n-max does not apply to loop_shape sweeps"),
+        ((*SHAPE, "--steps=500"), "--steps does not apply to loop_shape sweeps"),
+        ((*TIME, "--drive", "{circle}"), "--drive does not apply to time sweeps"),
+        ((*TIMING, "--drive", "{circle}"), "--drive does not apply to timing_error sweeps"),
+        ((*ETA, "--drive", "{circle}"), "--drive does not apply to eta sweeps"),
+    ],
+)
+def test_mode_refusal_messages(capsys, tmp_path, argv, message):
+    code, out, err = run_with_circle(capsys, tmp_path, list(argv))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(SHAPE, {"oracle": False}), (("gate", "--gamma", "-0.3"), {"correct_to_cz": False})],
+)
+def test_store_true_flag_set_false_in_config_is_not_given(capsys, tmp_path, argv, config):
+    code, out, err = run_with_circle(capsys, tmp_path, list(argv), config)
+    assert code == EXIT_OK
+    assert err == ""
+    assert json.loads(out)["schema_version"] == 1
+
+
+def test_false_for_a_number_flag_is_a_type_error(capsys, tmp_path):
+    code, out, err = run_with_circle(
+        capsys, tmp_path, ["phase", "--omega-over-delta", "0.5"], {"n_max": False}
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: n_max must be an integer, got False\n"
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,16 @@
 
 Every argv drawn here ends in exit 0, 2 or 3.  Exit 2 or 3 prints exactly one
 stderr line, ``error: <message>``; exit 0 prints nothing on stderr and a
-report that strict JSON or ``csv`` reads back.  Arguments come from
-``cli._COMMANDS`` and the flag table (``cli._spec``), each in the form
-``--flag=value`` or ``--flag value``; the parser takes a value with a
+report that strict JSON or ``csv`` reads back.  Arguments come from the
+modes in ``cli._COMMANDS`` and the flag table (``cli._spec``), each in the
+form ``--flag=value`` or ``--flag value``; the parser takes a value with a
 leading minus, such as ``-1e+308`` or ``-0.5,1.0``, after a separate flag
-too, so no drawn argv is refused with "expected one argument".  Config files and drive documents come from a small grammar with
-unknown keys, wrong types and odd spellings.  The strategy bounds the cost
-of a run: n_max at most 64, steps at most 5,000, samples at most 20,001 and
-at most three grid values.
+too, so no drawn argv is refused with "expected one argument".  A run that
+adds a flag from outside its mode must print exactly ``error: --FLAG does
+not apply to <mode>``.  Config files and drive documents come from a small
+grammar with unknown keys, wrong types and odd spellings.  The strategy
+bounds the cost of a run: n_max at most 64, steps at most 5,000, samples at
+most 20,001 and at most three grid values.
 
 Argv the parser refuses (an unknown flag, a value that is not a number, a
 value outside a flag's choices, no command) is drawn too: each returns 2
@@ -29,6 +31,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loopgate import cli
+from loopgate.errors import ConfigError
 
 FUZZ = settings(
     max_examples=600,
@@ -108,13 +111,17 @@ def drive_documents(draw, setting, anything):
 
 @st.composite
 def runs(draw):
-    """An argv and the files it names, as {relative path: JSON document}.
+    """An argv, the files it names as {relative path: JSON document}, and a refusal.
 
-    Each run starts from one construction its command accepts, then adds
-    up to three flags with any value the parser takes, and maybe a config.
+    Each run starts from one construction its command accepts, which picks
+    a mode in ``cli._COMMANDS``.  Most runs then add up to three of that
+    mode's flags with any value the parser takes, and maybe a config; the
+    refusal is None.  One run in five that can, instead adds one flag from
+    outside the mode, with a value that passes the flag's own checks, and
+    the refusal is the stderr line the run must print.
     """
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    flags = cli._COMMANDS[command].flags
+    table = cli._COMMANDS[command]
     files = {}
     setting, anything = (edges, edges) if draw(st.booleans()) else (moderate, any_float)
     documents = drive_documents(setting, anything)
@@ -163,10 +170,32 @@ def runs(draw):
         if key == "gamma":
             given_flags["conditioner"] = "jy"
 
-    # Then up to three flags with any value; the oracle's default size is past the bound.
-    for key in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
-        given_flags[key] = True if cli._spec(command, key).get("action") == "store_true" else None
-    if command == "oracle-verify" or given_flags.get("oracle"):
+    mode = table.mode(given_flags)
+    flags = table.modes[mode]
+
+    def keeps_mode(key):
+        # A selector reads which flags are given; a path stands in for any value.
+        try:
+            return table.mode({**given_flags, key: "given.json"}) == mode
+        except ConfigError:
+            return False
+
+    def flag_item(key):
+        return True if cli._spec(command, key).get("action") == "store_true" else None
+
+    # Flags outside the mode that leave the construction as it is.
+    outside = [key for key in table.flags if key not in flags and keeps_mode(key)]
+    refusal = None
+    if outside and draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(outside))
+        checked = cli._spec(command, key).get("type") is float
+        given_flags[key] = draw(moderate) if checked else flag_item(key)
+        refusal = f"error: {cli._flag(key)} does not apply to {mode}\n"
+    else:
+        # Up to three flags with any value; the oracle's default size is past the bound.
+        for key in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+            given_flags[key] = flag_item(key)
+    if refusal is None and (command == "oracle-verify" or given_flags.get("oracle")):
         given_flags.setdefault("n_max", None)
         given_flags.setdefault("steps", None)
     argv = [command]
@@ -181,7 +210,7 @@ def runs(draw):
     if draw(st.booleans()):
         argv.append(f"--format={draw(st.sampled_from(('json', 'csv')))}")
 
-    if draw(st.integers(0, 3)) == 3:
+    if refusal is None and draw(st.integers(0, 3)) == 3:
         config = draw(
             st.fixed_dictionaries(
                 {},
@@ -214,7 +243,7 @@ def runs(draw):
             config["unknown_key"] = 1
         files["config.json"] = config
         argv.append("--config=config.json")
-    return argv, files
+    return argv, files, refusal
 
 
 # Words that no flag takes as a number or as a choice.
@@ -262,7 +291,7 @@ def _reject_constant(name):
 @FUZZ
 @given(runs())
 def test_every_argv_meets_the_exit_contract(run):
-    argv, files = run
+    argv, files, refusal = run
     with tempfile.TemporaryDirectory() as directory:
         for name, document in files.items():
             with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
@@ -276,6 +305,9 @@ def test_every_argv_meets_the_exit_contract(run):
 
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_NUMERICAL), (argv, code)
     assert "expected one argument" not in err, (argv, err)
+    if refusal is not None:
+        assert (code, out, err) == (cli.EXIT_INVALID, "", refusal), argv
+        return
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert err.endswith("\n"), (argv, err)

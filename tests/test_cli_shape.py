@@ -1,8 +1,9 @@
 """The CLI's output shape: key paths of every report, pinned in a data file.
 
 ``tests/data/cli_shape.json`` holds, for one invocation of each subcommand
-(and each sweep kind), the sorted key paths of the JSON report and the key
-column of the CSV report.  Values are not pinned here; the other CLI tests
+mode (each gate construction, each sweep kind, constant and document
+drives), the sorted key paths of the JSON report and the key column of the
+CSV report.  Values are not pinned here; the other CLI tests
 check them.  Regenerate the file with ``PYTHONPATH=src python
 tests/test_cli_shape.py`` only when a report field is added or removed on
 purpose.
@@ -33,9 +34,16 @@ CIRCLE_DOC = {
 INVOCATIONS = {
     "phase": ["phase", "--omega-over-delta", "0.5", "--oracle", "--n-max", "16",
               "--steps", "500"],
+    "phase-document": ["phase", "--drive", "{circle}"],
     "gate": ["gate", "--target-phase", str(-math.pi / 2.0), "--correct-to-cz"],
+    "gate-direct": ["gate", "--gamma0", "0.5"],
+    "gate-jy": ["gate", "--gamma", "-0.3"],
+    "gate-constant": ["gate", "--omega-over-delta", "0.5"],
+    "gate-document": ["gate", "--drive", "{circle}"],
     "oracle-verify": ["oracle-verify", "--omega-over-delta", "0.5", "--n-max", "32",
                       "--steps", "2000"],
+    "oracle-verify-document": ["oracle-verify", "--drive", "{circle}", "--n-max", "32",
+                               "--steps", "2000"],
     "sweep-eta": ["sweep", "--parameter", "omega_over_delta", "--grid", "0.3,0.5",
                   "--samples", "10001", "--oracle", "--n-max", "16", "--steps", "500"],
     "sweep-timing": ["sweep", "--parameter", "timing_error", "--grid", "0.001,0.01"],
