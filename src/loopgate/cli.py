@@ -179,7 +179,7 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
         if key not in flags and key not in _COMMON_FLAGS:
             raise ConfigError(f"{_flag(key)} does not apply to {mode}")
     if "oracle" in flags and "oracle" not in opts:
-        for key in ("n_max", "steps", "oracle_tolerance"):
+        for key in (*_ORACLE_FLAGS[1:], "oracle_tolerance"):
             if key in opts:
                 raise ConfigError(f"{_flag(key)} does not apply without --oracle")
     return opts
@@ -671,6 +671,10 @@ _FLAGS = {
 
 _COMMON_FLAGS = ("config", "format", "out")
 _CONSTANT_DRIVE_FLAGS = ("omega_over_delta", "delta", "phi_l")
+_ORACLE_FLAGS = ("oracle", "n_max", "steps")
+_GRID_SWEEP_FLAGS = ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS)
+# What gate's constant and document drives read besides the drive itself.
+_GATE_DRIVE_FLAGS = ("conditioner", "tau", "samples", "closure_tolerance", "correct_to_cz")
 
 # The largest value of each flag that sizes an array.
 _CAPS = {"n_max": MAX_N_MAX, "steps": MAX_STEPS, "samples": drives.MAX_SAMPLES}
@@ -723,8 +727,6 @@ def _sweep_mode(opts: dict) -> str:
     return "eta sweeps" if parameter in ETA_SWEEP_PARAMETERS else f"{parameter} sweeps"
 
 
-_ORACLE_FLAGS = ("oracle", "n_max", "steps")
-
 _COMMANDS = {
     "phase": _command(
         _cmd_phase,
@@ -747,10 +749,8 @@ _COMMANDS = {
                                        "closure_tolerance", "correct_to_cz"),
          "the direct-phase construction": ("gamma0", "conditioner", "correct_to_cz"),
          "the squared-collective-y construction": ("gamma", "conditioner"),
-         "constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "conditioner", "tau", "samples",
-                             "closure_tolerance", "correct_to_cz"),
-         "document drives": ("drive", "conditioner", "tau", "samples", "closure_tolerance",
-                             "correct_to_cz")},
+         "constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", *_GATE_DRIVE_FLAGS),
+         "document drives": ("drive", *_GATE_DRIVE_FLAGS)},
     ),
     "oracle-verify": _command(
         _cmd_oracle_verify,
@@ -772,10 +772,9 @@ _COMMANDS = {
         "timing_error response, noncyclic time scans, and the equal-area "
         "loop_shape study.",
         _sweep_mode,
-        {"time sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS, "samples",
-                         "analytic_tolerance", "oracle_tolerance"),
-         "timing_error sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS),
-         "eta sweeps": ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS, "samples"),
+        {"time sweeps": (*_GRID_SWEEP_FLAGS, "samples", "analytic_tolerance", "oracle_tolerance"),
+         "timing_error sweeps": _GRID_SWEEP_FLAGS,
+         "eta sweeps": (*_GRID_SWEEP_FLAGS, "samples"),
          "loop_shape sweeps": ("parameter", "drive", "samples", "agreement_tolerance",
                                "closure_tolerance")},
     ),

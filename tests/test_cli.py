@@ -58,6 +58,15 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
+def run_with_circle(capsys, tmp_path, argv, config=None):
+    """Run argv, where "{circle}" stands for the path of a file holding CIRCLE_DOC."""
+    circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    argv = [circle if arg == "{circle}" else arg for arg in argv]
+    if config is not None:
+        argv.append(f"--config={write_doc(tmp_path, 'config.json', config)}")
+    return run_cli(capsys, *argv)
+
+
 # ---------------------------------------------------------------------------
 # phase
 
@@ -170,7 +179,7 @@ def test_phase_document_rejects_inline_parameters(capsys, tmp_path):
         capsys, "phase", "--drive", path, "--omega-over-delta", "0.5"
     )
     assert code == EXIT_INVALID
-    assert "omega-over-delta" in err
+    assert err == "error: --omega-over-delta does not apply to document drives\n"
 
 
 def test_phase_oracle_settings_require_oracle_flag(capsys):
@@ -178,7 +187,7 @@ def test_phase_oracle_settings_require_oracle_flag(capsys):
         capsys, "phase", "--omega-over-delta", "0.5", "--n-max", "16"
     )
     assert code == EXIT_INVALID
-    assert "n-max" in err
+    assert err == "error: --n-max does not apply without --oracle\n"
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +262,14 @@ def test_gate_requires_exactly_one_source(capsys):
             ("gate", "--gamma", "-0.3", "--correct-to-cz"),
             "--correct-to-cz does not apply to the squared-collective-y construction",
         ),
+        (
+            ("gate", "--drive", "{circle}", "--omega-over-delta", "0.5"),
+            "--omega-over-delta does not apply to document drives",
+        ),
     ],
 )
-def test_gate_rejection_messages(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
+def test_gate_rejection_messages(capsys, tmp_path, argv, message):
+    code, out, err = run_with_circle(capsys, tmp_path, argv)
     assert code == EXIT_INVALID
     assert out == ""
     assert err == f"error: {message}\n"
@@ -710,16 +723,7 @@ def test_time_scan_oracle_tolerance_requires_oracle(capsys, tmp_path, given):
 TIME = ("sweep", "--parameter", "time", "--grid", "1")
 TIMING = ("sweep", "--parameter", "timing_error", "--grid", "0.01")
 ETA = ("sweep", "--parameter", "phi_l", "--grid", "0.1")
-# "{circle}" stands for the path of a drive file holding CIRCLE_DOC.
 SHAPE = ("sweep", "--parameter", "loop_shape", "--drive", "{circle}")
-
-
-def run_with_circle(capsys, tmp_path, argv, config=None):
-    circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
-    argv = [circle if arg == "{circle}" else arg for arg in argv]
-    if config is not None:
-        argv.append(f"--config={write_doc(tmp_path, 'config.json', config)}")
-    return run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -747,8 +751,6 @@ def test_flag_outside_its_mode_is_refused(capsys, tmp_path, argv, flag, mode):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("phase", "--omega-over-delta", "0.5", "--n-max=16"),
-         "--n-max does not apply without --oracle"),
         (("phase", "--drive", "{circle}", "--steps=500"),
          "--steps does not apply without --oracle"),
         ((*TIME, "--n-max=16"), "--n-max does not apply without --oracle"),
@@ -779,6 +781,33 @@ def test_store_true_flag_set_false_in_config_is_not_given(capsys, tmp_path, argv
     assert code == EXIT_OK
     assert err == ""
     assert json.loads(out)["schema_version"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("phase",), ("phase", "--omega-over-delta", "0.5"), ("gate",), ("gate", "--gamma0", "0.5"),
+     ("oracle-verify", "--omega-over-delta", "0.5"), ("sweep", "--parameter", "loop_shape")],
+)
+@pytest.mark.parametrize(
+    "drive, message",
+    [([], "a drive list must hold one or more file paths"),
+     ([1.0], "a drive list must hold one or more file paths"),
+     (5, "drive must be an object, a file path, or a list of file paths")],
+)
+def test_malformed_config_drive_is_refused_before_the_mode_rules(
+    capsys, tmp_path, argv, drive, message
+):
+    code, out, err = run_with_circle(capsys, tmp_path, list(argv), {"drive": drive})
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [TIME, TIMING, ETA])
+def test_config_drive_on_a_grid_sweep_is_refused_by_mode(capsys, tmp_path, argv):
+    code, out, err = run_with_circle(capsys, tmp_path, list(argv), {"drive": []})
+    mode = "eta" if argv is ETA else argv[2]
+    assert (code, out, err) == (
+        EXIT_INVALID, "", f"error: --drive does not apply to {mode} sweeps\n"
+    )
 
 
 def test_false_for_a_number_flag_is_a_type_error(capsys, tmp_path):

@@ -115,8 +115,8 @@ def runs(draw):
 
     Each run starts from one construction its command accepts, which picks
     a mode in ``cli._COMMANDS``.  Most runs then add up to three of that
-    mode's flags with any value the parser takes, and maybe a config; the
-    refusal is None.  One run in five that can, instead adds one flag from
+    mode's flags with any value the parser takes, and maybe a config with
+    any of the command's keys; the refusal is None.  One run in five that can, instead adds one flag from
     outside the mode, with a value that passes the flag's own checks, and
     the refusal is the stderr line the run must print.
     """
@@ -220,7 +220,8 @@ def runs(draw):
                 },
             )
         )
-        keys = [key for key in (*flags, "format") if key not in INT_BOUNDS]
+        # Any of the command's keys, so a config may switch or leave the mode.
+        keys = [key for key in (*table.flags, "format") if key not in INT_BOUNDS]
         for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
             spec = cli._spec(command, key)
             if draw(st.integers(0, 3)) == 3:
