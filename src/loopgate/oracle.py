@@ -68,8 +68,8 @@ DEFAULT_N_MAX = 64
 DEFAULT_STEPS = 20_000
 
 # Caps on the truncation and the step count.  At MAX_STEPS a state-only
-# propagation peaks at about 80 MB (tracemalloc, n_max 64): 1.25 times the
-# 64 MB of four overlap series.  At MAX_N_MAX the dense (n_max+1)^2 blocks,
+# propagation peaks at about 64 MB (tracemalloc, n_max 64), the storage of
+# four overlap series.  At MAX_N_MAX the dense (n_max+1)^2 blocks,
 # 17 MB each, peak at about 120 MB, or 150 MB with the operator tracked.
 MAX_N_MAX = 1024
 MAX_STEPS = 1_000_000
@@ -388,6 +388,8 @@ def _closed_form_run(
         points = slice(j0[0], min(steps, j0[0] + block.shape[1]))
         overlaps[points] = block[0, : points.stop - points.start]
         leakages[points] = np.abs(block[1, : points.stop - points.start]) ** 2
+        # Freed before the next group's factors and block are built.
+        del coef, block
     if initial_fock and frequency != 0.0:
         # L^(j+1) turns the overlap element by -frequency dt initial_fock (j + 1).
         overlaps *= np.exp(-1j * frequency * dt * initial_fock * np.arange(1, steps + 1))

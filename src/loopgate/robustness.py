@@ -10,6 +10,7 @@ nothing in the core draws random numbers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -175,23 +176,34 @@ def _oracle_phase_triplet(
     return decomposition.total, decomposition.geometric, decomposition.dynamic
 
 
-def _unit_sums(delta: float, tau: float, samples: int) -> tuple[float, float, float]:
-    """Chord sum, trapezoid and peak energy of the unit loop on ``np.linspace(0, tau, samples)``.
+def _unit_sums(
+    delta: float, times: Sequence[float], samples: int
+) -> list[tuple[float, float, float]]:
+    """Chord sum, trapezoid and peak energy of the unit loop up to each of ``times``.
 
     The unit loop is u = exp(-i*delta*t) - 1 and its energy
-    1 - cos(delta*t) = -Re(u), rounded alike.  Each block's times come from
-    ``drives._grid_times`` and its u from whole rows of the ``_exp_factors``
-    table, so no N-sample array is built.  Returns the chord sum of u,
-    -integral(1 - cos(delta*t) dt) and max(1 - cos(delta*t)), all finite.
+    1 - cos(delta*t) = -Re(u), rounded alike.  One walk covers
+    ``np.linspace(0, times[-1], samples)``; the times are positive and
+    strictly increasing.  Each block's times come from ``drives._grid_times``
+    and its u from whole rows of the ``_exp_factors`` table, so no N-sample
+    array is built.  The last time takes the sums of the whole grid.  An
+    earlier time t takes them up to j, the last node at or below t: the
+    block that holds j adds its chord products and trapezoid terms up to j
+    on the side, and one interval from j to t, with u(t) evaluated directly,
+    closes the row unless t is a node.  Returns, per time, the chord sum of
+    u, -integral(1 - cos(delta*t) dt) and max(1 - cos(delta*t)), all finite.
     """
+    tau = times[-1]
     factors = _exp_factors(delta, samples, lambda k: _grid_times(k, tau, samples))
     width = factors[1].size
     chord = trapezoid = peak = 0.0
+    sums = []
     with _workspace() as work:
         block = max(1, min(work.block // width, factors[0].size)) * width
         work.reserve(block + 1)
         # Slot 0 of u and of t carries the previous block's last sample.
         u, t = work.alpha, work.times
+        terms = work.scratch.view(float)
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             count = stop - start
@@ -199,15 +211,34 @@ def _unit_sums(delta: float, tau: float, samples: int) -> tuple[float, float, fl
                 factors, start, stop, samples, out=u[1 : count + 1], tile=work.scratch[:count]
             )
             fresh -= 1.0
-            peak = max(peak, -float(fresh.real.min()))
-            times = np.add(work.ramp[:count], start, out=t[1 : count + 1])
-            _grid_times(times, tau, samples, out=times)
+            fresh_times = np.add(work.ramp[:count], start, out=t[1 : count + 1])
+            _grid_times(fresh_times, tau, samples, out=fresh_times)
             head = 0 if start else 1
-            part = u[head : count + 1]
-            chord += _chord_sum(part, work.scratch)
-            trapezoid -= _trapezoid_sum(part.real, t[head : count + 1], work.scratch.view(float))
+            part, nodes = u[head : count + 1], t[head : count + 1]
+            # The earlier times below this block's last node, each with the
+            # index j in ``part`` of the last node at or below it.
+            pending = times[len(sums) : -1]
+            ends = np.searchsorted(nodes, pending, side="right")
+            reads = list(zip(pending, ends[ends < nodes.size] - 1))
+            # Both sums leave their terms in the scratch array, which they share.
+            block_chord = _chord_sum(part, work.scratch)
+            chords = [chord - float(np.sum(work.scratch[:j].imag)) for _, j in reads]
+            block_trapezoid = _trapezoid_sum(part.real, nodes, terms)
+            for (time, j), row_chord in zip(reads, chords):
+                row_trapezoid = trapezoid + float(np.add.reduce(terms[:j]))
+                row_peak = max(peak, -float(part.real[: j + 1].min()))
+                if nodes[j] < time:
+                    node, last = complex(part[j]), cmath.exp(-1j * delta * time) - 1.0
+                    row_chord -= (node.conjugate() * last).imag
+                    row_trapezoid += (time - float(nodes[j])) * (node.real + last.real) / 2.0
+                    row_peak = max(row_peak, -last.real)
+                sums.append((row_chord, row_trapezoid, row_peak))
+            chord += block_chord
+            trapezoid -= block_trapezoid
+            peak = max(peak, -float(fresh.real.min()))
             u[0], t[0] = u[count], t[count]
-    return chord, trapezoid, peak
+    sums.append((chord, trapezoid, peak))
+    return sums
 
 
 def _extrapolated_unit_sums(samples: int) -> tuple[float, float, float]:
@@ -223,8 +254,8 @@ def _extrapolated_unit_sums(samples: int) -> tuple[float, float, float]:
     """
     if _require_samples(samples) % 2 == 0:
         raise ValueError(f"an eta sweep needs an odd number of samples, got {samples}")
-    chord, trapezoid, peak = _unit_sums(1.0, 2.0 * math.pi, samples)
-    coarse_chord, coarse_trapezoid, _ = _unit_sums(1.0, 2.0 * math.pi, (samples + 1) // 2)
+    ((chord, trapezoid, peak),) = _unit_sums(1.0, [2.0 * math.pi], samples)
+    ((coarse_chord, coarse_trapezoid, _),) = _unit_sums(1.0, [2.0 * math.pi], (samples + 1) // 2)
     return (
         chord + (chord - coarse_chord) / 3.0,
         trapezoid + (trapezoid - coarse_trapezoid) / 3.0,
@@ -237,13 +268,15 @@ def _scaled_phases(
 ) -> tuple[float, float]:
     """Geometric and dynamic phase of the constant-drive path from its ``unit`` loop sums.
 
-    The path is i*ratio*exp(i*phi_l)*u on ``np.linspace(0, tau, samples)``,
-    so its chord sum is ratio**2 times that of u, and its trapezoid of
-    <H> = energy_scale * (1 - cos(delta*t)) is energy_scale times the unit
-    one.  The checks of :func:`~loopgate.phasespace._block_phases` run in
-    its order, from scalars and the grid's last two times: the peak
-    |path| = |ratio| * sqrt(2 * max(1 - cos)), the times, the scaled chord
-    sum, the peak energy energy_scale * max(1 - cos) and the scaled integral.
+    The path is i*ratio*exp(i*phi_l)*u on the samples up to ``tau`` that
+    ``unit`` sums (:func:`_unit_sums`), so its chord sum is ratio**2 times
+    that of u, and its trapezoid of <H> = energy_scale * (1 - cos(delta*t))
+    is energy_scale times the unit one.  The checks of
+    :func:`~loopgate.phasespace._block_phases` run in its order, from
+    scalars and the last two times of ``np.linspace(0, tau, samples)``: the
+    peak |path| = |ratio| * sqrt(2 * max(1 - cos)), the times, the scaled
+    chord sum, the peak energy energy_scale * max(1 - cos) and the scaled
+    integral.
     """
     chord, trapezoid, peak = unit
     last = _grid_times(np.array([samples - 2, samples - 1]), tau, samples)
@@ -252,6 +285,12 @@ def _scaled_phases(
     return geometric, _require_finite_dynamic(
         math.isfinite(energy_scale * peak), energy_scale * trapezoid
     )
+
+
+def _chord_bound(drive: ConstantDriveParams, window: float, samples: int) -> float:
+    """r**2 * x**3 / (6 * (samples - 1)**2), x = |delta * window|: a time scan's chord error bound."""
+    x = abs(drive.delta * window)
+    return drive.ratio * drive.ratio * x * x * x / (6.0 * (samples - 1) ** 2)
 
 
 def _noncyclic_samples(
@@ -268,8 +307,7 @@ def _noncyclic_samples(
     (a tolerance that is not positive, or a bound that overflows) it is
     NONCYCLIC_SAMPLES, and the scan's own check reports the failure.
     """
-    x = abs(drive.delta * window)
-    bound = drive.ratio * drive.ratio * x * x * x / 6.0
+    bound = _chord_bound(drive, window, 2)  # r**2 x**3 / 6, on one interval
     if not analytic_tolerance > 0.0:
         return NONCYCLIC_SAMPLES
     intervals = math.sqrt(4.0 * bound / analytic_tolerance)
@@ -298,6 +336,18 @@ def noncyclic_scan(
 
     ``samples=None`` takes :func:`_noncyclic_samples` of the latest time, and
     raises ValueError when that exceeds ``drives.MAX_SAMPLES``.
+
+    One walk of the unit loop over ``np.linspace(0, t_max, samples)`` serves
+    every row (:func:`_unit_sums`): the row at t_max is the whole grid, and
+    an earlier time t_k takes the nodes up to t_k and one partial interval
+    to t_k.  With x = delta*t_max, M = samples - 1 and h = t_max / M the
+    common spacing, the default count keeps r**2 x**3 / (6 M**2) within
+    ``analytic_tolerance / 4``.  An earlier row's chord error,
+    r**2 (delta t_k) (delta h)**2 / 6, is then within that bound, since
+    delta t_k <= x and (delta h)**2 = x**2 / M**2; so is its trapezoid error,
+    r**2 (delta h)**2 |sin(delta t_k)| / 6, since |sin(delta t_k)| <= x.  A
+    failing row whose bound at the given count passes a quarter of the
+    tolerance names the count that holds it.
     """
     times = [float(t) for t in times]
     if not times:
@@ -330,6 +380,8 @@ def noncyclic_scan(
         oracle_samples = propagation.samples
 
     energy_scale = drive.energy_scale  # raises ValueError when omega_d**2 overflows
+    walked = sorted({t for t in times if t > 0.0})
+    sums = dict(zip(walked, _unit_sums(drive.delta, walked, samples))) if walked else {}
     rows = []
     max_dev_analytic = 0.0
     max_dev_oracle = 0.0
@@ -339,9 +391,7 @@ def noncyclic_scan(
             geometric = 0.0
             dyn = 0.0
         else:
-            geometric, dyn = _scaled_phases(
-                drive.ratio, energy_scale, t, samples, _unit_sums(drive.delta, t, samples)
-            )
+            geometric, dyn = _scaled_phases(drive.ratio, energy_scale, t, samples, sums[t])
         dev_geometric = abs(geometric + phi)
         dev_dynamic = abs(dyn - 2.0 * phi)
         max_dev_analytic = max(max_dev_analytic, dev_geometric, dev_dynamic)
@@ -349,6 +399,7 @@ def noncyclic_scan(
             raise InternalConsistencyError(
                 f"analytic phase relations violated at t={t}: "
                 f"geometric residual {dev_geometric:.3e}, dynamic residual {dev_dynamic:.3e}"
+                + _undersampling_note(drive, max(times), samples, analytic_tolerance)
             )
         oracle_deviation = None
         if oracle_samples is not None:
@@ -373,6 +424,26 @@ def noncyclic_scan(
         max_oracle_relation_residual=max_dev_oracle if oracle_settings is not None else None,
     )
     return SweepReport(parameter="time", rows=tuple(rows), metadata=metadata)
+
+
+def _undersampling_note(
+    drive: ConstantDriveParams, window: float, samples: int, tolerance: float
+) -> str:
+    """What a failed time scan adds when its chord bound passes a quarter of ``tolerance``.
+
+    It names the count :func:`_noncyclic_samples` takes, where that count
+    holds the bound, and the cap when the count passes it; otherwise, and
+    when the bound holds, nothing.
+    """
+    bound = _chord_bound(drive, window, samples)
+    needed = _noncyclic_samples(drive, window, tolerance)
+    if not bound > tolerance / 4.0 >= _chord_bound(drive, window, needed):
+        return ""
+    note = (
+        f"; {samples} samples bound the chord error by {bound:.2g}, "
+        f"--samples {needed} or more holds {tolerance:g}"
+    )
+    return note + (f", above the cap {MAX_SAMPLES}" if needed > MAX_SAMPLES else "")
 
 
 def timing_error_sweep(

@@ -599,6 +599,25 @@ def test_sweep_time_scan_samples_enough_for_its_tolerance(capsys):
     assert "geometric residual 1.034e-09" in err
 
 
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        (("--samples", "1001"),
+         "geometric residual 4.167e-08, dynamic residual 3.506e-08; 1001 samples bound the "
+         "chord error by 4.2e-08, --samples 200001 or more holds 1e-09"),
+        (("--samples", "200001", "--analytic-tolerance", "1e-15"),
+         "geometric residual 1.042e-12, dynamic residual 8.765e-13; 200001 samples bound the "
+         "chord error by 1e-12, --samples 12909946 or more holds 1e-15, above the cap 1000001"),
+    ],
+)
+def test_sweep_time_scan_names_the_samples_its_tolerance_needs(capsys, argv, note):
+    # Quadrature error, not the phase relations, fails these rows: the note
+    # gives the chord bound at the given count and the count that holds it.
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "time", "--grid", "1", *argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == f"error: analytic phase relations violated at t=1.0: {note}\n"
+
+
 def test_sweep_time_scan_past_the_sample_cap_is_invalid(capsys):
     code, out, err = run_cli(capsys, "sweep", "--parameter", "time",
                              "--grid", "62.83185307179586", "--omega-over-delta", "3.0")

@@ -187,12 +187,23 @@ def test_eta_sweep_matches_direct_reference(parameter, grid):
         assert row.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12)
 
 
+def scan_grid(times, t, samples):
+    """A time scan's samples up to t: the nodes of its one walk up to t, then t itself.
+
+    The walk runs on np.linspace(0, max(times), samples); t is added
+    unless it is a node.
+    """
+    nodes = np.linspace(0.0, max(times), samples)
+    nodes = nodes[nodes <= t]
+    return nodes if nodes[-1] == t else np.append(nodes, t)
+
+
 def test_time_scan_matches_direct_reference():
     samples = 30_001
     times = [0.3, 2.0, 4.5 * BASE.period, 10.0 * BASE.period]
     report = noncyclic_scan(BASE, times, samples=samples, analytic_tolerance=1e-4)
     for t, row in zip(times, report.rows):
-        geometric, dynamic = direct_constant_phases(BASE, np.linspace(0.0, t, samples))
+        geometric, dynamic = direct_constant_phases(BASE, scan_grid(times, t, samples))
         assert row.geometric == pytest.approx(geometric, rel=1e-12, abs=1e-12)
         assert row.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12)
 
@@ -366,6 +377,28 @@ def test_streamed_quadrature_matches_one_dense_block(samples, ratio, delta, phi_
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
 
 
+@pytest.mark.parametrize("samples", [2, 3, BLOCK - 1, 2 * BLOCK + 1, 32_580])
+def test_unit_sums_read_every_time_off_one_walk(samples):
+    # Every node and the midpoint after it, near the start and across the
+    # first block edge (a block is BLOCK samples less at most one table row),
+    # then the grid's end.
+    tau = 2.0 * math.pi
+    grid = np.linspace(0.0, tau, samples)
+    near = [*range(3), *range(BLOCK - 300, BLOCK + 2)]
+    nodes = [k for k in near if 0 < k < samples - 1]
+    midpoints = {(grid[k] + grid[k + 1]) / 2 for k in near if k < samples - 1}
+    times = sorted({grid[k] for k in nodes} | midpoints) + [tau]
+    sums = _unit_sums(1.0, times, samples)
+    assert len(sums) == len(times)
+    for time, (chord, trapezoid, peak) in zip(times, sums):
+        t = scan_grid(times, time, samples)
+        u = np.exp(-1j * t) - 1.0
+        reference = -np.sum(np.imag(np.conj(u[:-1]) * u[1:])), np.trapezoid(u.real, t)
+        for value, want in zip((chord, trapezoid), reference):
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+        assert peak == pytest.approx(np.max(-u.real), abs=1e-15)
+
+
 @pytest.mark.parametrize(
     "ratio, energy_scale, message",
     [
@@ -382,27 +415,30 @@ def test_streamed_quadrature_matches_one_dense_block(samples, ratio, delta, phi_
 )
 def test_streamed_checks_keep_their_order_across_blocks(ratio, energy_scale, message):
     samples = 3 * BLOCK + 1
+    (unit,) = _unit_sums(1.0, [math.pi], samples)
     with pytest.raises(InvalidTrajectoryError, match=message):
-        _scaled_phases(ratio, energy_scale, math.pi, samples, _unit_sums(1.0, math.pi, samples))
+        _scaled_phases(ratio, energy_scale, math.pi, samples, unit)
 
 
 def test_streamed_quadrature_holds_no_sample_sized_arrays_but_the_grid():
     spec = SweepSpec(parameter="phi_l", grid=(0.4,), base=BASE)
     eta_invariance_sweep(spec, samples=ETA_SWEEP_SAMPLES)
-    noncyclic_scan(BASE, [2.0], samples=NONCYCLIC_SAMPLES)
+    scans = [[2.0], [0.3, 2.0, 0.0, 1.1, 0.7]]
+    for times in scans:
+        noncyclic_scan(BASE, times, samples=NONCYCLIC_SAMPLES)
     tracemalloc.start()
     try:
         eta_invariance_sweep(spec, samples=ETA_SWEEP_SAMPLES)
-        eta_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        noncyclic_scan(BASE, [2.0], samples=NONCYCLIC_SAMPLES)
-        scan_peak = tracemalloc.get_traced_memory()[1]
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for times in scans:
+            tracemalloc.reset_peak()
+            noncyclic_scan(BASE, times, samples=NONCYCLIC_SAMPLES)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     # The first walks grow the workspace to about 1.07 MB, so each quadrature
     # is warmed up first.
-    assert eta_peak < 128 * 1024
-    assert scan_peak < 128 * 1024
+    assert max(peaks) < 128 * 1024
 
 
 def dense_constant_phases(params, t):
@@ -431,7 +467,7 @@ def test_scaled_unit_loop_matches_a_dense_reference(
     ratios, delta, phi_l, eta_samples, samples, periods
 ):
     # Every point of an omega_over_delta sweep scales one extrapolated unit
-    # loop; each time of a scan integrates its own, unextrapolated.
+    # loop; every time of a scan reads one unextrapolated walk to its latest.
     base = ConstantDriveParams(omega_d=ratios[0] * delta, delta=delta, phi_l=phi_l)
     sweep = eta_invariance_sweep(
         SweepSpec(parameter="omega_over_delta", grid=tuple(ratios), base=base),
@@ -448,7 +484,7 @@ def test_scaled_unit_loop_matches_a_dense_reference(
         )
         checks.append(((row.geometric, row.dynamic), reference))
     for time, row in zip(times, scan.rows):
-        t = np.linspace(0.0, time, samples)
+        t = scan_grid(times, time, samples)
         checks.append(((row.geometric, row.dynamic), dense_constant_phases(base, t)))
     for values, references in checks:
         for value, reference in zip(values, references):
@@ -467,9 +503,9 @@ def test_eta_sweep_walks_one_unit_loop_per_sweep(monkeypatch, parameter, grid):
     calls = []
     real_unit_sums = robustness._unit_sums
 
-    def counting_unit_sums(delta, tau, samples):
+    def counting_unit_sums(delta, times, samples):
         calls.append(samples)
-        return real_unit_sums(delta, tau, samples)
+        return real_unit_sums(delta, times, samples)
 
     monkeypatch.setattr(robustness, "_unit_sums", counting_unit_sums)
     report = eta_invariance_sweep(SweepSpec(parameter=parameter, grid=grid, base=BASE))
@@ -492,9 +528,10 @@ def test_extrapolated_eta_sweep_is_fourth_order(radius, delta, phi_l, samples):
     sums = []
     real_unit_sums = robustness._unit_sums
 
-    def recording_unit_sums(delta, tau, samples):
-        sums.append(real_unit_sums(delta, tau, samples))
-        return sums[-1]
+    def recording_unit_sums(delta, times, samples):
+        (unit,) = real_unit_sums(delta, times, samples)
+        sums.append(unit)
+        return [unit]
 
     params = ConstantDriveParams(omega_d=radius * delta, delta=delta, phi_l=phi_l)
     spec = SweepSpec(parameter="phi_l", grid=(phi_l,), base=params)

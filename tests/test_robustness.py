@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopgate import cli
+from loopgate import cli, robustness
 from loopgate._serialize import SCHEMA_VERSION, json_text, sweep_csv
 from loopgate.drives import ConstantDriveParams, constant_drive, four_pulse_sequence
 from loopgate.errors import InternalConsistencyError, LoopNotClosedError
+from loopgate.phasespace import analytic_total_phase
 from loopgate.robustness import (
+    NONCYCLIC_ANALYTIC_TOL,
     OracleSettings,
     SweepReport,
     SweepRow,
@@ -131,6 +134,70 @@ def test_noncyclic_scan_takes_the_samples_its_tolerance_needs():
         noncyclic_scan(unit, [unit.period], samples=200_001)
     with pytest.raises(ValueError, match="needs [0-9.e+]+ quadrature samples"):
         noncyclic_scan(ConstantDriveParams(omega_d=3.0, delta=1.0), [10.0 * unit.period])
+
+
+SCAN_TIMES = [3.0, 0.0, 1.0, 3.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "times", [[2.0], [1.0, 2.0, 4.0], [0.5, 4.0, 1.5, 3.0, 2.5], SCAN_TIMES]
+)
+def test_a_time_scan_walks_the_unit_loop_once(monkeypatch, times):
+    walks, tables = [], []
+    real_unit_sums, real_exp_factors = robustness._unit_sums, robustness._exp_factors
+
+    def counting_unit_sums(delta, walked, samples):
+        walks.append(list(walked))
+        return real_unit_sums(delta, walked, samples)
+
+    def counting_exp_factors(rate, size, times_at):
+        tables.append(size)
+        return real_exp_factors(rate, size, times_at)
+
+    monkeypatch.setattr(robustness, "_unit_sums", counting_unit_sums)
+    monkeypatch.setattr(robustness, "_exp_factors", counting_exp_factors)
+    report = noncyclic_scan(BASE, times)
+    # One walk to the latest time reads the distinct positive times in order.
+    assert walks == [sorted(set(times) - {0.0})]
+    assert tables == [report.metadata["samples"]]
+
+
+def test_time_scan_rows_keep_the_given_order():
+    report = noncyclic_scan(BASE, SCAN_TIMES)
+    assert [row.value for row in report.rows] == SCAN_TIMES
+    latest, at_zero, _, repeated, _ = report.rows
+    assert repeated == latest
+    assert (at_zero.total, at_zero.geometric, at_zero.dynamic, at_zero.eta) == (0.0, 0.0, 0.0, None)
+    for t, row in zip(SCAN_TIMES, report.rows):
+        assert row.total == pytest.approx(analytic_total_phase(BASE.ratio, BASE.delta, t), abs=1e-9)
+    # The latest time keeps the grid of a scan of it alone, bit for bit.
+    assert latest == noncyclic_scan(BASE, [3.0]).rows[0]
+    coarse = {"samples": 5_001, "analytic_tolerance": 1e-4}
+    assert noncyclic_scan(BASE, [1.0, 3.0], **coarse).rows[1] == noncyclic_scan(
+        BASE, [3.0], **coarse
+    ).rows[0]
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    ratio=st.floats(0.05, 3.0),
+    delta=st.floats(0.2, 5.0),
+    budget=st.floats(-3.0, math.log10(300.0)).map(lambda e: 10.0**e),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_every_time_scan_row_holds_a_quarter_of_the_tolerance(ratio, delta, budget, fractions):
+    # r^2 (delta t_max)^3 = budget, within ten periods; the benchmark decks
+    # keep it at most 24, which 200,001 samples hold.  An earlier row's
+    # chord and trapezoid errors stay within the bound at t_max.
+    params = ConstantDriveParams(omega_d=ratio * delta, delta=delta)
+    t_max = min(10.0 * params.period, (budget / params.ratio**2) ** (1.0 / 3.0) / delta)
+    times = [f * t_max for f in fractions] + [t_max]
+    report = noncyclic_scan(params, times)
+    for t, row in zip(times, report.rows):
+        phi = analytic_total_phase(params.ratio, delta, t)
+        slack = NONCYCLIC_ANALYTIC_TOL / 4.0 + 1e-13 * max(1.0, abs(phi))
+        assert abs(row.geometric + phi) <= slack
+        assert abs(row.dynamic - 2.0 * phi) <= slack
 
 
 # ---------------------------------------------------------------------------
