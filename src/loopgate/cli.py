@@ -74,11 +74,7 @@ from .phasespace import (
     loop_closes,
 )
 from .robustness import (
-    AREA_STUDY_SAMPLES,
     ETA_SWEEP_PARAMETERS,
-    ETA_SWEEP_SAMPLES,
-    NONCYCLIC_ANALYTIC_TOL,
-    NONCYCLIC_ORACLE_TOL,
     OracleSettings,
     SweepSpec,
     area_invariance_study,
@@ -252,13 +248,20 @@ def _resolve_drive(opts: dict) -> tuple[DriveProfile, dict | None]:
     return drive, echo
 
 
+def _given(opts: dict, *keys: str) -> dict:
+    """The given options among ``keys``; the library takes its own defaults for the rest."""
+    return {key: opts[key] for key in keys if key in opts}
+
+
 def _oracle_settings(opts: dict) -> OracleSettings | None:
-    if not opts.get("oracle", False):
-        return None
-    return OracleSettings(
-        n_max=opts.get("n_max", DEFAULT_N_MAX),
-        steps=opts.get("steps", DEFAULT_STEPS),
-    )
+    return OracleSettings(**_given(opts, "n_max", "steps")) if "oracle" in opts else None
+
+
+def _loop_phase(drive: DriveProfile, constant: dict | None, tau: float, samples: int) -> float:
+    """Phi(tau): the closed form for a ``constant`` drive, ``gamma0`` for a document."""
+    if constant is not None:
+        return analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
+    return drives.gamma0(drive, tau, samples)
 
 
 def _parse_grid(opts: dict) -> list[float]:
@@ -300,14 +303,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
             residual,
         )
 
-    if constant is not None:
-        phi = analytic_total_phase(
-            constant["omega_over_delta"], constant["delta"], tau
-        )
-        method = "closed-form"
-    else:
-        phi = drives.gamma0(drive, tau, samples)
-        method = "quadrature"
+    phi = _loop_phase(drive, constant, tau, samples)
     decomposition = decompose(-phi, 2.0 * phi)
 
     report = {
@@ -316,7 +312,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
         "constant": constant,
         "tau": tau,
         "samples": None if constant is not None else samples,
-        "method": method,
+        "method": "closed-form" if constant is not None else "quadrature",
         "closure_residual": residual,
         "closed": closed,
         "analytic": dataclasses.asdict(decomposition),
@@ -328,27 +324,25 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
         # The path phase is a one-oscillator quantity; pin the comparison to
         # the unit-eigenvalue sector by propagating under the parity projector.
         work = dataclasses.replace(drive, conditioner=odd_parity_projector())
-        propagation = propagate(
-            work, tau, space=settings.space, steps=settings.steps, with_operator=False
-        )
+        propagation = settings.propagate(work, tau)
+        # The unwrapped phase itself; oracle.total re-adds the parts split from it.
         total = extract_total_phase(propagation, 1)
-        dynamic = propagation.dynamic_phase[1]
-        geometric = total - dynamic
+        oracle = propagation.decomposition(1)
         report["oracle"] = {
             "n_max": settings.n_max,
             "steps": settings.steps,
             "conditioner": "odd-parity-projector",
             "spin_state": BASIS_LABELS[1],
             "total": total,
-            "geometric": geometric,
-            "dynamic": dynamic,
-            "eta": propagation.decomposition(1).eta,
+            "geometric": oracle.geometric,
+            "dynamic": oracle.dynamic,
+            "eta": oracle.eta,
             "leakage": propagation.leakage,
             "min_overlap_modulus": propagation.min_overlap_modulus[1],
             "deviation": {
                 "total": abs(total - decomposition.total),
-                "geometric": abs(geometric - decomposition.geometric),
-                "dynamic": abs(dynamic - decomposition.dynamic),
+                "geometric": abs(oracle.geometric - decomposition.geometric),
+                "dynamic": abs(oracle.dynamic - decomposition.dynamic),
             },
         }
     return report, None
@@ -447,10 +441,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
     state_only = opts.get("state_only", False)
 
-    if constant is not None:
-        reference = analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
-    else:
-        reference = drives.gamma0(drive, tau, samples)
+    reference = _loop_phase(drive, constant, tau, samples)
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
     _, analytic = diagonal_gate(conditioner, reference)
@@ -549,10 +540,7 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
         else:
             loops = [_load_drive_file(path) for path in payload]
         report = area_invariance_study(
-            loops,
-            samples=opts.get("samples", AREA_STUDY_SAMPLES),
-            agreement_tolerance=opts.get("agreement_tolerance", 1e-6),
-            closure_tolerance=opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE),
+            loops, **_given(opts, "samples", "agreement_tolerance", "closure_tolerance")
         )
         return dataclasses.asdict(report), None
 
@@ -564,19 +552,15 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
         report = noncyclic_scan(
             base,
             grid,
-            samples=opts.get("samples"),
             oracle_settings=settings,
-            analytic_tolerance=opts.get("analytic_tolerance", NONCYCLIC_ANALYTIC_TOL),
-            oracle_tolerance=opts.get("oracle_tolerance", NONCYCLIC_ORACLE_TOL),
+            **_given(opts, "samples", "analytic_tolerance", "oracle_tolerance"),
         )
     elif parameter == "timing_error":
         report = timing_error_sweep(base, grid, oracle_settings=settings)
     else:
         spec = SweepSpec(parameter=parameter, grid=tuple(grid), base=base,
                          oracle_settings=settings)
-        report = eta_invariance_sweep(
-            spec, samples=opts.get("samples", ETA_SWEEP_SAMPLES)
-        )
+        report = eta_invariance_sweep(spec, **_given(opts, "samples"))
     return dataclasses.asdict(report), None
 
 

@@ -135,13 +135,18 @@ def peak_excursion(drive: DriveProfile, tau: float | None = None) -> float:
     return float(np.max(np.abs(values))) * peak_alpha(drive, tau)
 
 
+def _truncation_need(drive: DriveProfile, tau: float | None) -> float:
+    """4 |beta alpha|^2 at the loop's peak: the n_max that the truncation rule asks for."""
+    peak = peak_excursion(drive, tau)
+    return 4.0 * peak * peak  # inf where it overflows, not OverflowError as with ** 2
+
+
 def default_space(drive: DriveProfile, tau: float | None = None) -> FockSpace:
     """Truncation for this drive: n_max = 64, escalated to keep |alpha|^2 <= n_max/4.
 
     Raises ValueError when the escalation would pass ``MAX_N_MAX``.
     """
-    peak = peak_excursion(drive, tau)
-    need = 4.0 * peak * peak  # inf where it overflows, not OverflowError as with ** 2
+    need = _truncation_need(drive, tau)
     if need > MAX_N_MAX:
         raise ValueError(
             f"the loop reaches 4|beta alpha|^2 = {need:.4g}, beyond the cap n_max <= "
@@ -551,6 +556,16 @@ def _unwrapped_phases(overlaps: np.ndarray, read: np.ndarray) -> tuple[np.ndarra
     return np.where(read > 0, accumulated[read - 1], 0.0), least
 
 
+def _checked_grid(
+    drive: DriveProfile, tau: float | None, space: FockSpace | None, steps: int
+) -> tuple[float, FockSpace]:
+    """``tau`` checked against the drive window, ``steps`` >= 1, and ``space`` or its default."""
+    tau = _require_tau(drive, tau)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    return tau, default_space(drive, tau) if space is None else space
+
+
 def propagate(
     drive: DriveProfile,
     tau: float | None = None,
@@ -585,11 +600,7 @@ def propagate(
     vacuum.  Population reaching the top level above ``leakage_tol`` raises
     :class:`TruncationError` with a recommended truncation.
     """
-    tau = _require_tau(drive, tau)
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if space is None:
-        space = default_space(drive, tau)
+    tau, space = _checked_grid(drive, tau, space, steps)
     if not 0 <= initial_fock <= space.n_max:
         raise ValueError(f"initial_fock {initial_fock} outside [0, {space.n_max}]")
 
@@ -677,8 +688,7 @@ def propagate(
         leakage_by_state[states], peak_leakage[states] = state_leakage[read], np.max(state_leakage)
     leakage = float(np.max(peak_leakage))
     if leakage > leakage_tol:
-        peak = peak_excursion(drive, tau)
-        need = 4.0 * peak * peak
+        need = _truncation_need(drive, tau)
         if need <= space.n_max:
             need = 2 * space.n_max
         recommended = int(math.ceil(need)) if need <= MAX_N_MAX else None
@@ -763,11 +773,7 @@ def verify_magnus_form(
     segment = drive.segments[0]
     if segment.frequency == 0.0:
         raise ValueError("the displacement-form check needs a nonzero detuning")
-    tau = _require_tau(drive, tau)
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if space is None:
-        space = default_space(drive, tau)
+    tau, space = _checked_grid(drive, tau, space, steps)
 
     evolution = None
     if (

@@ -182,7 +182,9 @@ def geometric_phase(trajectory: Trajectory) -> float:
     positive.  Open paths are allowed; the value is then the line integral
     along the open path.
     """
-    return _chord_phase(trajectory.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _chord_sum(trajectory.points)
+    return _require_finite_chord(phase)
 
 
 def dynamic_phase(
@@ -200,7 +202,9 @@ def dynamic_phase(
         raise ValueError(
             f"h_expect returned shape {values.shape} for {times.size} trajectory samples"
         )
-    return _trapezoid_phase(values, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _trapezoid_sum(values, times)
+    return _require_finite_dynamic(bool(np.all(np.isfinite(values))), phase)
 
 
 def _require_grid_path(times: np.ndarray, samples: int, points_finite: bool) -> None:
@@ -268,20 +272,6 @@ def _require_finite_dynamic(energy_finite: bool, phase: float) -> float:
             "dynamic phase overflows: the integral of the Hamiltonian expectation is not finite"
         )
     return phase
-
-
-def _chord_phase(z: np.ndarray) -> float:
-    """The geometric phase of the samples ``z`` by :func:`_chord_sum`, checked finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = _chord_sum(z)
-    return _require_finite_chord(phase)
-
-
-def _trapezoid_phase(energy: np.ndarray, times: np.ndarray) -> float:
-    """-integral(energy dt) by :func:`_trapezoid_sum`; the energies and the integral are checked."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = _trapezoid_sum(energy, times)
-    return _require_finite_dynamic(bool(np.all(np.isfinite(energy))), phase)
 
 
 # Samples per block of the streamed quadratures: a block's arrays (about 1 MB
@@ -468,6 +458,22 @@ def analytic_trajectory(
     return Trajectory(t, alphas, closure_tolerance)
 
 
+# The Taylor coefficients of sin(x) - x from x**3 to x**21: below |x| = 1 the
+# series is accurate to rounding, and there sin(x) - x cancels digits.
+_SIN_MINUS_X = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(1, 11))
+
+
+def _sin_minus_x(x: float) -> float:
+    """sin(x) - x, summed as its Taylor series below |x| = 1, where the difference cancels."""
+    if not abs(x) < 1.0:
+        return math.sin(x) - x
+    square = x * x
+    series = 0.0
+    for coefficient in reversed(_SIN_MINUS_X):
+        series = series * square + coefficient
+    return x * square * series
+
+
 def analytic_total_phase(omega_over_delta: float, delta: float, t: float) -> float:
     """Closed-form total phase (omega/delta)^2 * (sin(delta*t) - delta*t).
 
@@ -477,7 +483,7 @@ def analytic_total_phase(omega_over_delta: float, delta: float, t: float) -> flo
     _require_positive_delta(delta)
     x = delta * float(t)
     try:
-        phase = float(omega_over_delta) ** 2 * (math.sin(x) - x)
+        phase = float(omega_over_delta) ** 2 * _sin_minus_x(x)
     except OverflowError:
         phase = math.inf
     if not math.isfinite(phase):

@@ -31,7 +31,7 @@ from .drives import (
 )
 from .errors import InternalConsistencyError, LoopNotClosedError
 from .gates import TwoQubitGate, gate_fidelity, phase_gate
-from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockSpace, propagate
+from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockPropagation, FockSpace, propagate
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
@@ -83,6 +83,19 @@ class OracleSettings:
     @property
     def space(self) -> FockSpace:
         return FockSpace(self.n_max)
+
+    def propagate(
+        self, drive: DriveProfile, tau: float, sample_times: Sequence[float] | None = None
+    ) -> FockPropagation:
+        """The state-only :func:`~loopgate.oracle.propagate` of ``drive`` at these settings."""
+        return propagate(
+            drive,
+            tau,
+            space=self.space,
+            steps=self.steps,
+            sample_times=sample_times,
+            with_operator=False,
+        )
 
 
 @dataclass(frozen=True)
@@ -159,21 +172,6 @@ def _metadata(oracle_settings: OracleSettings | None, **summary) -> dict:
     if oracle_settings is not None:
         oracle = {"n_max": oracle_settings.n_max, "steps": oracle_settings.steps}
     return {"package_version": __version__, "oracle": oracle, **summary}
-
-
-def _oracle_phase_triplet(
-    drive: DriveProfile, tau: float, settings: OracleSettings, spin_state: int = 1
-) -> tuple[float, float, float]:
-    """Brute-force (total, geometric, dynamic) for one spin basis state."""
-    propagation = propagate(
-        drive,
-        tau,
-        space=settings.space,
-        steps=settings.steps,
-        with_operator=False,
-    )
-    decomposition = propagation.decomposition(spin_state)
-    return decomposition.total, decomposition.geometric, decomposition.dynamic
 
 
 def _unit_sums(
@@ -369,15 +367,7 @@ def noncyclic_scan(
     if oracle_settings is not None and max(times) > 0.0:
         window = max(times)
         profile = constant_drive(drive, periods=window / period)
-        propagation = propagate(
-            profile,
-            window,
-            space=oracle_settings.space,
-            steps=oracle_settings.steps,
-            sample_times=times,
-            with_operator=False,
-        )
-        oracle_samples = propagation.samples
+        oracle_samples = oracle_settings.propagate(profile, window, times).samples
 
     energy_scale = drive.energy_scale  # raises ValueError when omega_d**2 overflows
     walked = sorted({t for t in times if t > 0.0})
@@ -487,10 +477,8 @@ def timing_error_sweep(
 
         oracle_deviation = None
         if oracle_settings is not None:
-            profile = constant_drive(base, periods=1.0 + eps) if eps != 0.0 else constant_drive(base)
-            oracle_total, _, _ = _oracle_phase_triplet(
-                profile, tau, oracle_settings, spin_state=1
-            )
+            profile = constant_drive(base, periods=1.0 + eps)
+            oracle_total = oracle_settings.propagate(profile, tau).decomposition(1).total
             oracle_deviation = abs(oracle_total - phi)
 
         rows.append(_row(eps, decompose(-phi, 2.0 * phi), fidelity, oracle_deviation))
@@ -549,18 +537,15 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
 
         oracle_deviation = None
         if spec.oracle_settings is not None:
-            profile = constant_drive(params)
-            total_o, geometric_o, dynamic_o = _oracle_phase_triplet(
-                profile, params.period, spec.oracle_settings, spin_state=1
-            )
+            propagation = spec.oracle_settings.propagate(constant_drive(params), params.period)
+            oracle = propagation.decomposition(1)
             oracle_deviation = max(
-                abs(total_o - decomposition.total),
-                abs(geometric_o - geometric),
-                abs(dynamic_o - dyn),
+                abs(oracle.total - decomposition.total),
+                abs(oracle.geometric - geometric),
+                abs(oracle.dynamic - dyn),
             )
-            if abs(geometric_o) > 1e-9:
-                eta_o = dynamic_o / geometric_o
-                dev = abs(eta_o + 2.0)
+            if oracle.eta is not None:
+                dev = abs(oracle.eta + 2.0)
                 max_eta_dev_oracle = (
                     dev if max_eta_dev_oracle is None else max(max_eta_dev_oracle, dev)
                 )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from loopgate import cli, drives, errors
+from loopgate import cli, drives, errors, robustness
 from loopgate._serialize import json_text, key_value_csv, sweep_csv
 from loopgate.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from loopgate.oracle import default_space
@@ -633,6 +633,36 @@ def test_sweep_time_beyond_window_rejected(capsys):
         capsys, "sweep", "--parameter", "time", "--grid", "100.0"
     )
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("t, ratio", [("0.002", "100000"), ("1e-5", "1e6")])
+def test_sweep_time_scan_of_a_large_loop_at_a_small_time(capsys, t, ratio):
+    # r**2 = 1e10 or more scales the cancellation of sin(x) - x at x = delta t
+    # past the 1e-9 tolerance unless the closed form keeps its digits.
+    report = run_json(capsys, "sweep", "--parameter", "time", "--grid", t,
+                      "--omega-over-delta", ratio)
+    assert report["metadata"]["max_analytic_relation_residual"] < 1e-9
+
+
+def test_cli_sweeps_report_the_library_defaults(capsys, tmp_path):
+    # Flags left out are not passed, so each sweep runs at its own defaults.
+    circle = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    study = run_json(capsys, "sweep", "--parameter", "loop_shape", "--drive", circle)
+    agreement = inspect.signature(robustness.area_invariance_study).parameters
+    assert study["metadata"]["samples"] == robustness.AREA_STUDY_SAMPLES
+    assert study["metadata"]["agreement_tolerance"] == agreement["agreement_tolerance"].default
+    eta = run_json(capsys, "sweep", "--parameter", "phi_l", "--grid", "0")
+    assert eta["metadata"]["samples"] == robustness.ETA_SWEEP_SAMPLES
+    scan = run_json(capsys, "sweep", "--parameter", "time", "--grid", "1", "--oracle",
+                    "--n-max", "24", "--steps", "2000")
+    assert scan["metadata"]["tolerances"] == {
+        "analytic": robustness.NONCYCLIC_ANALYTIC_TOL,
+        "oracle": robustness.NONCYCLIC_ORACLE_TOL,
+    }
+    timing = run_json(capsys, "sweep", "--parameter", "timing_error", "--grid", "0", "--oracle")
+    assert timing["metadata"]["oracle"] == {
+        "n_max": robustness.DEFAULT_N_MAX, "steps": robustness.DEFAULT_STEPS
+    }
 
 
 # A one-pulse loop of duration 1e-320 closes within the default tolerance.

@@ -373,6 +373,14 @@ def test_truncation_error_reports_recommendation():
     assert info.value.recommended_n_max == 16
 
 
+def test_truncation_advice_is_the_default_space_rule():
+    # Radius 2.5 peaks at |alpha| = 5, where the rule asks for 4 * 25 = 100 levels.
+    drive = constant_drive(ConstantDriveParams(omega_d=2.5, delta=1.0))
+    with pytest.raises(TruncationError) as info:
+        propagate(drive, space=FockSpace(40), steps=2_000, with_operator=False)
+    assert info.value.recommended_n_max == default_space(drive).n_max > 64
+
+
 def test_undefined_phase_error_when_overlap_vanishes():
     # |alpha|^2 peaks at 29.16, so the vacuum overlap dips to ~4.7e-7 and the
     # accumulated argument stops being meaningful.

@@ -1,9 +1,11 @@
 """Tests for trajectories, phase functionals, and the phase decomposition."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from loopgate.drives import ConstantDriveParams, constant_drive, induced_trajectory
@@ -268,6 +270,39 @@ def test_analytic_total_phase_half_period():
 
 def test_analytic_total_phase_at_zero():
     assert analytic_total_phase(0.7, 1.0, 0.0) == 0.0
+
+
+def sin_minus_x(x: float) -> decimal.Decimal:
+    """sin(x) - x of the float ``x`` by its Taylor series in 80-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        square = decimal.Decimal(x) ** 2
+        term = decimal.Decimal(x)
+        total = decimal.Decimal(0)
+        n = 1
+        while True:
+            term = -term * square / ((n + 1) * (n + 2))
+            n += 2
+            total += term
+            if abs(term) < abs(total) * decimal.Decimal("1e-40"):
+                return total
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    log_x=st.floats(-8.0, math.log10(20.0 * math.pi)),
+    log_ratio=st.floats(-3.0, 6.0),
+    delta=st.floats(0.1, 10.0),
+)
+def test_analytic_total_phase_keeps_its_digits_where_sin_x_minus_x_cancels(
+    log_x, log_ratio, delta
+):
+    # From delta t = 1e-8 to ten periods: a plain sin(x) - x loses about
+    # 2 log10(1/x) digits below x = 1, which r**2 = 1e12 puts into the phase.
+    t = 10.0**log_x / delta
+    ratio = 10.0**log_ratio
+    exact = decimal.Decimal(ratio) ** 2 * sin_minus_x(delta * t)
+    phase = analytic_total_phase(ratio, delta, t)
+    assert abs(decimal.Decimal(phase) - exact) <= abs(exact) * decimal.Decimal("1e-15")
 
 
 @pytest.mark.parametrize("ratio,phi_l", [(0.5, 0.0), (0.8, 2.0)])

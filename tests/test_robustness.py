@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgate import cli, robustness
+from loopgate import cli, phasespace, robustness
 from loopgate._serialize import SCHEMA_VERSION, json_text, sweep_csv
 from loopgate.drives import ConstantDriveParams, constant_drive, four_pulse_sequence
 from loopgate.errors import InternalConsistencyError, LoopNotClosedError
@@ -281,6 +281,46 @@ def test_eta_invariance_with_oracle():
     report = eta_invariance_sweep(spec)
     assert report.metadata["max_abs_eta_plus_2_oracle"] < 1e-4
     assert report.rows[0].oracle_deviation < 1e-4
+
+
+def test_eta_sweep_reads_the_oracle_eta_at_the_decomposition_threshold(monkeypatch):
+    # At r = 1e-5 the oracle's geometric phase, about -2 pi r**2 = -6e-10, lies
+    # below ETA_GEOMETRIC_THRESHOLD, so the oracle eta is undefined.
+    spec = SweepSpec(parameter="omega_over_delta", grid=(1e-5,), base=BASE,
+                     oracle_settings=FAST_ORACLE)
+    assert eta_invariance_sweep(spec).metadata["max_abs_eta_plus_2_oracle"] is None
+    monkeypatch.setattr(phasespace, "ETA_GEOMETRIC_THRESHOLD", 1e-12)
+    assert isinstance(eta_invariance_sweep(spec).metadata["max_abs_eta_plus_2_oracle"], float)
+
+
+@pytest.mark.parametrize(
+    "sweep, calls",
+    [
+        (lambda: timing_error_sweep(BASE, [0.0, 0.005, 0.01], oracle_settings=FAST_ORACLE), 3),
+        (lambda: eta_invariance_sweep(SweepSpec(parameter="omega_over_delta", grid=(0.3, 0.5),
+                                                base=BASE, oracle_settings=FAST_ORACLE)), 2),
+        (lambda: noncyclic_scan(BASE, [1.0, 2.0, 4.0], oracle_settings=FAST_ORACLE), 1),
+        (lambda: cli.main(["phase", "--omega-over-delta", "0.5", "--oracle", "--n-max", "16",
+                           "--steps", "2000"]), 1),
+    ],
+)
+def test_the_oracle_leg_propagates_once_per_point_state_only(monkeypatch, sweep, calls):
+    seen = []
+    real_propagate = robustness.propagate
+
+    def counting_propagate(*args, **kwargs):
+        seen.append(kwargs)
+        return real_propagate(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "propagate", counting_propagate)
+    with contextlib.redirect_stdout(io.StringIO()):
+        sweep()
+    assert len(seen) == calls
+    assert all(
+        (kwargs["space"], kwargs["steps"], kwargs["with_operator"])
+        == (FAST_ORACLE.space, FAST_ORACLE.steps, False)
+        for kwargs in seen
+    )
 
 
 def test_eta_invariance_rejects_other_parameters():
