@@ -58,21 +58,13 @@ from .gates import (
 )
 from .oracle import (
     DEFAULT_LEAKAGE_TOL,
-    DEFAULT_N_MAX,
-    DEFAULT_STEPS,
     MAX_N_MAX,
     MAX_STEPS,
-    FockSpace,
     extract_total_phase,
     propagate,
     verify_magnus_form,
 )
-from .phasespace import (
-    DEFAULT_CLOSURE_TOLERANCE,
-    analytic_total_phase,
-    decompose,
-    loop_closes,
-)
+from .phasespace import DEFAULT_CLOSURE_TOLERANCE, analytic_total_phase, decompose
 from .robustness import (
     ETA_SWEEP_PARAMETERS,
     OracleSettings,
@@ -294,14 +286,12 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
 
-    residual = drives.closure_residual(drive, tau)
-    closed = loop_closes(residual, closure_tolerance, lambda: drives.peak_alpha(drive, tau))
-    if opts.get("require_closed", False) and not closed:
-        raise LoopNotClosedError(
-            f"loop is open at tau={tau:.12g}: closure residual {residual:.6e} "
-            f"exceeds {closure_tolerance:.3e}",
-            residual,
-        )
+    try:
+        residual, closed = drives.require_closed(drive, tau, closure_tolerance), True
+    except LoopNotClosedError as exc:
+        if opts.get("require_closed", False):
+            raise
+        residual, closed = exc.residual, False
 
     phi = _loop_phase(drive, constant, tau, samples)
     decomposition = decompose(-phi, 2.0 * phi)
@@ -434,8 +424,6 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     # Checked before the reference gate, whose phases overflow far past the window.
     tau = drives._require_tau(drive, opts.get("tau"))
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
-    n_max = opts.get("n_max", DEFAULT_N_MAX)
-    steps = opts.get("steps", DEFAULT_STEPS)
     initial_fock = opts.get("initial_fock", 0)
     tolerance = opts.get("tolerance", DEFAULT_ORACLE_TOLERANCE)
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
@@ -445,11 +433,12 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
     _, analytic = diagonal_gate(conditioner, reference)
+    settings = OracleSettings(**_given(opts, "n_max", "steps"))
     propagation = propagate(
         drive,
         tau,
-        space=FockSpace(n_max),
-        steps=steps,
+        space=settings.space,
+        steps=settings.steps,
         initial_fock=initial_fock,
         leakage_tol=leakage_tolerance,
         with_operator=not state_only,
@@ -491,7 +480,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
         and segment.frequency != 0.0
     ):
         displacement_residual = verify_magnus_form(
-            drive, tau, FockSpace(n_max), steps, propagation=propagation
+            drive, tau, settings.space, settings.steps, propagation=propagation
         )
 
     failures = []
@@ -502,8 +491,9 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     if displacement_residual is not None and not displacement_residual <= tolerance:
         failures.append(
             f"displacement-form residual {displacement_residual:.3e} exceeds the tolerance "
-            f"{tolerance:g}; it compares Fock levels up to {n_max // 2}, where the truncation "
-            f"at n_max = {n_max} limits it: rerun with a larger --n-max (or more --steps)"
+            f"{tolerance:g}; it compares Fock levels up to {settings.n_max // 2}, where the "
+            f"truncation at n_max = {settings.n_max} limits it: rerun with a larger --n-max "
+            "(or more --steps)"
         )
     passed = not failures
     report = {
@@ -513,8 +503,8 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
         "tau": tau,
         "gamma0": reference,
         "oracle": {
-            "n_max": n_max,
-            "steps": steps,
+            "n_max": settings.n_max,
+            "steps": settings.steps,
             "initial_fock": initial_fock,
             "conditioner": conditioner.name,
             "leakage": propagation.leakage,

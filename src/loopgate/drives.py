@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SingularDetuningError, UnreachablePhaseError
+from .errors import ConfigError, LoopNotClosedError, SingularDetuningError, UnreachablePhaseError
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     Trajectory,
@@ -36,6 +36,7 @@ from .phasespace import (
     _trapezoid_sum,
     _Workspace,
     _workspace,
+    loop_closes,
 )
 
 if TYPE_CHECKING:
@@ -230,7 +231,7 @@ def four_pulse_sequence(
 
     Each pulse moves alpha along the straight chord -amplitude * duration, so
     four pulses trace a quadrilateral.  Closure requires the four chords to
-    sum to zero; use :func:`closure_residual` to check.
+    sum to zero; use :func:`require_closed` to check.
     """
     if len(amplitudes) != 4 or len(durations) != 4:
         raise ValueError("exactly four amplitudes and four durations are required")
@@ -296,6 +297,31 @@ def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
         tau = drive.total_duration
     t = np.linspace(0.0, float(tau), 2001)
     return float(np.max(np.abs(alpha_array(drive, t))))
+
+
+def require_closed(
+    drive: DriveProfile,
+    tau: float | None = None,
+    tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
+    name: str = "loop",
+) -> float:
+    """The closure residual of a loop that must close at ``tau``; the one closed-loop check.
+
+    The loop closes when :func:`~loopgate.phasespace.loop_closes` accepts
+    its residual against ``tolerance`` and the :func:`peak_alpha` rounding
+    floor.  Otherwise :class:`LoopNotClosedError` carries the residual, and
+    its message starts with ``name``.
+    """
+    if tau is None:
+        tau = drive.total_duration
+    residual = closure_residual(drive, tau)
+    if not loop_closes(residual, tolerance, lambda: peak_alpha(drive, tau)):
+        raise LoopNotClosedError(
+            f"{name} is open at tau={tau:.12g}: closure residual {residual:.6e} "
+            f"exceeds {tolerance:.3e}",
+            residual,
+        )
+    return residual
 
 
 def _require_samples(samples: int) -> int:
@@ -450,7 +476,6 @@ def induced_trajectory(
     drive: DriveProfile,
     tau: float | None = None,
     samples: int = DEFAULT_DRIVE_SAMPLES,
-    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
 ) -> Trajectory:
     """Sample the phase-space path the drive induces on [0, tau]."""
     if tau is None:
@@ -464,7 +489,7 @@ def induced_trajectory(
             stop = start + t.size
             times[start:stop] = t
             points[start:stop] = alpha
-    return Trajectory(times, points, closure_tolerance)
+    return Trajectory(times, points)
 
 
 def _require_tau(drive: DriveProfile, tau: float | None) -> float:

@@ -20,15 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import phasespace
-from .drives import DriveProfile, closure_residual, gamma0, peak_alpha, DEFAULT_DRIVE_SAMPLES
-from .errors import (
-    InternalConsistencyError,
-    LoopNotClosedError,
-    NonDiagonalGateError,
-    NonUnitaryError,
-)
-from .phasespace import PhaseDecomposition, decompose
+from .drives import DriveProfile, gamma0, require_closed, DEFAULT_DRIVE_SAMPLES
+from .errors import InternalConsistencyError, NonDiagonalGateError, NonUnitaryError
+from .phasespace import DEFAULT_CLOSURE_TOLERANCE, PhaseDecomposition, decompose
 
 BASIS_LABELS = ("dd", "du", "ud", "uu")
 
@@ -215,22 +209,14 @@ def closed_loop_gamma0(
     tau: float | None = None,
     *,
     samples: int = DEFAULT_DRIVE_SAMPLES,
-    closure_tolerance: float = phasespace.DEFAULT_CLOSURE_TOLERANCE,
+    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
 ) -> float:
     """``gamma0(tau)`` of a drive loop that must close at ``tau``.
 
     Raises :class:`LoopNotClosedError` when the loop has a closure residual
     above ``closure_tolerance`` at ``tau``.
     """
-    if tau is None:
-        tau = drive.total_duration
-    residual = closure_residual(drive, tau)
-    if not phasespace.loop_closes(
-        residual, closure_tolerance, lambda: peak_alpha(drive, tau)
-    ):
-        raise LoopNotClosedError(
-            f"loop is not closed at tau={tau}: residual {residual:.3e}", residual
-        )
+    require_closed(drive, tau, closure_tolerance)
     return gamma0(drive, tau, samples)
 
 
@@ -240,7 +226,7 @@ def collective_gate(
     conditioner: SpinConditioner | None = None,
     *,
     samples: int = DEFAULT_DRIVE_SAMPLES,
-    closure_tolerance: float = phasespace.DEFAULT_CLOSURE_TOLERANCE,
+    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
 ) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
     """Gate produced by a closed drive loop under a diagonal conditioner.
 

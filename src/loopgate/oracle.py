@@ -118,9 +118,6 @@ class FockSpace:
     def dimension(self) -> int:
         return self.n_max + 1
 
-    def lowering(self) -> np.ndarray:
-        return np.diag(np.sqrt(np.arange(1.0, self.dimension)), 1).astype(complex)
-
     def basis_state(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"Fock index {n} outside [0, {self.n_max}]")

@@ -51,16 +51,14 @@ class Trajectory:
         Strictly increasing sample times, length >= 2.
     points:
         Complex samples alpha(t_k), same length as ``times``.
-    closure_tolerance:
-        Radius within which the endpoints count as closed.
 
     The arrays are copied and frozen; a trajectory never changes after
-    construction.
+    construction.  It carries no closure test: whether a drive's loop
+    closes is :func:`loopgate.drives.require_closed`'s to say.
     """
 
     times: np.ndarray
     points: np.ndarray
-    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
@@ -77,28 +75,10 @@ class Trajectory:
             raise InvalidTrajectoryError("trajectory contains non-finite samples")
         if not np.all(np.diff(times) > 0.0):
             raise InvalidTrajectoryError("times must be strictly increasing")
-        if not (self.closure_tolerance >= 0.0):
-            raise InvalidTrajectoryError("closure_tolerance must be nonnegative")
         times.flags.writeable = False
         points.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    @property
-    def closure_residual(self) -> float:
-        """Distance |alpha(t_end) - alpha(t_start)| between the endpoints."""
-        return float(abs(self.points[-1] - self.points[0]))
-
-    def is_closed(self) -> bool:
-        return loop_closes(
-            self.closure_residual,
-            self.closure_tolerance,
-            lambda: float(np.max(np.abs(self.points))),
-        )
 
 
 def loop_closes(residual: float, tolerance: float, peak: Callable[[], float]) -> bool:
@@ -450,12 +430,11 @@ def analytic_trajectory(
     delta: float,
     phi_l: float,
     t_grid: Sequence[float] | np.ndarray,
-    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
 ) -> Trajectory:
     """Sample the constant-drive circular path on the supplied time grid."""
     t = np.asarray(t_grid, dtype=float)
     alphas = constant_drive_alpha(omega_over_delta, delta, phi_l, t)
-    return Trajectory(t, alphas, closure_tolerance)
+    return Trajectory(t, alphas)
 
 
 # The Taylor coefficients of sin(x) - x from x**3 to x**21: below |x| = 1 the

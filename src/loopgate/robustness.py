@@ -25,13 +25,13 @@ from .drives import (
     _grid_times,
     _require_samples,
     _walk,
-    closure_residual,
     constant_drive,
-    peak_alpha,
+    require_closed,
 )
-from .errors import InternalConsistencyError, LoopNotClosedError
+from .errors import InternalConsistencyError
 from .gates import TwoQubitGate, gate_fidelity, phase_gate
 from .oracle import DEFAULT_N_MAX, DEFAULT_STEPS, FockPropagation, FockSpace, propagate
+from .oracle import extract_total_phase
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
     PhaseDecomposition,
@@ -47,7 +47,6 @@ from .phasespace import (
     _workspace,
     analytic_total_phase,
     decompose,
-    loop_closes,
 )
 
 # Quadrature sampling densities chosen so the stated analytic tolerances
@@ -75,8 +74,7 @@ class OracleSettings:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        FockSpace(self.n_max)  # the oracle's own n_max rule
         if self.steps < 1:
             raise ValueError(f"steps must be positive, got {self.steps}")
 
@@ -330,7 +328,9 @@ def noncyclic_scan(
     of -integral <H> (dynamic): the scan asserts geometric(t) = -Phi(t) and
     dynamic(t) = 2*Phi(t) within ``analytic_tolerance``.  With oracle settings
     the brute-force total and dynamic phases must match Phi(t) and 2*Phi(t)
-    within ``oracle_tolerance``; each oracle time must lie on the step grid.
+    within ``oracle_tolerance``; each oracle time must lie on the step grid,
+    and an overlap that drops below the oracle's floor raises
+    :class:`~loopgate.errors.UndefinedPhaseError`.
 
     ``samples=None`` takes :func:`_noncyclic_samples` of the latest time, and
     raises ValueError when that exceeds ``drives.MAX_SAMPLES``.
@@ -367,7 +367,9 @@ def noncyclic_scan(
     if oracle_settings is not None and max(times) > 0.0:
         window = max(times)
         profile = constant_drive(drive, periods=window / period)
-        oracle_samples = oracle_settings.propagate(profile, window, times).samples
+        propagation = oracle_settings.propagate(profile, window, times)
+        extract_total_phase(propagation, 1)  # the overlap floor
+        oracle_samples = propagation.samples
 
     energy_scale = drive.energy_scale  # raises ValueError when omega_d**2 overflows
     walked = sorted({t for t in times if t > 0.0})
@@ -452,7 +454,7 @@ def timing_error_sweep(
     settings, ``oracle_deviation`` is |oracle total phase - Phi(tau)| for
     state du.  The phase error Phi(tau) - Phi(T) vanishes to third order in
     epsilon, which the metadata records as a log-log slope over the rows with
-    |epsilon| in [1e-3, 1e-2] (when at least two such rows exist).
+    |epsilon| in [1e-3, 1e-2] (when they hold at least two distinct |epsilon|).
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -468,8 +470,6 @@ def timing_error_sweep(
     errors = []
     for eps in epsilons:
         tau = period * (1.0 + eps)
-        if tau <= 0.0:
-            raise ValueError(f"epsilon {eps} leaves no evolution window")
         phi = analytic_total_phase(base.ratio, base.delta, tau)
         errors.append((eps, abs(phi - nominal_phase)))
         perturbed = phase_gate(phi)
@@ -493,14 +493,17 @@ def timing_error_sweep(
 
 
 def _loglog_slope(errors: Sequence[tuple[float, float]]) -> float | None:
-    """Slope of log(error) vs log|eps| over the (eps, error) pairs with |eps| in [1e-3, 1e-2]."""
+    """Slope of log(error) vs log|eps| over the (eps, error) pairs with |eps| in [1e-3, 1e-2].
+
+    None unless those pairs hold two distinct |eps|, the least a line fit needs.
+    """
     xs = []
     ys = []
     for eps, error in errors:
         if 1e-3 <= abs(eps) <= 1e-2 and error > 0.0:
             xs.append(math.log(abs(eps)))
             ys.append(math.log(error))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     return float(np.polyfit(xs, ys, 1)[0])
 
@@ -610,11 +613,7 @@ def area_invariance_study(
     rows = []
     geometrics = []
     for index, loop in enumerate(loops):
-        residual = closure_residual(loop)
-        if not loop_closes(residual, closure_tolerance, lambda: peak_alpha(loop)):
-            raise LoopNotClosedError(
-                f"loop {index} is open: residual {residual:.3e}", residual
-            )
+        require_closed(loop, tolerance=closure_tolerance, name=f"loop {index}")
         with _workspace() as work:
             geometric, dyn = _block_phases(
                 lambda: _loop_blocks(loop, samples, work), samples, work

@@ -1281,7 +1281,78 @@ def test_large_open_loop_is_still_rejected(capsys, command):
     )
     assert code == EXIT_INVALID
     assert out == ""
-    assert "not closed" in err or "open" in err
+    assert "is open at tau=" in err
+
+
+# Two unit pulses at right angles: the loop ends sqrt(2) from where it began.
+OPEN_DOC = {
+    "schema_version": 1,
+    "conditioner": "odd-parity-projector",
+    "segments": [
+        {"duration": 1.0, "amplitude": [1.0, 0.0]},
+        {"duration": 1.0, "amplitude": [0.0, 1.0]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("phase", "--drive", "{open}", "--require-closed"), "loop"),
+        (("gate", "--drive", "{open}"), "loop"),
+        (("sweep", "--parameter", "loop_shape", "--drive", "{open}"), "loop 0"),
+    ],
+)
+def test_open_loop_is_refused_with_one_message(capsys, tmp_path, argv, name):
+    # drives.require_closed is the one closed-loop check behind every command.
+    path = write_doc(tmp_path, "open.json", OPEN_DOC)
+    code, out, err = run_cli(capsys, *(path if arg == "{open}" else arg for arg in argv))
+    assert (code, out, err) == (
+        EXIT_INVALID,
+        "",
+        f"error: {name} is open at tau=2: closure residual 1.414214e+00 exceeds 1.000e-09\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phase", "--omega-over-delta", "0.5", "--oracle"),
+        ("sweep", "--parameter", "time", "--grid", "1", "--oracle"),
+        ("oracle-verify", "--omega-over-delta", "0.5"),
+    ],
+)
+def test_n_max_below_two_is_refused_with_one_message(capsys, argv):
+    # OracleSettings checks n_max through FockSpace, as oracle-verify does.
+    code, out, err = run_cli(capsys, *argv, "--n-max", "1")
+    assert (code, out, err) == (EXIT_INVALID, "", "error: n_max must be an integer >= 2, got 1\n")
+
+
+def test_timing_sweep_over_one_abs_epsilon_reports_no_slope(capsys):
+    # -0.01 and 0.01 share one |epsilon|, through which no line can be fitted.
+    code, out, err = run_cli(
+        capsys, "sweep", "--parameter", "timing_error", "--grid", "-0.01,0.01"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert '"loglog_slope": null' in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--parameter", "time", "--grid", "3.14159", "--omega-over-delta", "2.7"),
+        ("phase", "--omega-over-delta", "2.7", "--tau", "3.14159"),
+    ],
+)
+def test_oracle_phase_below_the_overlap_floor_exits_3(capsys, argv):
+    # Near half a period the radius-2.7 loop takes the vacuum overlap to
+    # 4.7e-7, below the floor under which the unwrapped phase means nothing.
+    code, out, err = run_cli(capsys, *argv, "--oracle", "--n-max", "200", "--steps", "20000")
+    assert (code, out, err) == (
+        EXIT_NUMERICAL,
+        "",
+        "error: overlap modulus dropped to 4.656e-07; total phase is undefined for this state\n",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ from loopgate.drives import (
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
+    require_closed,
 )
 from loopgate.errors import (
     ConfigError,
+    LoopNotClosedError,
     SingularDetuningError,
     UnreachablePhaseError,
 )
@@ -196,13 +198,31 @@ def test_four_pulse_requires_four():
         four_pulse_sequence(amplitudes=(1.0, 2.0), durations=(1.0, 1.0))
 
 
-def test_induced_trajectory_closure():
+def test_require_closed_on_a_tone():
+    # A closed tone passes and returns its residual; half a period away the
+    # loop is open by its diameter, which the error carries.
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
-    trajectory = induced_trajectory(drive, samples=4_001)
-    assert trajectory.is_closed()
-    assert trajectory.duration == pytest.approx(TWO_PI)
-    open_trajectory = induced_trajectory(drive, tau=math.pi, samples=2_001)
-    assert not open_trajectory.is_closed()
+    assert require_closed(drive) == closure_residual(drive) < 1e-9
+    assert induced_trajectory(drive, samples=4_001).times[-1] == pytest.approx(TWO_PI)
+    with pytest.raises(LoopNotClosedError) as info:
+        require_closed(drive, tau=math.pi)
+    assert info.value.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_require_closed_on_a_polygon():
+    # The square closes exactly; two pulses at right angles end sqrt(2) away,
+    # and ``name`` sets only the first words of the refusal.
+    assert require_closed(square_loop()) == closure_residual(square_loop())
+    open_path = DriveProfile(
+        (DriveSegment(1.0, 1.0 + 0j), DriveSegment(1.0, 1j)), odd_parity_projector()
+    )
+    with pytest.raises(LoopNotClosedError) as info:
+        require_closed(open_path, name="loop 3")
+    assert str(info.value) == (
+        "loop 3 is open at tau=2: closure residual 1.414214e+00 exceeds 1.000e-09"
+    )
+    assert info.value.residual == pytest.approx(math.sqrt(2.0))
+    assert require_closed(open_path, tolerance=1.5) == info.value.residual
 
 
 # ---------------------------------------------------------------------------

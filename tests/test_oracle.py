@@ -53,6 +53,11 @@ def headline_drive(conditioner=None):
     return constant_drive(HEADLINE, conditioner=conditioner)
 
 
+def lowering(space):
+    """The annihilation operator a on ``space``, built densely."""
+    return np.diag(np.sqrt(np.arange(1.0, space.dimension)), 1).astype(complex)
+
+
 @pytest.fixture(scope="module")
 def headline_run():
     """Moderate-accuracy propagation reused across checks (no operator)."""
@@ -79,7 +84,7 @@ def operator_run():
 def test_fock_space_operators():
     space = FockSpace(12)
     assert space.dimension == 13
-    a = space.lowering()
+    a = lowering(space)
     a_dag = a.conj().T
     commutator = a @ a_dag - a_dag @ a
     # canonical commutator holds except in the truncation corner
@@ -102,7 +107,7 @@ def test_fock_space_validation():
 def joint_hamiltonian(drive, t, space):
     """kron(C, -i (f(t) a_dag - conj(f(t)) a)), spin-major, for a one-segment drive."""
     f = complex(drive.segments[0].values(float(t)))
-    a = space.lowering()
+    a = lowering(space)
     return np.kron(drive.conditioner.matrix, -1j * (f * a.conj().T - np.conj(f) * a))
 
 
@@ -119,7 +124,7 @@ def test_build_hamiltonian_structure():
     h = joint_hamiltonian(drive, 0.3, space)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     f = complex(drive.segments[0].values(0.3))
-    a = space.lowering()
+    a = lowering(space)
     block = -1j * (f * a.conj().T - np.conj(f) * a)
     expected = np.kron(np.diag([0.0, 1.0, 1.0, 0.0]), block)
     assert np.allclose(h, expected, atol=1e-14)
@@ -146,7 +151,7 @@ def test_displacement_matrix_coherent_amplitudes():
 
 
 def _dense_displacement(alpha, space):
-    a = space.lowering()
+    a = lowering(space)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
@@ -219,7 +224,7 @@ def test_single_step_matches_dense_exponential():
     tau = 0.3
     run = propagate(drive, tau=tau, space=space, steps=1)
     f = complex(drive.segments[0].values(tau / 2.0))
-    a = space.lowering()
+    a = lowering(space)
     h = -1j * (f * a.conj().T - np.conj(f) * a)
     expected = expm(-1j * tau * h)
     # the odd-parity projector's sectors are its distinct eigenvalues 0 and 1
@@ -821,13 +826,13 @@ def test_parity_mirrored_sector_matches_direct_propagation(case):
 
 def _run_matrix(g0, frequency, dt, dim):
     """M = L^-1 exp(-i H_0 dt) with L = diag(exp(-i frequency dt n)), by dense exponential."""
-    a = FockSpace(dim - 1).lowering()
+    a = lowering(FockSpace(dim - 1))
     h0 = -1j * g0 * a.conj().T + 1j * np.conj(g0) * a
     return np.exp(1j * frequency * dt * np.arange(dim))[:, None] * expm(-1j * dt * h0)
 
 
 def _position_eigensystem(dim):
-    a = FockSpace(dim - 1).lowering().real
+    a = lowering(FockSpace(dim - 1)).real
     return np.linalg.eigh(a + a.T)
 
 

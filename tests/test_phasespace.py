@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from loopgate.drives import ConstantDriveParams, constant_drive, induced_trajectory
+from loopgate.drives import ConstantDriveParams, constant_drive, induced_trajectory, require_closed
 from loopgate.errors import (
     InternalConsistencyError,
     InvalidTrajectoryError,
@@ -80,23 +80,11 @@ def test_trajectory_arrays_are_frozen():
         trajectory.times[0] = -1.0
 
 
-def test_trajectory_closure():
-    closed = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([0j, 1j, 0j]))
-    assert closed.closure_residual == 0.0
-    assert closed.is_closed()
-    open_path = Trajectory(np.array([0.0, 1.0]), np.array([0j, 1j]))
-    assert open_path.closure_residual == pytest.approx(1.0)
-    assert not open_path.is_closed()
-    assert open_path.duration == pytest.approx(1.0)
-
-
 def test_closure_allows_rounding_of_large_loops():
     # One period of a radius-1e8 circle ends 2.4e-8 from its start, from the
-    # rounding of exp(-2 pi i) - 1 alone.
-    t = np.linspace(0.0, 2.0 * np.pi, 101)
-    loop = analytic_trajectory(1e8, 1.0, 0.0, t)
-    assert loop.closure_residual > 1e-9
-    assert loop.is_closed()
+    # rounding of exp(-2 pi i) - 1 alone; the rounding floor accepts it.
+    loop = constant_drive(ConstantDriveParams(omega_d=1e8, delta=1.0))
+    assert require_closed(loop) == pytest.approx(2.449e-8, rel=1e-3)
     assert loop_closes(2.4e-8, 1e-9, lambda: 2e8)
     assert not loop_closes(1e-6, 1e-9, lambda: 2e8)
     assert not loop_closes(2e-9, 1e-9, lambda: 1.0)
@@ -106,7 +94,7 @@ def test_trajectory_from_points():
     # plain sequences of times and complex points are copied into arrays
     trajectory = Trajectory([0.0, 0.5, 1.0], [0j, 1.0 + 0j, 0j])
     assert trajectory.points[1] == 1.0
-    assert trajectory.is_closed()
+    assert trajectory.points[-1] == trajectory.points[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from loopgate import cli, phasespace, robustness
 from loopgate._serialize import SCHEMA_VERSION, json_text, sweep_csv
 from loopgate.drives import ConstantDriveParams, constant_drive, four_pulse_sequence
-from loopgate.errors import InternalConsistencyError, LoopNotClosedError
+from loopgate.errors import InternalConsistencyError, LoopNotClosedError, UndefinedPhaseError
 from loopgate.phasespace import analytic_total_phase
 from loopgate.robustness import (
     NONCYCLIC_ANALYTIC_TOL,
@@ -99,6 +99,15 @@ def test_noncyclic_scan_with_oracle():
         assert row.oracle_deviation < 1e-4
     assert report.metadata["max_oracle_relation_residual"] < 1e-4
     assert report.metadata["oracle"] == {"n_max": 16, "steps": 2_000}
+
+
+def test_noncyclic_scan_oracle_leg_meets_the_overlap_floor():
+    # The radius-2.7 loop near half a period drives the vacuum overlap to
+    # 4.7e-7; the scan refuses the oracle phase as phase --oracle does.
+    drive = ConstantDriveParams(omega_d=2.7, delta=1.0)
+    settings = OracleSettings(n_max=200, steps=20_000)
+    with pytest.raises(UndefinedPhaseError, match="overlap modulus dropped to 4.656e-07"):
+        noncyclic_scan(drive, [3.14159], oracle_settings=settings)
 
 
 def test_noncyclic_scan_rejects_bad_times():
@@ -233,6 +242,14 @@ def test_timing_sweep_fidelity_column():
     assert row.fidelity < 1.0
     # open path still satisfies the ratio relations
     assert row.eta == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_timing_sweep_fits_no_slope_through_one_abs_epsilon():
+    # Both rows sit at |epsilon| = 0.01; a line fit through them would be
+    # rank-deficient (numpy warns) and its slope meaningless.
+    report = timing_error_sweep(BASE, [-0.01, 0.01])
+    assert report.metadata["loglog_slope"] is None
+    assert report.metadata["max_abs_phase_error"] > 0.0
 
 
 def test_timing_sweep_with_oracle():
