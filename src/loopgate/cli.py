@@ -472,13 +472,7 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
         )
 
     displacement_residual = None
-    segment = drive.segments[0]
-    if (
-        not state_only
-        and len(drive.segments) == 1
-        and segment.func is None
-        and segment.frequency != 0.0
-    ):
+    if not state_only and len(drive.segments) == 1 and drive.segments[0].frequency != 0.0:
         displacement_residual = verify_magnus_form(
             drive, tau, settings.space, settings.steps, propagation=propagation
         )

@@ -10,9 +10,8 @@ path alpha_beta(t) = -beta * integral_0^t f(s) ds, so the drive alone fixes
 the phase-space loop geometry and every phase in the problem.
 
 Profiles are piecewise: each segment carries f(s) = amplitude * exp(-i *
-frequency * s) in local segment time s, which covers constant pulses
-(frequency 0), detuned tones, and, through an optional callable, arbitrary
-shapes integrated numerically.
+frequency * s) in local segment time s, a constant pulse (frequency 0) or a
+detuned tone, so every path has a closed form.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ DEFAULT_DRIVE_SAMPLES = 20_001
 # entry per sample: its times and points (24 MB at the cap, and as much
 # again while it copies them).
 MAX_SAMPLES = 1_000_001
-
-# Internal grid resolution used to integrate callable segments.
-_CALLABLE_RESOLUTION = 20_001
 
 # Largest |target phase| design_constant_drive accepts; keeps the loop radius
 # at or below 2, where the default oracle truncation stays comfortable.
@@ -110,55 +106,42 @@ class ConstantDriveParams:
 class DriveSegment:
     """One piece of a drive: f(s) = amplitude * exp(-i * frequency * s).
 
-    ``s`` is local time in [0, duration].  When ``func`` is given it replaces
-    the closed form entirely and is integrated by quadrature.
+    ``s`` is local time in [0, duration]: a pulse at frequency 0, else a tone.
     """
 
     duration: float
     amplitude: complex = 0.0 + 0.0j
     frequency: float = 0.0
-    func: Callable[[np.ndarray], np.ndarray] | None = None
+
+    # Always None, and not a field: perfbench/tracer.py keys drives on id(segment.func).
+    func = None
 
     def __post_init__(self) -> None:
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
-        if self.func is None:
-            amplitude = complex(self.amplitude)
-            if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
-                raise ValueError("segment amplitude must be finite")
-            if not math.isfinite(self.frequency):
-                raise ValueError("segment frequency must be finite")
-            if not math.isfinite(self.frequency * self.duration):
-                raise ValueError(
-                    f"segment phase frequency * duration overflows: "
-                    f"{self.frequency:g} * {self.duration:g}"
-                )
-            object.__setattr__(self, "amplitude", amplitude)
-        elif self.amplitude != 0.0 + 0.0j or self.frequency != 0.0:
-            raise ValueError("a callable segment must not also set amplitude or frequency")
+        amplitude = complex(self.amplitude)
+        if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
+            raise ValueError("segment amplitude must be finite")
+        if not math.isfinite(self.frequency):
+            raise ValueError("segment frequency must be finite")
+        if not math.isfinite(self.frequency * self.duration):
+            raise ValueError(
+                f"segment phase frequency * duration overflows: "
+                f"{self.frequency:g} * {self.duration:g}"
+            )
+        object.__setattr__(self, "amplitude", amplitude)
 
     # Where a closed form overflows, values and alpha_increment return
     # non-finite entries without a warning; the checks that read them name it.
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """f evaluated at local times ``s``."""
-        if self.func is not None:
-            return np.asarray(self.func(s), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             return self.amplitude * np.exp(-1j * self.frequency * np.asarray(s))
 
     def alpha_increment(self, s: np.ndarray) -> np.ndarray:
-        """-integral_0^s f(u) du at local times ``s``, exact for closed forms."""
+        """-integral_0^s f(u) du at local times ``s``, in closed form."""
         s = np.asarray(s, dtype=float)
-        if self.func is not None:
-            grid = np.linspace(0.0, self.duration, _CALLABLE_RESOLUTION)
-            values = np.asarray(self.func(grid), dtype=complex)
-            cumulative = np.concatenate(
-                [[0.0], np.cumsum((values[1:] + values[:-1]) * 0.5 * np.diff(grid))]
-            )
-            return -(
-                np.interp(s, grid, cumulative.real) + 1j * np.interp(s, grid, cumulative.imag)
-            )
         with np.errstate(over="ignore", invalid="ignore"):
             if self.frequency == 0.0:
                 return -self.amplitude * s
@@ -384,9 +367,7 @@ def _walk(
     Times are the grid's bit for bit, and each sample belongs to the segment
     :func:`_locate` assigns it to.  A pulse fills its samples in place; a
     tone reads rows of the :func:`~loopgate.phasespace._exp_factors` table
-    of its whole run, so its samples do not depend on where blocks split it; a callable is evaluated
-    once on its whole run, by :meth:`DriveSegment.values` and
-    :meth:`DriveSegment.alpha_increment`.
+    of its whole run, so its samples do not depend on where blocks split it.
     """
     _require_samples(samples)
     _require_window(drive, min(0.0, tau), max(0.0, tau))
@@ -406,18 +387,12 @@ def _walk(
         t = _grid_times(np.add(index, bounds[i], dtype=float), tau, samples)
         return _local_times(t, starts[i], end, out=t)
 
-    # A tone's table factors, or a callable's f and alpha, on its whole run.
+    # A tone's table factors on its whole run.
     runs = {}
     for i, segment in enumerate(drive.segments):
         size = bounds[i + 1] - bounds[i]
-        if size <= 0 or (segment.func is None and segment.frequency == 0.0):
-            continue
-        if segment.func is None:
+        if size > 0 and segment.frequency != 0.0:
             runs[i] = _exp_factors(segment.frequency, size, lambda k, i=i: local(i, k))
-        else:
-            s = local(i, np.arange(size))
-            alpha_start = drive.segment_alpha_starts[i]
-            runs[i] = (segment.values(s), alpha_start + segment.alpha_increment(s))
 
     def fill(i: int, first: int, stop: int, run: slice) -> None:
         """Samples ``first`` to ``stop - 1`` of segment i's run into the block's ``run``.
@@ -430,10 +405,7 @@ def _walk(
         alpha_start = drive.segment_alpha_starts[i]
         amplitude = segment.amplitude
         f, alpha, scratch = work.f[run], work.alpha[run], work.scratch[run]
-        if segment.func is not None:
-            f[...] = runs[i][0][first:stop]
-            alpha[...] = runs[i][1][first:stop]
-        elif segment.frequency == 0.0:
+        if segment.frequency == 0.0:
             # alpha = alpha_start - amplitude * s, with s held as s + 0j.
             _local_times(work.times[run], starts[i], end, out=alpha.real)
             alpha.imag = 0.0
@@ -483,12 +455,11 @@ def induced_trajectory(
     times = np.empty(_require_samples(samples))
     points = np.empty(samples, dtype=complex)
     stop = 0
-    with _workspace() as work:
-        for t, _, alpha in _walk(drive, float(tau), samples, work):
-            start = max(stop - 1, 0)
-            stop = start + t.size
-            times[start:stop] = t
-            points[start:stop] = alpha
+    for t, _, alpha in _walk(drive, float(tau), samples, _workspace()):
+        start = max(stop - 1, 0)
+        stop = start + t.size
+        times[start:stop] = t
+        points[start:stop] = alpha
     return Trajectory(times, points)
 
 
@@ -514,10 +485,13 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     """
     tau = _require_tau(drive, tau)
     phase = 0.0
-    with _workspace() as work, np.errstate(over="ignore", invalid="ignore"):
+    work = _workspace()
+    with np.errstate(over="ignore", invalid="ignore"):
         for t, f, alpha in _walk(drive, tau, samples, work):
             z = np.multiply(np.conjugate(alpha, out=work.scratch[: t.size]), f, out=alpha)
-            if not _all_finite(z, work.flags):
+            # Only the imaginary part is integrated, and numpy forms it apart
+            # from the real part, which may overflow on its own.
+            if not _all_finite(z.imag, work.flags):
                 raise ValueError(
                     "loop-phase integrand conj(alpha) f is not finite: "
                     "the drive or its path overflows"
@@ -569,17 +543,14 @@ def constant_drive_h_expect(params: ConstantDriveParams) -> Callable:
 
 def drive_to_dict(drive: DriveProfile) -> dict:
     """Serialize a profile to the JSON-compatible drive schema."""
-    segments = []
-    for segment in drive.segments:
-        if segment.func is not None:
-            raise ConfigError("callable drive segments are not serializable")
-        segments.append(
-            {
-                "duration": segment.duration,
-                "amplitude": [segment.amplitude.real, segment.amplitude.imag],
-                "frequency": segment.frequency,
-            }
-        )
+    segments = [
+        {
+            "duration": segment.duration,
+            "amplitude": [segment.amplitude.real, segment.amplitude.imag],
+            "frequency": segment.frequency,
+        }
+        for segment in drive.segments
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "conditioner": drive.conditioner.name,
@@ -617,15 +588,15 @@ def drive_from_dict(data: dict) -> DriveProfile:
         amplitude = raw["amplitude"]
         if not (isinstance(amplitude, list) and len(amplitude) == 2):
             raise ConfigError(f"segment {i} amplitude must be a [re, im] pair")
+        numbers = (raw["duration"], *amplitude, raw.get("frequency", 0.0))
+        for key, value in zip(("duration", "amplitude", "amplitude", "frequency"), numbers):
+            # bool is a subclass of int, so booleans are told apart first.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"segment {i} {key} must be a number, got {value!r}")
         try:
-            segments.append(
-                DriveSegment(
-                    duration=float(raw["duration"]),
-                    amplitude=complex(float(amplitude[0]), float(amplitude[1])),
-                    frequency=float(raw.get("frequency", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            duration, real, imag, frequency = map(float, numbers)
+            segments.append(DriveSegment(duration, complex(real, imag), frequency))
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"segment {i} is invalid: {exc}") from exc
     return DriveProfile(
         segments=tuple(segments), conditioner=standard_conditioner(data["conditioner"])

@@ -30,9 +30,9 @@ point.  The overlap and top-level series keep every point, for the unwrap
 and the leakage maximum; the dynamic phase is a Dirichlet-kernel sum over
 the eigenphases, taken only where it is read (:func:`_closed_form_run`).
 Runs shorter than a measured break-even (``_MIN_RUN_STEPS``, or
-``_MIN_RUN_STEPS_WITH_OPERATOR`` when the operator is tracked) and callable
-segments take the per-step loop.  Either way the results equal the per-step
-product up to rounding; unit tests hold the two paths together.
+``_MIN_RUN_STEPS_WITH_OPERATOR`` when the operator is tracked) take the
+per-step loop.  Either way the results equal the per-step product up to
+rounding; unit tests hold the two paths together.
 
 Two propagations are never repeated.  With P = (-1)^n, H(-g) = P H(g) P
 exactly on the truncated space, so the sector of eigenvalue -beta (jz and
@@ -460,11 +460,12 @@ def _propagate_sector(
             slots = np.flatnonzero((read > k0) & (read <= k1))
             counts = read[slots] - k0
             # g at the midpoints the run reads: the first only, for a closed form.
-            closed_form = segment.func is None and k1 - k0 >= min_run
+            closed_form = k1 - k0 >= min_run
             t = (np.arange(k0, k0 + 1 if closed_form else k1) + 0.5) * dt
             g_run = eigenvalue * segment.values(_local_times(t, starts[i], end, out=t))
-            # A step turns the state by |g| dt: below 1e-300 it is the identity.
-            if segment.func is None and abs(g_run[0]) * dt < 1e-300:
+            # A step turns the state by |g| dt, the same on the whole run:
+            # below 1e-300 it is the identity.
+            if abs(g_run[0]) * dt < 1e-300:
                 overlap_series[run] = overlap_series[k0]
                 leakage_series[run] = leakage_series[k0]
                 dynamic_series[slots] = dynamic
@@ -488,11 +489,6 @@ def _propagate_sector(
             for k in range(k0, k1):
                 g = g_run[k - k0]
                 mag = abs(g)
-                if mag * dt < 1e-300:
-                    overlap_series[k + 1] = overlap_series[k]
-                    leakage_series[k + 1] = leakage_series[k]
-                    running[k - k0] = dynamic
-                    continue
                 ph = np.angle(g) - 0.5 * np.pi
                 D = np.exp(1j * ph * nvec)
                 Dc = np.conj(D)
@@ -583,11 +579,11 @@ def propagate(
     eigenbasis, once per distinct mix of sector series, which reduces to
     plain per-state propagation for diagonal conditioners.
 
-    Long runs inside one closed-form segment are evaluated in closed form,
-    shorter runs and callable segments one exponential at a time (see the
-    module notes); all give the per-step product up to rounding.  A sector
-    whose eigenvalue is minus that of one already propagated is its parity
-    mirror (:func:`_parity_mirror`).
+    Long runs inside one segment are evaluated in closed form, shorter runs
+    one exponential at a time (see the module notes); both give the
+    per-step product up to rounding.  A sector whose eigenvalue is minus
+    that of one already propagated is its parity mirror
+    (:func:`_parity_mirror`).
 
     ``space=None`` picks :func:`default_space` (n_max = 64, escalated when
     the loop grows, up to ``MAX_N_MAX``).  ``sample_times`` requests phase
@@ -765,7 +761,7 @@ def verify_magnus_form(
     initial Fock level, so the residual is the one a fresh propagation gives.
     Otherwise the unit sector is propagated here.
     """
-    if len(drive.segments) != 1 or drive.segments[0].func is not None:
+    if len(drive.segments) != 1:
         raise ValueError("the displacement-form check needs a single-tone drive")
     segment = drive.segments[0]
     if segment.frequency == 0.0:

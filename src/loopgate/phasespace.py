@@ -17,7 +17,6 @@ unconventional mix whose total phase still depends only on the loop geometry).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -290,22 +289,17 @@ class _Workspace:
 _workspaces = threading.local()
 
 
-@contextlib.contextmanager
-def _workspace() -> Iterator[_Workspace]:
-    """Borrow this thread's workspace; its ``block`` is ``_BLOCK_SAMPLES``.
+def _workspace() -> _Workspace:
+    """This thread's workspace, allocated on first use; its ``block`` is ``_BLOCK_SAMPLES``.
 
-    Each thread allocates its workspace on first use and gets it back when
-    the borrower is done, so a quadrature nested in another (a callable drive
-    segment that calls ``gamma0``, say) borrows a second one.  The borrower
-    reserves what its blocks need.
+    No quadrature runs inside another, so one workspace per thread serves
+    them all.  The caller reserves what its blocks need.
     """
-    free = _workspaces.__dict__.setdefault("free", [])
-    work = free.pop() if free else _Workspace()
+    work = getattr(_workspaces, "work", None)
+    if work is None:
+        work = _workspaces.work = _Workspace()
     work.block = _BLOCK_SAMPLES
-    try:
-        yield work
-    finally:
-        free.append(work)
+    return work
 
 
 def _all_finite(x: np.ndarray, flags: np.ndarray) -> bool:

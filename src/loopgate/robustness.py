@@ -194,45 +194,45 @@ def _unit_sums(
     width = factors[1].size
     chord = trapezoid = peak = 0.0
     sums = []
-    with _workspace() as work:
-        block = max(1, min(work.block // width, factors[0].size)) * width
-        work.reserve(block + 1)
-        # Slot 0 of u and of t carries the previous block's last sample.
-        u, t = work.alpha, work.times
-        terms = work.scratch.view(float)
-        for start in range(0, samples, block):
-            stop = min(start + block, samples)
-            count = stop - start
-            fresh = _exp_rows(
-                factors, start, stop, samples, out=u[1 : count + 1], tile=work.scratch[:count]
-            )
-            fresh -= 1.0
-            fresh_times = np.add(work.ramp[:count], start, out=t[1 : count + 1])
-            _grid_times(fresh_times, tau, samples, out=fresh_times)
-            head = 0 if start else 1
-            part, nodes = u[head : count + 1], t[head : count + 1]
-            # The earlier times below this block's last node, each with the
-            # index j in ``part`` of the last node at or below it.
-            pending = times[len(sums) : -1]
-            ends = np.searchsorted(nodes, pending, side="right")
-            reads = list(zip(pending, ends[ends < nodes.size] - 1))
-            # Both sums leave their terms in the scratch array, which they share.
-            block_chord = _chord_sum(part, work.scratch)
-            chords = [chord - float(np.sum(work.scratch[:j].imag)) for _, j in reads]
-            block_trapezoid = _trapezoid_sum(part.real, nodes, terms)
-            for (time, j), row_chord in zip(reads, chords):
-                row_trapezoid = trapezoid + float(np.add.reduce(terms[:j]))
-                row_peak = max(peak, -float(part.real[: j + 1].min()))
-                if nodes[j] < time:
-                    node, last = complex(part[j]), cmath.exp(-1j * delta * time) - 1.0
-                    row_chord -= (node.conjugate() * last).imag
-                    row_trapezoid += (time - float(nodes[j])) * (node.real + last.real) / 2.0
-                    row_peak = max(row_peak, -last.real)
-                sums.append((row_chord, row_trapezoid, row_peak))
-            chord += block_chord
-            trapezoid -= block_trapezoid
-            peak = max(peak, -float(fresh.real.min()))
-            u[0], t[0] = u[count], t[count]
+    work = _workspace()
+    block = max(1, min(work.block // width, factors[0].size)) * width
+    work.reserve(block + 1)
+    # Slot 0 of u and of t carries the previous block's last sample.
+    u, t = work.alpha, work.times
+    terms = work.scratch.view(float)
+    for start in range(0, samples, block):
+        stop = min(start + block, samples)
+        count = stop - start
+        fresh = _exp_rows(
+            factors, start, stop, samples, out=u[1 : count + 1], tile=work.scratch[:count]
+        )
+        fresh -= 1.0
+        fresh_times = np.add(work.ramp[:count], start, out=t[1 : count + 1])
+        _grid_times(fresh_times, tau, samples, out=fresh_times)
+        head = 0 if start else 1
+        part, nodes = u[head : count + 1], t[head : count + 1]
+        # The earlier times below this block's last node, each with the
+        # index j in ``part`` of the last node at or below it.
+        pending = times[len(sums) : -1]
+        ends = np.searchsorted(nodes, pending, side="right")
+        reads = list(zip(pending, ends[ends < nodes.size] - 1))
+        # Both sums leave their terms in the scratch array, which they share.
+        block_chord = _chord_sum(part, work.scratch)
+        chords = [chord - float(np.sum(work.scratch[:j].imag)) for _, j in reads]
+        block_trapezoid = _trapezoid_sum(part.real, nodes, terms)
+        for (time, j), row_chord in zip(reads, chords):
+            row_trapezoid = trapezoid + float(np.add.reduce(terms[:j]))
+            row_peak = max(peak, -float(part.real[: j + 1].min()))
+            if nodes[j] < time:
+                node, last = complex(part[j]), cmath.exp(-1j * delta * time) - 1.0
+                row_chord -= (node.conjugate() * last).imag
+                row_trapezoid += (time - float(nodes[j])) * (node.real + last.real) / 2.0
+                row_peak = max(row_peak, -last.real)
+            sums.append((row_chord, row_trapezoid, row_peak))
+        chord += block_chord
+        trapezoid -= block_trapezoid
+        peak = max(peak, -float(fresh.real.min()))
+        u[0], t[0] = u[count], t[count]
     sums.append((chord, trapezoid, peak))
     return sums
 
@@ -614,10 +614,8 @@ def area_invariance_study(
     geometrics = []
     for index, loop in enumerate(loops):
         require_closed(loop, tolerance=closure_tolerance, name=f"loop {index}")
-        with _workspace() as work:
-            geometric, dyn = _block_phases(
-                lambda: _loop_blocks(loop, samples, work), samples, work
-            )
+        work = _workspace()
+        geometric, dyn = _block_phases(lambda: _loop_blocks(loop, samples, work), samples, work)
         geometrics.append(geometric)
         rows.append(_row(float(index), decompose(geometric, dyn)))
     spread = float(np.max(geometrics) - np.min(geometrics)) if len(geometrics) > 1 else 0.0

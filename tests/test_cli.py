@@ -1203,6 +1203,32 @@ def test_overflowing_products_stay_silent(capsys, tmp_path):
     assert err == "error: trajectory contains non-finite samples\n"
 
 
+def _one_segment(**segment):
+    """CIRCLE_DOC with ``segment`` as its only segment."""
+    return dict(CIRCLE_DOC, segments=[segment])
+
+
+def test_a_line_out_and_back_has_phase_zero_on_every_command(capsys, tmp_path):
+    # conj(alpha) f overflows in its real part only; every phase reads the
+    # imaginary part, which is 0 on a loop that encloses no area.
+    doc = {
+        "schema_version": 1,
+        "conditioner": "jz",
+        "segments": [
+            {"duration": 1, "amplitude": [1e200, 0]},
+            {"duration": 1, "amplitude": [-1e200, 0]},
+        ],
+    }
+    path = write_doc(tmp_path, "line.json", doc)
+    phase = run_json(capsys, "phase", "--drive", path)["analytic"]
+    gate = run_json(capsys, "gate", "--drive", path)
+    row = run_json(capsys, "sweep", "--parameter", "loop_shape", "--drive", path)["rows"][0]
+    assert capsys.readouterr().err == ""
+    assert (phase["total"], phase["geometric"], phase["dynamic"]) == (0.0, 0.0, 0.0)
+    assert gate["gamma0"] == 0.0 and gate["gate"]["phases"] == [0.0] * 4
+    assert (row["total"], row["geometric"], row["dynamic"]) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "cfg,cause",
     [
@@ -1210,6 +1236,13 @@ def test_overflowing_products_stay_silent(capsys, tmp_path):
         ({"command": "phase", "omega_over_delta": 10**400}, "--omega-over-delta must be finite"),
         ({"command": "sweep", "parameter": "phi_l", "grid": [0.1, math.inf]},
          "--grid entries must be finite"),
+        # A drive document takes JSON numbers only, and none past the float range.
+        ({"command": "phase", "drive": _one_segment(duration="1", amplitude=[1, 0])},
+         "error: segment 0 duration must be a number, got '1'\n"),
+        ({"command": "gate", "drive": _one_segment(duration=1, amplitude=[True, 0])},
+         "error: segment 0 amplitude must be a number, got True\n"),
+        ({"command": "phase", "drive": _one_segment(duration=10**400, amplitude=[1, 0])},
+         "error: segment 0 is invalid: int too large to convert to float\n"),
     ],
 )
 def test_non_finite_config_number_is_invalid(capsys, tmp_path, cfg, cause):

@@ -536,16 +536,12 @@ def test_propagation_fields(headline_run):
 # closed-form segment runs reproduce the per-step midpoint product
 
 
-def _stepped_twin(drive):
-    """Same f(t) as callable segments, which the oracle steps one at a time."""
-    segments = tuple(
-        DriveSegment(
-            duration=s.duration,
-            func=lambda t, s=s: s.amplitude * np.exp(-1j * s.frequency * t),
-        )
-        for s in drive.segments
-    )
-    return DriveProfile(segments=segments, conditioner=drive.conditioner)
+def _stepped(drive, **kwargs):
+    """``propagate(drive, **kwargs)`` with every run taken one exponential at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_MIN_RUN_STEPS", math.inf)
+        patch.setattr(oracle, "_MIN_RUN_STEPS_WITH_OPERATOR", math.inf)
+        return propagate(drive, **kwargs)
 
 
 def _polygon(amplitudes, durations):
@@ -664,7 +660,7 @@ def test_closed_form_runs_match_per_step_product(
         "sample_times": kwargs.get("sample_times", []) + _run_edge_times(drive, steps, tau),
     }
     closed = propagate(drive, steps=steps, **kwargs)
-    stepped = propagate(_stepped_twin(drive), steps=steps, **kwargs)
+    stepped = _stepped(drive, steps=steps, **kwargs)
 
     for name in ("total_phase", "dynamic_phase", "overlap_modulus", "min_overlap_modulus"):
         assert np.max(np.abs(getattr(closed, name) - getattr(stepped, name))) < tol, name
@@ -775,15 +771,17 @@ def test_states_are_recombined_once_per_distinct_mix(monkeypatch, conditioner, i
 # identities the oracle uses in place of a propagation or a factorisation
 
 
+# case: (drive builder, initial Fock level, propagator).
 MIRROR_CASES = {
-    "jz": (lambda: headline_drive(jz_conditioner()), 0),
-    "jy": (lambda: headline_drive(jy_conditioner()), 0),
-    "callable-jz": (lambda: _stepped_twin(headline_drive(jz_conditioner())), 0),
+    "jz": (lambda: headline_drive(jz_conditioner()), 0, propagate),
+    "jy": (lambda: headline_drive(jy_conditioner()), 0, propagate),
+    "stepped-jz": (lambda: headline_drive(jz_conditioner()), 0, _stepped),
     "initial-fock-1": (
         lambda: constant_drive(
             ConstantDriveParams(omega_d=0.3, delta=1.0), conditioner=jz_conditioner()
         ),
         1,
+        propagate,
     ),
 }
 
@@ -797,7 +795,7 @@ def _single_sector(drive, eigenvalue):
 
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
 def test_parity_mirrored_sector_matches_direct_propagation(case):
-    make_drive, initial_fock = MIRROR_CASES[case]
+    make_drive, initial_fock, propagator = MIRROR_CASES[case]
     drive = make_drive()
     settings = {
         "space": FockSpace(24),
@@ -805,12 +803,12 @@ def test_parity_mirrored_sector_matches_direct_propagation(case):
         "initial_fock": initial_fock,
         "sample_times": np.linspace(0.0, drive.total_duration, 9),
     }
-    run = propagate(drive, **settings)
+    run = propagator(drive, **settings)
     nonzero = [s for s in run.sectors if s.eigenvalue != 0.0]
     assert len(nonzero) == 2 and abs(nonzero[0].eigenvalue + nonzero[1].eigenvalue) < 1e-12
     for sector in nonzero:
         # Alone beside the zero sector, this eigenvalue is propagated, not mirrored.
-        direct_run = propagate(_single_sector(drive, sector.eigenvalue), **settings)
+        direct_run = propagator(_single_sector(drive, sector.eigenvalue), **settings)
         direct = direct_run.sectors[0]
         assert direct.eigenvalue == sector.eigenvalue
         for name in ("overlap_series", "dynamic_series", "leakage_series"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopgate import oracle
 from loopgate.drives import (
     ConstantDriveParams,
     DriveProfile,
@@ -134,24 +135,19 @@ def sampled_tones(draw):
 @given(sampled_tones())
 def test_sampled_oracle_dynamic_phase_matches_the_stepped_twin(tone):
     # One run of 120 steps or more takes the closed form, whose dynamic phase
-    # is the Dirichlet-kernel sum up to each sampled step; the same f(t) as a
-    # callable segment is stepped one exponential at a time.
+    # is the Dirichlet-kernel sum up to each sampled step; with the break-even
+    # raised past every run, the same tone is stepped one exponential at a time.
     segment, steps, index = tone
-    twin = DriveSegment(
-        duration=segment.duration,
-        func=lambda t: segment.amplitude * np.exp(-1j * segment.frequency * t),
-    )
+    drive = DriveProfile(segments=(segment,), conditioner=odd_parity_projector())
     times = [k * segment.duration / steps for k in index]
-    dynamic = [
-        propagate(
-            DriveProfile(segments=(s,), conditioner=odd_parity_projector()),
-            space=FockSpace(12),
-            steps=steps,
-            sample_times=times,
-            with_operator=False,
-        ).samples["dynamic_phase"]
-        for s in (segment, twin)
-    ]
+    dynamic = []
+    for min_run in (oracle._MIN_RUN_STEPS, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_MIN_RUN_STEPS", min_run)
+            run = propagate(
+                drive, space=FockSpace(12), steps=steps, sample_times=times, with_operator=False
+            )
+        dynamic.append(run.samples["dynamic_phase"])
     assert dynamic[0].shape == (len(index), 4)
     assert np.max(np.abs(dynamic[0] - dynamic[1]), initial=0.0) < 1e-9
 

@@ -91,11 +91,7 @@ def direct_path(drive, t):
         s = t - start
         # Later segments overwrite: a boundary time belongs to the later one.
         run = s >= 0.0
-        if segment.func is not None:
-            f[run] = segment.func(s[run])
-            alpha[run] = alpha_start + segment.alpha_increment(s[run])
-            alpha_start += segment.alpha_increment(np.array([segment.duration]))[0]
-        elif segment.frequency == 0.0:
+        if segment.frequency == 0.0:
             f[run] = segment.amplitude
             alpha[run] = alpha_start - segment.amplitude * s[run]
             alpha_start -= segment.amplitude * segment.duration
@@ -114,14 +110,7 @@ def tone(r, delta, periods=1.0, phase=0.0):
     return DriveSegment(duration=periods * TWO_PI / delta, amplitude=amplitude, frequency=delta)
 
 
-def callable_tone(r, delta, phase=0.0):
-    amplitude = -r * delta * np.exp(1j * phase)
-    return DriveSegment(
-        duration=TWO_PI / delta, func=lambda s: amplitude * np.exp(-1j * delta * s)
-    )
-
-
-# Closed multi-segment loops: tones, a pulse out and back, a callable tone.
+# Closed multi-segment loops: tones, and a pulse out and back.
 MIXED_LOOPS = {
     "two-tones": (tone(0.4, 1.1), tone(0.3, 2.0, phase=0.7)),
     "pulse-tone-pulse": (
@@ -129,7 +118,7 @@ MIXED_LOOPS = {
         tone(0.5, 0.9, phase=-1.2),
         DriveSegment(duration=0.5, amplitude=-0.6 + 0.2j),
     ),
-    "tone-callable-tone": (tone(0.3, 1.7), callable_tone(0.4, 1.0, phase=0.3), tone(0.2, 0.6)),
+    "three-tones": (tone(0.3, 1.7), tone(0.4, 1.0, phase=0.3), tone(0.2, 0.6)),
 }
 
 
@@ -561,10 +550,9 @@ def test_extrapolated_eta_sweep_is_fourth_order(radius, delta, phi_l, samples):
 def walked(drive, tau, samples):
     """Times, f and alpha of the walk's blocks joined, each carried sample dropped."""
     blocks = []
-    with phasespace._workspace() as work:
-        for k, (t, f, alpha) in enumerate(drives._walk(drive, tau, samples, work)):
-            carried = 1 if k else 0
-            blocks.append((t[carried:].copy(), f[carried:].copy(), alpha[carried:].copy()))
+    for k, (t, f, alpha) in enumerate(drives._walk(drive, tau, samples, phasespace._workspace())):
+        carried = 1 if k else 0
+        blocks.append((t[carried:].copy(), f[carried:].copy(), alpha[carried:].copy()))
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
@@ -677,36 +665,11 @@ def test_workspace_grows_to_the_largest_block_and_never_shrinks(monkeypatch):
     gamma0(drive, samples=3 * BLOCK + 1)
     monkeypatch.undo()
     reference = gamma0(drive, samples=3 * BLOCK + 1)
-    with phasespace._workspace() as work:
-        assert work.block == BLOCK
-        assert work.ramp.size >= 2 * BLOCK + 1
-        assert np.array_equal(work.ramp[: 2 * BLOCK + 1], np.arange(2 * BLOCK + 1))
+    work = phasespace._workspace()
+    assert work.block == BLOCK
+    assert work.ramp.size >= 2 * BLOCK + 1
+    assert np.array_equal(work.ramp[: 2 * BLOCK + 1], np.arange(2 * BLOCK + 1))
     assert gamma0(drive, samples=3 * BLOCK + 1) == reference
-
-
-def test_a_nested_walk_borrows_its_own_workspace():
-    inner = mixed_drive("pulse-tone-pulse")
-    unnested = gamma0(inner, samples=2 * BLOCK + 1)
-    nested = []
-
-    def shape(s):
-        nested.append(gamma0(inner, samples=2 * BLOCK + 1))
-        return 0.3 * np.exp(-1.1j * np.asarray(s))
-
-    def plain(s):
-        return 0.3 * np.exp(-1.1j * np.asarray(s))
-
-    head, tail = tone(0.3, 1.7), tone(0.2, 0.6)
-    loops = [
-        DriveProfile(
-            (head, DriveSegment(duration=TWO_PI / 1.1, func=f), tail), odd_parity_projector()
-        )
-        for f in (shape, plain)
-    ]
-    assert gamma0(loops[0], samples=3 * BLOCK) == gamma0(loops[1], samples=3 * BLOCK)
-    study = [area_invariance_study([loop], samples=3 * BLOCK).rows[0] for loop in loops]
-    assert study[0] == study[1]
-    assert nested and all(value == unnested for value in nested)
 
 
 def test_threads_walk_in_their_own_workspaces():
