@@ -108,8 +108,9 @@ def _load_config(path: str | None, command: str) -> dict:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
-    if "schema_version" in data and data["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version: {data['schema_version']!r}")
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version: {version!r}")
     if "command" in data and data["command"] != command:
         raise ConfigError(f"config is for command {data['command']!r}, not {command!r}")
     return data
@@ -595,8 +596,9 @@ _FLAGS = {
     "tau": {"type": float, "metavar": "T",
             "help": "evaluation time (default: full drive duration)"},
     "samples": {"type": int, "metavar": "N",
-                "help": "quadrature samples (per point in sweeps; an eta sweep takes an odd "
-                        "count per sweep and extrapolates to fourth order)"},
+                "help": "quadrature samples (per point in sweeps; a drive document samples its "
+                        "tones only, as its pulses are exact from their vertices; an eta sweep "
+                        "takes an odd count per sweep and extrapolates to fourth order)"},
     "require_closed": {"action": "store_true",
                        "help": "fail (exit 2) when the loop is open at tau"},
     "closure_tolerance": {"type": float, "metavar": "TOL",

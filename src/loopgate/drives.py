@@ -45,9 +45,8 @@ if TYPE_CHECKING:
 DEFAULT_DRIVE_SAMPLES = 20_001
 
 # Cap on quadrature samples.  The quadratures stream their grid in blocks, so
-# the cap bounds only the arrays of an induced trajectory, which have one
-# entry per sample: its times and points (24 MB at the cap, and as much
-# again while it copies them).
+# the cap bounds only the arrays of an induced trajectory, a few per sample
+# (75 MB at the cap for three segments, its copies included).
 MAX_SAMPLES = 1_000_001
 
 # Largest |target phase| design_constant_drive accepts; keeps the loop radius
@@ -356,21 +355,26 @@ def _local_times(t: np.ndarray, start: float, end: float, out: np.ndarray) -> np
 def _walk(
     drive: DriveProfile, tau: float, samples: int, work: _Workspace
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Times, f and alpha on consecutive blocks of ``np.linspace(0.0, tau, samples)``.
+    """Times, f and alpha on consecutive blocks of [0, tau], segment by segment.
 
-    Each block brings up to ``work.block`` new samples, and every block after
-    the first starts with the previous block's last sample, so a chord sum or
-    a trapezoid adds up block by block.  The arrays are views of ``work``
-    that the next block overwrites; the caller may write to f, alpha and
-    ``work.scratch``, which the walk uses only while it builds a block.
+    Segment i's blocks run from its start vertex to its end vertex, or to
+    ``tau``, with f taken from segment i at both.  A pulse is one block of its
+    two vertices, on which its chord and its trapezoid are exact.  A tone also
+    takes the points of ``np.linspace(0.0, tau, samples)`` strictly inside it,
+    bit for bit, from rows of the :func:`~loopgate.phasespace._exp_factors`
+    table of its whole run (the samples :func:`_locate` assigns it), so they
+    do not depend on where blocks split it.
 
-    Times are the grid's bit for bit, and each sample belongs to the segment
-    :func:`_locate` assigns it to.  A pulse fills its samples in place; a
-    tone reads rows of the :func:`~loopgate.phasespace._exp_factors` table
-    of its whole run, so its samples do not depend on where blocks split it.
+    Each block brings up to ``work.block`` new samples, and each block of a
+    segment after its first starts with the previous block's last sample, so
+    a chord sum or a trapezoid adds up block by block.  The arrays are views
+    of ``work`` that the next block overwrites; the caller may write to f,
+    alpha and ``work.scratch``, which the walk uses only while it builds a
+    block.  No complex product overwrites one of its operands: numpy rounds
+    some such products differently.
     """
     _require_samples(samples)
-    _require_window(drive, min(0.0, tau), max(0.0, tau))
+    _require_window(drive, 0.0, tau)
     end = drive.total_duration
     starts = drive.segment_starts
     step = tau / (samples - 1)
@@ -387,61 +391,56 @@ def _walk(
         t = _grid_times(np.add(index, bounds[i], dtype=float), tau, samples)
         return _local_times(t, starts[i], end, out=t)
 
-    # A tone's table factors on its whole run.
-    runs = {}
-    for i, segment in enumerate(drive.segments):
-        size = bounds[i + 1] - bounds[i]
-        if size > 0 and segment.frequency != 0.0:
-            runs[i] = _exp_factors(segment.frequency, size, lambda k, i=i: local(i, k))
-
-    def fill(i: int, first: int, stop: int, run: slice) -> None:
-        """Samples ``first`` to ``stop - 1`` of segment i's run into the block's ``run``.
-
-        No complex product overwrites one of its operands: numpy rounds some
-        such products differently, and a sample should not depend on where
-        the blocks split its run.
-        """
-        segment = drive.segments[i]
-        alpha_start = drive.segment_alpha_starts[i]
-        amplitude = segment.amplitude
-        f, alpha, scratch = work.f[run], work.alpha[run], work.scratch[run]
-        if segment.frequency == 0.0:
-            # alpha = alpha_start - amplitude * s, with s held as s + 0j.
-            _local_times(work.times[run], starts[i], end, out=alpha.real)
-            alpha.imag = 0.0
-            np.add(alpha_start, np.multiply(-amplitude, alpha, out=scratch), out=alpha)
-            f[...] = amplitude
-        else:
-            size = bounds[i + 1] - bounds[i]
-            rotation = _exp_rows(runs[i], first, stop, size, out=alpha, tile=scratch)
-            np.multiply(amplitude, rotation, out=f)
-            increment = np.subtract(1.0, rotation, out=scratch)
-            np.multiply(-amplitude, increment, out=alpha)
-            np.divide(alpha, 1j * segment.frequency, out=scratch)
-            np.add(alpha_start, scratch, out=alpha)
-
     work.reserve(min(work.block, samples) + 1)
-    i = 0
-    carried = None
-    for first in range(0, samples, work.block):
-        stop = min(first + work.block, samples)
-        offset = 0 if carried is None else 1
-        size = offset + stop - first
-        t, f, alpha = work.times[:size], work.f[:size], work.alpha[:size]
-        if carried is not None:
-            t[0], f[0], alpha[0] = carried
-        np.add(work.ramp[: stop - first], first, out=t[offset:])
-        _grid_times(t[offset:], tau, samples, out=t[offset:])
-        while True:
-            low, high = max(bounds[i], first), min(bounds[i + 1], stop)
-            if low < high:
-                run = slice(offset + low - first, offset + high - first)
-                fill(i, low - bounds[i], high - bounds[i], run)
-            if bounds[i + 1] >= stop:
-                break
-            i += 1
-        carried = t[-1], f[-1], alpha[-1]
-        yield t, f, alpha
+    for i, segment in enumerate(drive.segments):
+        if starts[i] >= tau:
+            break
+        amplitude, alpha_start = segment.amplitude, drive.segment_alpha_starts[i]
+        stop_time = min(starts[i + 1], tau) if i + 1 < len(starts) else tau
+        # Grid samples lo to hi - 1 lie strictly inside a tone; a pulse takes none.
+        lo = bisect.bisect_right(range(samples), starts[i], key=time)
+        hi = bisect.bisect_left(range(samples), stop_time, key=time) if segment.frequency else lo
+        count = max(hi - lo, 0) + 2
+        if count > 2:
+            size = bounds[i + 1] - bounds[i]
+            table = _exp_factors(segment.frequency, size, lambda k: local(i, k))
+        for first in range(0, count, work.block):
+            # The segment's samples first to stop - 1, after the carried one.
+            stop = min(first + work.block, count)
+            offset = min(first, 1)
+            new = slice(offset, offset + stop - first)
+            t, f, alpha = work.times[: new.stop], work.f[: new.stop], work.alpha[: new.stop]
+            if first:
+                t[0], f[0], alpha[0] = carried
+            times = np.add(work.ramp[: stop - first], lo - 1 + first, out=t[new])
+            _grid_times(times, tau, samples, out=times)
+            # The vertices; a tone's rotation exp(-i w s) is 1 at its start.
+            rotation, scratch = alpha[new], work.scratch[new]
+            if first == 0:
+                t[0], rotation[0] = starts[i], 1.0
+            if stop == count:
+                t[-1] = stop_time
+                rotation[-1] = np.exp(-1j * segment.frequency * (min(stop_time, end) - starts[i]))
+            if segment.frequency == 0.0:
+                # alpha = alpha_start - amplitude * s, with s held as s + 0j.
+                _local_times(t, starts[i], end, out=rotation.real)
+                rotation.imag = 0.0
+                np.add(alpha_start, np.multiply(-amplitude, rotation, out=scratch), out=rotation)
+                f[...] = amplitude
+            else:
+                # The rotation inside a tone, from rows of its table.
+                low, high = max(first, 1) - first, min(stop, count - 1) - first
+                if low < high:
+                    row, rows = lo - bounds[i] - 1 + first, slice(low, high)
+                    _exp_rows(table, row + low, row + high, size, rotation[rows], scratch[rows])
+                np.multiply(amplitude, rotation, out=f[new])
+                increment = np.subtract(1.0, rotation, out=scratch)
+                np.multiply(-amplitude, increment, out=rotation)
+                np.divide(rotation, 1j * segment.frequency, out=scratch)
+                np.add(alpha_start, scratch, out=rotation)
+            # Carried before the caller overwrites f and alpha.
+            carried = t[-1], f[-1], alpha[-1]
+            yield t, f, alpha
 
 
 def induced_trajectory(
@@ -449,18 +448,11 @@ def induced_trajectory(
     tau: float | None = None,
     samples: int = DEFAULT_DRIVE_SAMPLES,
 ) -> Trajectory:
-    """Sample the phase-space path the drive induces on [0, tau]."""
+    """Sample the phase-space path the drive induces on ``np.linspace(0, tau, samples)``."""
     if tau is None:
         tau = drive.total_duration
-    times = np.empty(_require_samples(samples))
-    points = np.empty(samples, dtype=complex)
-    stop = 0
-    for t, _, alpha in _walk(drive, float(tau), samples, _workspace()):
-        start = max(stop - 1, 0)
-        stop = start + t.size
-        times[start:stop] = t
-        points[start:stop] = alpha
-    return Trajectory(times, points)
+    t = np.linspace(0.0, float(tau), _require_samples(samples))
+    return Trajectory(t, alpha_array(drive, t))
 
 
 def _require_tau(drive: DriveProfile, tau: float | None) -> float:
@@ -475,7 +467,9 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
     """Loop phase functional per unit squared conditioner eigenvalue.
 
     Evaluates (i/2) * integral_0^tau (conj(alpha) f - alpha conj(f)) dt by
-    trapezoidal quadrature.  The bracket is purely imaginary (it equals
+    trapezoidal quadrature on the samples of :func:`_walk`: a pulse adds its
+    exact term from its two vertices, and ``samples`` sets the resolution of
+    tones only.  The bracket is purely imaginary (it equals
     2i * Im(conj(alpha) f)), so the value is -integral Im(conj(alpha) f) dt;
     an integrand that overflows raises ValueError.
 
@@ -571,7 +565,8 @@ def drive_from_dict(data: dict) -> DriveProfile:
     missing = allowed - set(data)
     if missing:
         raise ConfigError(f"missing drive keys: {sorted(missing)}")
-    if data["schema_version"] != SCHEMA_VERSION:
+    # Only the JSON integer 1: not true (a bool is an int) and not 1.0.
+    if type(data["schema_version"]) is not int or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported drive schema_version: {data['schema_version']}")
     segments = []
     if not isinstance(data["segments"], list) or not data["segments"]:

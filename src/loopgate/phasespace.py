@@ -189,12 +189,11 @@ def dynamic_phase(
 def _require_grid_path(times: np.ndarray, samples: int, points_finite: bool) -> None:
     """The checks of :class:`Trajectory` for a path on an ``np.linspace`` grid from 0.
 
-    ``times`` ends with the last two of the grid's ``samples`` times (it is
-    the grid or its last block), and ``points_finite`` tells whether every
-    point of the path is finite.  Such a grid is finite, and it increases
-    unless its step underflows to 0 or rounds up so far that the last but one
-    sample reaches the end, which only subnormal ends allow; so two
-    comparisons stand in for one per sample.
+    ``times`` is the grid or its last block, or a drive walk's last block,
+    and ``points_finite`` tells whether every point of the path is finite.
+    Such a grid is finite, and it increases unless its step underflows to 0
+    or rounds up so far that the last but one sample reaches the end, which
+    only subnormal ends allow; so two comparisons stand in for one per sample.
     """
     if not points_finite:
         raise InvalidTrajectoryError("trajectory contains non-finite samples")
@@ -312,13 +311,14 @@ def _block_phases(
     samples: int,
     work: _Workspace,
 ) -> tuple[float, float]:
-    """Geometric and dynamic phase of a path on an ``np.linspace`` grid of ``samples`` from 0.
+    """Geometric and dynamic phase of a path walked to the end of an ``np.linspace`` grid from 0.
 
-    ``blocks()`` yields (times, path, energy) for consecutive blocks of the
-    grid, each after the first starting with the previous block's last
-    sample; it may use ``work.scratch`` only while it builds a block, since
-    the sums use it in between.  Each block adds to one chord sum and one
-    trapezoid.  A non-finite path sample always makes the chord sum
+    ``blocks()`` yields (times, path, energy) for consecutive blocks whose
+    chord sums and trapezoids add up, as the blocks of
+    :func:`~loopgate.drives._walk` do, the last ending at the end of the
+    grid of ``samples``; it may use ``work.scratch`` only while it builds a
+    block, since the sums use it in between.  Each block adds to one chord
+    sum and one trapezoid.  A non-finite path sample always makes the chord sum
     non-finite and a non-finite energy the trapezoid, so the samples are
     scanned only when a sum comes out non-finite, in a second walk; the
     checks then run in the order of the dense quadrature: path, times, chord

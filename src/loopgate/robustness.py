@@ -601,8 +601,9 @@ def area_invariance_study(
 ) -> SweepReport:
     """Geometric phases of closed loops that share one enclosed area.
 
-    Each profile must close (open loops are rejected); its induced trajectory
-    is sampled and the geometric phase computed from the line integral.  The
+    Each profile must close (open loops are rejected).  Its phases are the
+    chord sum and the trapezoid on :func:`~loopgate.drives._walk`, exact on
+    pulses; ``samples`` sets the resolution of tones only.  The
     study asserts pairwise agreement within ``agreement_tolerance``, which is
     how shape, orientation offset, and traversal-rate independence are all
     checked: pass loops that differ only in those respects.

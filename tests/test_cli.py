@@ -1208,6 +1208,23 @@ def _one_segment(**segment):
     return dict(CIRCLE_DOC, segments=[segment])
 
 
+def test_each_vertex_takes_its_own_segment_on_every_command(capsys):
+    # Each vertex takes f from its own segment.  With the next segment's f
+    # at a grid vertex every value below moves, and the half disk's
+    # quadrature reference misses its oracle by 6.3e-4.
+    data = Path(__file__).parent / "data"
+    half_disk, square = str(data / "half_disk.json"), str(data / "unit_square.json")
+    assert run_json(capsys, "phase", "--drive", half_disk)["analytic"]["total"] == -0.785398163397
+    for argv, total in ((["--samples", "20000"], 2.0), (["--tau", "2"], 1.0)):
+        assert run_json(capsys, "phase", "--drive", square, *argv)["analytic"]["total"] == total
+    row = run_json(capsys, "sweep", "--parameter", "loop_shape", "--drive", square)["rows"][0]
+    assert (row["geometric"], row["eta"]) == (-2.0, -2.0)
+    code, _, err = run_cli(
+        capsys, "oracle-verify", "--drive", half_disk, "--steps", "20000", "--n-max", "40"
+    )
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_a_line_out_and_back_has_phase_zero_on_every_command(capsys, tmp_path):
     # conj(alpha) f overflows in its real part only; every phase reads the
     # imaginary part, which is 0 on a loop that encloses no area.
@@ -1243,6 +1260,9 @@ def test_a_line_out_and_back_has_phase_zero_on_every_command(capsys, tmp_path):
          "error: segment 0 amplitude must be a number, got True\n"),
         ({"command": "phase", "drive": _one_segment(duration=10**400, amplitude=[1, 0])},
          "error: segment 0 is invalid: int too large to convert to float\n"),
+        # Only the JSON integer 1 is a schema version, not true or 1.0.
+        ({"command": "phase", "drive": dict(CIRCLE_DOC, schema_version=True)},
+         "error: unsupported drive schema_version: True\n"),
     ],
 )
 def test_non_finite_config_number_is_invalid(capsys, tmp_path, cfg, cause):
@@ -1513,6 +1533,11 @@ def test_cli_imports_only_the_error_classes_it_raises_or_catches():
          "loop_shape, got 'bogus'"),
         ("design", {"target_phase": -1.0, "format": "xml"},
          "format must be one of json, csv, got 'xml'"),
+        # Only the JSON integer 1 is a schema version, not true or 1.0.
+        ("phase", {"schema_version": 1.0, "omega_over_delta": 0.5},
+         "unsupported config schema_version: 1.0"),
+        ("phase", {"schema_version": True, "omega_over_delta": 0.5},
+         "unsupported config schema_version: True"),
     ],
 )
 def test_config_values_meet_the_flag_choices(capsys, tmp_path, command, cfg, message):

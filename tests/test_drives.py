@@ -1,7 +1,9 @@
 """Tests for drive profiles, the induced path, the loop phase, and design."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,10 +116,15 @@ def test_segment_alpha_starts_are_read_only_and_computed_once(monkeypatch):
     assert drive.segment_alpha_starts is starts
     swing = increment(tone, 1.5)
     assert np.allclose(starts, [0.0, swing, swing - 0.1j], rtol=0.0, atol=1e-15)
+    # gamma0 reads each vertex off the starts; the induced trajectory
+    # evaluates the segments at its samples, never at a whole duration.
     for _ in range(3):
         gamma0(drive)
-        induced_trajectory(drive, samples=101)
     assert len(calls) == 3
+    for _ in range(3):
+        induced_trajectory(drive, samples=101)
+    assert len(calls) > 3
+    assert all(np.size(s) > 1 for s in calls[3:])
 
 
 def test_profile_duration_and_empty_rejection():
@@ -297,6 +304,27 @@ def test_gamma0_square_loop_matches_area():
     assert geometric_phase(trajectory) == pytest.approx(2.0, abs=1e-12)
 
 
+# tests/data/half_disk.json: a half-period tone out to -i and a pulse back
+# along the diameter, a half disk of radius 1/2, so gamma0 = -2 * pi / 8.
+# Its vertex lies on the grid.  tests/data/unit_square.json: the
+# counterclockwise unit square, one pulse per side.
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("samples", [2, 3, 101, 20_000, 20_001])
+def test_gamma0_takes_each_vertex_from_its_own_segment(samples):
+    # Each vertex takes f from its own segment and each pulse adds its exact
+    # term, so the values hold at any sample count; the next segment's f at
+    # a grid vertex moves them by up to 1e-4.
+    half_disk, square = (
+        drive_from_dict(json.loads((DATA / name).read_text()))
+        for name in ("half_disk.json", "unit_square.json")
+    )
+    assert gamma0(half_disk, samples=samples) == pytest.approx(-math.pi / 4.0, rel=1e-12)
+    assert gamma0(square, samples=samples) == 2.0
+    assert gamma0(square, 2.0, samples) == 1.0
+
+
 def test_gamma0_validates_tau_and_samples():
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
     with pytest.raises(ValueError):
@@ -387,10 +415,12 @@ def test_drive_dict_rejects_unknown_keys():
         drive_from_dict(data)
 
 
-def test_drive_dict_rejects_bad_schema_version():
+@pytest.mark.parametrize("version", [99, "1", True, 1.0])
+def test_drive_dict_rejects_bad_schema_version(version):
+    # Only the JSON integer 1: true and 1.0 compare equal to 1 but are not it.
     data = drive_to_dict(constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0)))
-    data["schema_version"] = 99
-    with pytest.raises(ConfigError):
+    data["schema_version"] = version
+    with pytest.raises(ConfigError, match=f"unsupported drive schema_version: {version}$"):
         drive_from_dict(data)
 
 

@@ -20,7 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loopgate import drives, oracle, phasespace, robustness
 from loopgate.drives import (
@@ -197,15 +197,39 @@ def test_time_scan_matches_direct_reference():
         assert row.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12)
 
 
+def walk_reference(drive, tau, samples):
+    """Chord sum and trapezoids of the drive, segment by segment, one np.exp per sample.
+
+    Each segment up to tau is sampled at its two vertices and at the points
+    of np.linspace(0, tau, samples) strictly inside it, f from the segment
+    itself at both vertices.  Returns the chord sum of alpha, the trapezoid
+    of Im(conj(alpha) f) and that of the energy 2 Im(f conj(alpha)).
+    """
+    grid = np.linspace(0.0, tau, samples)
+    starts = drive.segment_starts
+    chord = gamma = energy = 0.0
+    for i, segment in enumerate(drive.segments):
+        if starts[i] >= tau:
+            break
+        stop = min(starts[i + 1], tau) if i + 1 < len(starts) else tau
+        t = np.concatenate([[starts[i]], grid[(grid > starts[i]) & (grid < stop)], [stop]])
+        s = np.minimum(t, drive.total_duration) - starts[i]
+        a, w = segment.amplitude, segment.frequency
+        f = a * np.exp(-1j * w * s)
+        step = -a * s if w == 0.0 else -a * (1.0 - np.exp(-1j * w * s)) / (1j * w)
+        alpha = drive.segment_alpha_starts[i] + step
+        chord += -np.sum(np.imag(np.conj(alpha[:-1]) * alpha[1:]))
+        gamma += -np.trapezoid(np.imag(np.conj(alpha) * f), t)
+        energy += -np.trapezoid(2.0 * np.imag(f * np.conj(alpha)), t)
+    return chord, gamma, energy
+
+
 @pytest.mark.parametrize("name", sorted(MIXED_LOOPS))
 def test_area_study_matches_direct_reference(name):
     drive = mixed_drive(name)
     samples = 30_001
     row = area_invariance_study([drive], samples=samples).rows[0]
-    t = np.linspace(0.0, drive.total_duration, samples)
-    f, alpha = direct_path(drive, t)
-    geometric = -np.sum(np.imag(np.conj(alpha[:-1]) * alpha[1:]))
-    dynamic = -np.trapezoid(2.0 * np.imag(f * np.conj(alpha)), t)
+    geometric, _, dynamic = walk_reference(drive, drive.total_duration, samples)
     assert row.geometric == pytest.approx(geometric, rel=1e-12, abs=1e-12)
     assert row.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12)
 
@@ -216,12 +240,14 @@ def test_gamma0_and_path_match_direct_reference(name, fraction):
     drive = mixed_drive(name)
     tau = fraction * drive.total_duration
     samples = 20_001
-    t = np.linspace(0.0, tau, samples)
-    f, alpha = direct_path(drive, t)
-    reference = -np.trapezoid(np.imag(np.conj(alpha) * f), t)
+    _, reference, _ = walk_reference(drive, tau, samples)
     assert gamma0(drive, tau, samples) == pytest.approx(reference, rel=1e-12, abs=1e-12)
-    path = induced_trajectory(drive, tau, samples).points
-    assert np.max(np.abs(path - alpha)) <= 1e-13
+    # The induced trajectory is the path on the plain grid.
+    t = np.linspace(0.0, tau, samples)
+    _, alpha = direct_path(drive, t)
+    trajectory = induced_trajectory(drive, tau, samples)
+    assert trajectory.times.tobytes() == t.tobytes()
+    assert np.max(np.abs(trajectory.points - alpha)) <= 1e-13
 
 
 def test_gamma0_of_a_constant_drive_matches_direct_reference():
@@ -548,20 +574,53 @@ def test_extrapolated_eta_sweep_is_fourth_order(radius, delta, phi_l, samples):
 
 
 def walked(drive, tau, samples):
-    """Times, f and alpha of the walk's blocks joined, each carried sample dropped."""
-    blocks = []
-    for k, (t, f, alpha) in enumerate(drives._walk(drive, tau, samples, phasespace._workspace())):
-        carried = 1 if k else 0
-        blocks.append((t[carried:].copy(), f[carried:].copy(), alpha[carried:].copy()))
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    """The walk's samples by segment: times, f and alpha of each segment's blocks joined.
+
+    A block whose first sample is the last of the block before, bit for bit,
+    continues that block's segment, and its carried sample is dropped; the
+    drives here differ in f at every vertex two segments share.
+    """
+    segments, last = [], None
+    for t, f, alpha in drives._walk(drive, tau, samples, phasespace._workspace()):
+        block = [t.copy(), f.copy(), alpha.copy()]
+        if last == b"".join(x[:1].tobytes() for x in block):
+            segments[-1] = [np.concatenate((a, b[1:])) for a, b in zip(segments[-1], block)]
+        else:
+            segments.append(block)
+        last = b"".join(x[-1:].tobytes() for x in block)
+    return segments
 
 
-def pulses(durations):
-    """Pulses of amplitude 1, 2, 3, ...: f names the segment of each sample."""
+def tones(durations):
+    """Tones of amplitude 1, 2, 3, ...: |f| names the segment of each sample."""
     segments = tuple(
-        DriveSegment(duration=d, amplitude=float(k + 1)) for k, d in enumerate(durations)
+        DriveSegment(duration=d, amplitude=float(k + 1), frequency=1.0)
+        for k, d in enumerate(durations)
     )
     return DriveProfile(segments=segments, conditioner=jz_conditioner())
+
+
+def check_walked_segments(drive, tau, samples):
+    """Each segment up to tau: its vertices at its ends, its own f, and the grid inside it.
+
+    The points inside are those of np.linspace strictly between the
+    vertices, bit for bit, each where _locate puts it, and alpha is the
+    closed form to rounding.
+    """
+    grid = np.linspace(0.0, tau, samples)
+    starts = drive.segment_starts
+    stops = [*np.minimum(starts[1:], tau), tau]
+    segments = walked(drive, tau, samples)
+    assert len(segments) == np.count_nonzero(starts < tau)
+    for k, (t, f, alpha) in enumerate(segments):
+        assert (t[0], t[-1]) == (starts[k], stops[k])
+        assert np.array_equal(np.rint(np.abs(f)), np.full(t.size, k + 1.0))
+        inside = t[1:-1]
+        assert inside.tobytes() == grid[(grid > starts[k]) & (grid < stops[k])].tobytes()
+        if inside.size:
+            assert np.array_equal(drives._locate(drive, inside)[0], np.full(inside.size, k))
+        want = np.concatenate([[drive.segment_alpha_starts[k]], drives.alpha_array(drive, t[1:])])
+        assert np.max(np.abs(alpha - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 WALK_SAMPLES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1, 65_537]
@@ -570,8 +629,11 @@ WALK_SAMPLES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1,
 @pytest.mark.parametrize("samples", WALK_SAMPLES)
 @pytest.mark.parametrize("tau", [5e-324, 1e-3, 1.0, 1e300])
 def test_walk_times_are_linspace_bit_for_bit(samples, tau):
-    t, _, _ = walked(pulses([tau]), tau, samples)
-    assert t.tobytes() == np.linspace(0.0, tau, samples).tobytes()
+    # One tone: its two vertices, and the grid strictly between them.
+    ((t, _, _),) = walked(tones([tau]), tau, samples)
+    grid = np.linspace(0.0, tau, samples)
+    inside = grid[(grid > 0.0) & (grid < tau)]
+    assert t.tobytes() == np.concatenate([[0.0], inside, [tau]]).tobytes()
 
 
 def midpoint_runs(drive, tau, steps, monkeypatch):
@@ -604,11 +666,9 @@ def midpoint_runs(drive, tau, steps, monkeypatch):
 @pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-12, 1.0 + 1e-13])
 def test_walk_runs_on_segment_starts_match_locate(durations, samples, stretch, monkeypatch):
     # The walk on samples grid times, and the oracle on as many step midpoints.
-    drive = pulses(durations)
+    drive = tones(durations)
     tau = drive.total_duration * stretch
-    index, _ = drives._locate(drive, np.linspace(0.0, tau, samples))
-    _, f, _ = walked(drive, tau, samples)
-    assert np.array_equal(f.real - 1.0, index)
+    check_walked_segments(drive, tau, samples)
     index, _ = drives._locate(drive, (np.arange(samples) + 0.5) * (tau / samples))
     assert np.array_equal(midpoint_runs(drive, tau, samples, monkeypatch), index)
 
@@ -620,11 +680,10 @@ def test_walk_runs_on_segment_starts_match_locate(durations, samples, stretch, m
     fraction=st.one_of(st.floats(1e-3, 1.0), st.just(1.0), st.just(1.0 + 1e-12)),
 )
 def test_walk_runs_match_locate(durations, samples, fraction):
-    drive = pulses(durations)
+    drive = tones(durations)
     tau = drive.total_duration * fraction
-    t = np.linspace(0.0, tau, samples)
     try:
-        index, local = drives._locate(drive, t)
+        drives._locate(drive, np.linspace(0.0, tau, samples))
     except ValueError as exc:
         # Past a total of 1, total * (1 + 1e-12) can round one step beyond
         # the window's slack; the walk then refuses it as _locate does.
@@ -632,11 +691,66 @@ def test_walk_runs_match_locate(durations, samples, fraction):
             walked(drive, tau, samples)
         assert str(refused.value) == str(exc)
         return
-    _, f, alpha = walked(drive, tau, samples)
-    assert np.array_equal(f.real - 1.0, index)
-    starts = drive.segment_alpha_starts[index]
-    amplitudes = np.array([s.amplitude for s in drive.segments])[index]
-    assert np.array_equal(alpha, starts + (-amplitudes) * local)
+    check_walked_segments(drive, tau, samples)
+
+
+# A closed polygon of pulses through the origin: with stretch 1 and a whole
+# number of samples per unit of time its vertices lie on the grid.
+polygon_corners = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=2, max_size=5
+)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    corners=polygon_corners,
+    units=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    stretch=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
+    per_unit=st.one_of(st.none(), st.integers(1, 2_000)),
+    samples=st.one_of(st.integers(2, 100), st.integers(2, 70_000)),
+)
+def test_polygon_phases_are_its_shoelace_sum_at_any_sample_count(
+    corners, units, stretch, per_unit, samples
+):
+    path = [0j, *(complex(x, y) for x, y in corners), 0j]
+    durations = [stretch * u for u in units[: len(path) - 1]]
+    if per_unit is not None:
+        samples = min(per_unit * sum(units[: len(path) - 1]) + 1, 70_000)
+    segments = tuple(
+        DriveSegment(duration=d, amplitude=-(b - a) / d)
+        for a, b, d in zip(path[:-1], path[1:], durations)
+    )
+    drive = DriveProfile(segments=segments, conditioner=odd_parity_projector())
+    vertices = [*drive.segment_alpha_starts, 0j]
+    edges = list(zip(vertices[:-1], vertices[1:]))
+    shoelace = math.fsum(np.imag(np.conj(a) * b) for a, b in edges)
+    # The size of the terms that round, so a line out and back has a scale.
+    scale = math.fsum(abs(b - a) * (abs(a) + abs(b)) for a, b in edges)
+    assert abs(gamma0(drive, samples=samples) - shoelace) <= 1e-12 * scale
+    assume(abs(shoelace) > 1e-3 * scale)
+    row = area_invariance_study([drive], samples=samples).rows[0]
+    assert abs(row.geometric + shoelace) <= 1e-12 * scale
+    assert abs(row.eta + 2.0) <= 1e-13 * scale / abs(shoelace)
+
+
+def test_a_pulse_document_builds_no_table_and_walks_two_samples_per_pulse(monkeypatch):
+    tables = []
+    real_exp_factors = drives._exp_factors
+    monkeypatch.setattr(
+        drives, "_exp_factors", lambda *args: tables.append(args) or real_exp_factors(*args)
+    )
+    drive = four_pulse_sequence([1.0, 1.0j, -1.0, -1.0j], [1.0, 0.3, 1.0, 0.3])
+    work = phasespace._workspace()
+    for samples in (2, 3, 20_001, 65_537):
+        # Cut inside the third pulse, the walk stops there.
+        for tau, pulses in ((drive.total_duration, 4), (1.8, 3)):
+            blocks = [t.size for t, _, _ in drives._walk(drive, tau, samples, work)]
+            assert blocks == [2] * pulses
+        gamma0(drive, samples=samples)
+        area_invariance_study([drive], samples=samples)
+    assert tables == []
+    gamma0(mixed_drive("pulse-tone-pulse"), samples=101)
+    assert len(tables) == 1
 
 
 def loop_phases(drive, samples):
@@ -768,7 +882,7 @@ def test_area_study_checks_keep_their_order_across_blocks():
     )
     samples = 4 * BLOCK + 1
     with np.errstate(all="ignore"):
-        _, f, alpha = walked(loop, loop.total_duration, samples)
+        ((_, f, alpha),) = walked(loop, loop.total_duration, samples)
         energy = 2.0 * np.imag(f * np.conj(alpha))
         first_bad_energy = np.argmin(np.isfinite(energy))
         first_bad_path = np.argmin(np.isfinite(alpha))
