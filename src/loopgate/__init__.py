@@ -55,7 +55,6 @@ from .gates import (
     SpinConditioner,
     TwoQubitGate,
     apply_local_phase_correction,
-    closed_loop_gamma0,
     collective_gate,
     cz_gate,
     diagonal_gate,
@@ -126,7 +125,6 @@ __all__ = [
     "analytic_trajectory",
     "apply_local_phase_correction",
     "area_invariance_study",
-    "closed_loop_gamma0",
     "closure_residual",
     "collective_gate",
     "constant_drive",

@@ -13,7 +13,7 @@ import math
 
 from .errors import ConfigError
 
-# Version of the report schema; every report carries it as "schema_version".
+# Version of every file format: reports, configs and drive documents carry it.
 SCHEMA_VERSION = 1
 
 
@@ -54,6 +54,20 @@ def csv_number(value) -> str:
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not CSV compliant: {value!r}")
     return f"{value + 0.0:.12g}"
+
+
+def of_kind(value, kind: type) -> bool:
+    """Whether a decoded JSON value is of ``kind``: a float is any number, and a bool no number."""
+    # bool is a subclass of int, so booleans are told apart first.
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def require_schema_version(version, what: str) -> None:
+    """Refuse a ``schema_version`` other than the JSON integer 1: not true, not 1.0, not "1"."""
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported {what} schema_version: {version!r}")
 
 
 def read_json(path: str, what: str):

@@ -40,14 +40,14 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import drives
-from ._serialize import SCHEMA_VERSION, json_text, key_value_csv, read_json, sweep_csv
+from ._serialize import (SCHEMA_VERSION, json_text, key_value_csv, of_kind, read_json,
+                         require_schema_version, sweep_csv)
 from ._version import __version__
 from .drives import ConstantDriveParams, DriveProfile
 from .errors import ConfigError, InvalidInputError, LoopNotClosedError, NumericalFailureError
 from .gates import (
     BASIS_LABELS,
     apply_local_phase_correction,
-    closed_loop_gamma0,
     cz_gate,
     diagonal_gate,
     gate_fidelity,
@@ -108,9 +108,7 @@ def _load_config(path: str | None, command: str) -> dict:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version: {version!r}")
+    require_schema_version(data.get("schema_version", SCHEMA_VERSION), "config")
     if "command" in data and data["command"] != command:
         raise ConfigError(f"config is for command {data['command']!r}, not {command!r}")
     return data
@@ -139,10 +137,7 @@ def _options(args: argparse.Namespace, config: dict) -> dict:
         spec = _spec(args.command, key)
         kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
         if key not in ("drive", "grid"):
-            # bool is a subclass of int, so booleans are told apart first.
-            if isinstance(value, bool) != (kind is bool) or not isinstance(
-                value, (int, float) if kind is float else kind
-            ):
+            if not of_kind(value, kind):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
             if value is False:  # only a store_true flag passes its check as False
                 continue
@@ -251,7 +246,11 @@ def _oracle_settings(opts: dict) -> OracleSettings | None:
 
 
 def _loop_phase(drive: DriveProfile, constant: dict | None, tau: float, samples: int) -> float:
-    """Phi(tau): the closed form for a ``constant`` drive, ``gamma0`` for a document."""
+    """Phi(tau) after the CLI's one tau check: the closed form, or ``gamma0`` for a document.
+
+    The closed form reads a ``constant`` drive's ``omega_over_delta`` and ``delta``.
+    """
+    tau = drives._require_tau(drive, tau)
     if constant is not None:
         return analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
     return drives.gamma0(drive, tau, samples)
@@ -269,7 +268,7 @@ def _parse_grid(opts: dict) -> list[float]:
             raise ConfigError(f"grid entries must be numbers: {exc}") from exc
     elif isinstance(raw, list):
         for item in raw:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
+            if not of_kind(item, float):
                 raise ConfigError(f"grid entries must be numbers, got {item!r}")
         values = raw
     else:
@@ -343,14 +342,9 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
     target = opts.get("target_phase")
     gamma0_value = opts.get("gamma0")
     gamma_value = opts.get("gamma")
-    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
-    closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
     correct = opts.get("correct_to_cz", False)
 
-    design_echo = None
-    drive_echo = None
-    drive_doc = None
-    quadrature_gamma0 = None
+    design_echo = drive_echo = drive_doc = None
 
     if gamma0_value is not None:
         conditioner_name = opts.get("conditioner", "odd-parity-projector")
@@ -370,17 +364,16 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
             )
             drive = drives.constant_drive(params, periods=1.0)
             construction = "designed-drive"
-            design_echo = {"target_phase": target, **_design_echo(params)}
+            constant = design_echo = {"target_phase": target, **_design_echo(params)}
         else:
             drive, drive_echo = _resolve_drive(opts)
             construction = "constant-drive" if drive_echo is not None else "drive-document"
-        quadrature_gamma0 = closed_loop_gamma0(
-            drive,
-            opts.get("tau", drive.total_duration),
-            samples=samples,
-            closure_tolerance=closure_tolerance,
-        )
-        gate, decompositions = diagonal_gate(drive.conditioner, quadrature_gamma0)
+            constant = drive_echo
+        tau = opts.get("tau", drive.total_duration)
+        drives.require_closed(drive, tau, opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE))
+        samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
+        gamma0_value = _loop_phase(drive, constant, tau, samples)
+        gate, decompositions = diagonal_gate(drive.conditioner, gamma0_value)
         drive_doc = drives.drive_to_dict(drive)
         conditioner_name = drive.conditioner.name
 
@@ -400,7 +393,7 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
         "design": design_echo,
         "constant": drive_echo,
         "drive": drive_doc,
-        "gamma0": quadrature_gamma0 if gamma0_value is None else gamma0_value,
+        "gamma0": gamma0_value,
         "gamma": gamma_value,
         "corrected_to_cz": correct,
         "correction_theta": correction_theta,
@@ -422,14 +415,14 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
 def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts)
     conditioner = drive.conditioner
-    # Checked before the reference gate, whose phases overflow far past the window.
-    tau = drives._require_tau(drive, opts.get("tau"))
+    tau = opts.get("tau", drive.total_duration)
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     initial_fock = opts.get("initial_fock", 0)
     tolerance = opts.get("tolerance", DEFAULT_ORACLE_TOLERANCE)
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
     state_only = opts.get("state_only", False)
 
+    # _loop_phase checks tau before the reference gate, whose phases overflow far past the window.
     reference = _loop_phase(drive, constant, tau, samples)
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
@@ -596,7 +589,8 @@ _FLAGS = {
     "tau": {"type": float, "metavar": "T",
             "help": "evaluation time (default: full drive duration)"},
     "samples": {"type": int, "metavar": "N",
-                "help": "quadrature samples (per point in sweeps; a drive document samples its "
+                "help": "quadrature samples of a drive document or a sweep point (a constant or "
+                        "designed drive takes the closed form instead; a document samples its "
                         "tones only, as its pulses are exact from their vertices; an eta sweep "
                         "takes an odd count per sweep and extrapolates to fourth order)"},
     "require_closed": {"action": "store_true",
@@ -644,7 +638,7 @@ _CONSTANT_DRIVE_FLAGS = ("omega_over_delta", "delta", "phi_l")
 _ORACLE_FLAGS = ("oracle", "n_max", "steps")
 _GRID_SWEEP_FLAGS = ("parameter", "grid", *_CONSTANT_DRIVE_FLAGS, *_ORACLE_FLAGS)
 # What gate's constant and document drives read besides the drive itself.
-_GATE_DRIVE_FLAGS = ("conditioner", "tau", "samples", "closure_tolerance", "correct_to_cz")
+_GATE_DRIVE_FLAGS = ("conditioner", "tau", "closure_tolerance", "correct_to_cz")
 
 # The largest value of each flag that sizes an array.
 _CAPS = {"n_max": MAX_N_MAX, "steps": MAX_STEPS, "samples": drives.MAX_SAMPLES}
@@ -715,12 +709,12 @@ _COMMANDS = {
         "Build the two-qubit gate from a designed drive, a drive document, or "
         "direct phase parameters.",
         _gate_mode,
-        {"the designed construction": ("target_phase", "delta", "phi_l", "samples",
-                                       "closure_tolerance", "correct_to_cz"),
+        {"the designed construction": ("target_phase", "delta", "phi_l", "closure_tolerance",
+                                       "correct_to_cz"),
          "the direct-phase construction": ("gamma0", "conditioner", "correct_to_cz"),
          "the squared-collective-y construction": ("gamma", "conditioner"),
          "constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", *_GATE_DRIVE_FLAGS),
-         "document drives": ("drive", *_GATE_DRIVE_FLAGS)},
+         "document drives": ("drive", "samples", *_GATE_DRIVE_FLAGS)},
     ),
     "oracle-verify": _command(
         _cmd_oracle_verify,

@@ -17,12 +17,15 @@ detuned tone, so every path has a closed form.
 from __future__ import annotations
 
 import bisect
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._serialize import SCHEMA_VERSION, of_kind, require_schema_version
 from .errors import ConfigError, LoopNotClosedError, SingularDetuningError, UnreachablePhaseError
 from .phasespace import (
     DEFAULT_CLOSURE_TOLERANCE,
@@ -52,8 +55,6 @@ MAX_SAMPLES = 1_000_001
 # Largest |target phase| design_constant_drive accepts; keeps the loop radius
 # at or below 2, where the default oracle truncation stays comfortable.
 DESIGN_PHASE_CAP = 8.0 * math.pi
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,11 @@ class DriveSegment:
 class DriveProfile:
     """A sequence of drive segments applied under a single spin conditioner.
 
-    ``segment_alpha_starts`` (read-only) holds alpha at the start of each
-    segment, with alpha(0) = 0; it is computed once, at construction.
+    ``segment_starts`` and ``segment_alpha_starts`` (read-only) hold the time
+    and alpha at the start of each segment, from 0; they are computed once,
+    at construction.  Every segment must start strictly before the next one
+    and end at a finite time and a finite alpha; otherwise ValueError names
+    the first segment that float arithmetic cannot lay out.
     """
 
     segments: tuple[DriveSegment, ...]
@@ -164,19 +168,24 @@ class DriveProfile:
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("a drive profile needs at least one segment")
+        # Python floats overflow without numpy's warnings, so a refusal comes alone.
+        starts = list(itertools.accumulate((s.duration for s in segments), initial=0.0))
+        alphas = list(itertools.accumulate(complex(s.alpha_increment(s.duration)) for s in segments))
+        for i, (segment, start, end, alpha) in enumerate(zip(segments, starts, starts[1:], alphas)):
+            if not start < end < math.inf:
+                raise ValueError(
+                    f"segment {i} must end after its start, at a finite time: "
+                    f"{start:g} + {segment.duration:g} rounds to {end:g}"
+                )
+            if not cmath.isfinite(alpha):
+                raise ValueError(f"segment {i} ends at a non-finite alpha: the path overflows")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "total_duration", float(sum(s.duration for s in segments)))
-        increments = [
-            complex(seg.alpha_increment(np.array([seg.duration]))[0]) for seg in segments
-        ]
-        alpha_starts = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)[:-1]])
-        alpha_starts.flags.writeable = False
-        object.__setattr__(self, "segment_alpha_starts", alpha_starts)
-
-    @property
-    def segment_starts(self) -> np.ndarray:
-        durations = np.array([s.duration for s in self.segments])
-        return np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+        for name, values in (("segment_starts", starts[:-1]),
+                             ("segment_alpha_starts", [0j, *alphas[:-1]])):
+            values = np.array(values)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 def constant_drive(
@@ -565,9 +574,7 @@ def drive_from_dict(data: dict) -> DriveProfile:
     missing = allowed - set(data)
     if missing:
         raise ConfigError(f"missing drive keys: {sorted(missing)}")
-    # Only the JSON integer 1: not true (a bool is an int) and not 1.0.
-    if type(data["schema_version"]) is not int or data["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported drive schema_version: {data['schema_version']}")
+    require_schema_version(data["schema_version"], "drive")
     segments = []
     if not isinstance(data["segments"], list) or not data["segments"]:
         raise ConfigError("segments must be a nonempty list")
@@ -585,8 +592,7 @@ def drive_from_dict(data: dict) -> DriveProfile:
             raise ConfigError(f"segment {i} amplitude must be a [re, im] pair")
         numbers = (raw["duration"], *amplitude, raw.get("frequency", 0.0))
         for key, value in zip(("duration", "amplitude", "amplitude", "frequency"), numbers):
-            # bool is a subclass of int, so booleans are told apart first.
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not of_kind(value, float):
                 raise ConfigError(f"segment {i} {key} must be a number, got {value!r}")
         try:
             duration, real, imag, frequency = map(float, numbers)

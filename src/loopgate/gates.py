@@ -204,22 +204,6 @@ def diagonal_gate(
     return gate, tuple(decompose(-phase, 2.0 * phase) for phase in phases)
 
 
-def closed_loop_gamma0(
-    drive: DriveProfile,
-    tau: float | None = None,
-    *,
-    samples: int = DEFAULT_DRIVE_SAMPLES,
-    closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
-) -> float:
-    """``gamma0(tau)`` of a drive loop that must close at ``tau``.
-
-    Raises :class:`LoopNotClosedError` when the loop has a closure residual
-    above ``closure_tolerance`` at ``tau``.
-    """
-    require_closed(drive, tau, closure_tolerance)
-    return gamma0(drive, tau, samples)
-
-
 def collective_gate(
     drive: DriveProfile,
     tau: float | None = None,
@@ -230,8 +214,9 @@ def collective_gate(
 ) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
     """Gate produced by a closed drive loop under a diagonal conditioner.
 
-    The :func:`diagonal_gate` of :func:`closed_loop_gamma0`, with the drive's
-    own conditioner unless ``conditioner`` is given.
+    The :func:`diagonal_gate` of ``gamma0(drive, tau, samples)`` once
+    :func:`~loopgate.drives.require_closed` accepts the loop, with the
+    drive's own conditioner unless ``conditioner`` is given.
 
     Raises :class:`LoopNotClosedError` when the loop has a closure residual
     above ``closure_tolerance`` at ``tau``, and :class:`NonDiagonalGateError`
@@ -239,10 +224,8 @@ def collective_gate(
     """
     if conditioner is None:
         conditioner = drive.conditioner
-    return diagonal_gate(
-        conditioner,
-        closed_loop_gamma0(drive, tau, samples=samples, closure_tolerance=closure_tolerance),
-    )
+    require_closed(drive, tau, closure_tolerance)
+    return diagonal_gate(conditioner, gamma0(drive, tau, samples))
 
 
 def jy_squared_gate(gamma: float) -> TwoQubitGate:

@@ -314,30 +314,61 @@ def test_gate_from_drive_document(capsys, tmp_path):
     assert report["gate"]["phases"][1] == pytest.approx(-HALF_PI, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gate", "--omega-over-delta", "0.5", "--conditioner", "jz"),
-        ("gate", "--target-phase", "-1.0"),
-        ("gate", "--drive", "SQUARE"),
-    ],
-)
-def test_gate_runs_one_gamma0_quadrature(capsys, monkeypatch, tmp_path, argv):
-    from loopgate import drives, gates
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """The gamma0 quadratures a run makes, and the loop phases its diagonal gates take."""
+    from loopgate import gates
 
-    calls = []
-    real_gamma0 = drives.gamma0
+    calls = {"gamma0": [], "loop_phase": []}
+    real_gamma0, real_diagonal_gate = drives.gamma0, cli.diagonal_gate
 
     def counting_gamma0(*args, **kwargs):
-        calls.append(args)
+        calls["gamma0"].append(args)
         return real_gamma0(*args, **kwargs)
+
+    def recording_diagonal_gate(conditioner, gamma0_value):
+        calls["loop_phase"].append(gamma0_value)
+        return real_diagonal_gate(conditioner, gamma0_value)
 
     monkeypatch.setattr(drives, "gamma0", counting_gamma0)
     monkeypatch.setattr(gates, "gamma0", counting_gamma0)
-    argv = [write_doc(tmp_path, "square.json", SQUARE_DOC) if a == "SQUARE" else a for a in argv]
+    monkeypatch.setattr(cli, "diagonal_gate", recording_diagonal_gate)
+    return calls
+
+
+def test_gate_runs_one_gamma0_quadrature(capsys, tmp_path, gate_calls):
+    # Only a drive document takes its loop phase by quadrature.
+    report = run_json(capsys, "gate", "--drive", write_doc(tmp_path, "square.json", SQUARE_DOC))
+    assert len(gate_calls["gamma0"]) == 1
+    assert gate_calls["loop_phase"] == [drives.gamma0(*gate_calls["gamma0"][0])]
+    assert report["gamma0"] == pytest.approx(gate_calls["loop_phase"][0], rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "argv, ratio, delta, periods",
+    [
+        (("gate", "--omega-over-delta", "0.5", "--conditioner", "jz"), 0.5, 1.0, 1.0),
+        (("gate", "--omega-over-delta=-0.7", "--delta=2", "--periods=2"), -0.7, 2.0, 2.0),
+    ],
+)
+def test_constant_gate_takes_the_closed_form(capsys, gate_calls, argv, ratio, delta, periods):
     report = run_json(capsys, *argv)
-    assert len(calls) == 1
-    assert report["gamma0"] == pytest.approx(real_gamma0(*calls[0]), rel=1e-11)
+    closed_form = analytic_total_phase(ratio, delta, periods * (2.0 * math.pi / delta))
+    assert gate_calls["gamma0"] == []
+    assert gate_calls["loop_phase"] == [closed_form]
+    assert report["gamma0"] == json.loads(json_text({"gamma0": closed_form}))["gamma0"]
+
+
+@pytest.mark.parametrize("target", ["-1.0", "-1.5707963267948966", "-20"])
+def test_designed_gate_takes_the_phase_its_design_predicts(capsys, gate_calls, target):
+    report = run_json(capsys, "gate", "--target-phase", target, "--delta", "1.5")
+    design = run_json(capsys, "design", "--target-phase", target, "--delta", "1.5")
+    params = drives.design_constant_drive(float(target), 1.5)
+    assert gate_calls["gamma0"] == []
+    assert gate_calls["loop_phase"] == [
+        analytic_total_phase(params.ratio, params.delta, params.period)
+    ]
+    assert report["gamma0"] == design["predicted"]["total"]
 
 
 def test_gate_positive_target_phase_rejected(capsys):
@@ -779,6 +810,8 @@ SHAPE = ("sweep", "--parameter", "loop_shape", "--drive", "{circle}")
     "argv, flag, mode",
     [
         (("phase", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
+        (("gate", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
+        (("gate", "--target-phase", "-1"), "--samples=101", "the designed construction"),
         (("oracle-verify", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
         (TIME, "--agreement-tolerance=0.1", "time sweeps"),
         (TIME, "--closure-tolerance=0.1", "time sweeps"),
@@ -1599,6 +1632,30 @@ OVERFLOWING_TONE = {
 }
 
 
+# Documents that float arithmetic cannot lay out: two kicks that 1 + 1e-17
+# rounds away, a total duration past the float range, and a path whose
+# vertex alpha overflows.
+def _pulses(*pulses):
+    return {
+        "schema_version": 1,
+        "conditioner": "odd-parity-projector",
+        "segments": [{"duration": d, "amplitude": list(a)} for d, a in pulses],
+    }
+
+
+SWALLOWED_KICKS = _pulses(
+    (1.0, (0, 0)), (1e-17, (1e17, 0)), (1.0, (0, 1)), (1e-17, (-1e17, 0)), (1.0, (0, -1))
+)
+OVERFLOWING_DURATION = _pulses((1e308, (0, 0)), (1e308, (0, 0)))
+OVERFLOWING_VERTEX = _pulses((1.0, (1e308, 0)), (1.0, (1e308, 0)))
+OVERFLOWING_DOCS = {
+    "TONE": OVERFLOWING_TONE,
+    "KICKS": SWALLOWED_KICKS,
+    "LONG": OVERFLOWING_DURATION,
+    "HUGE": OVERFLOWING_VERTEX,
+}
+
+
 @pytest.mark.parametrize(
     "argv,cause",
     [
@@ -1612,15 +1669,39 @@ OVERFLOWING_TONE = {
         (["gate", "--gamma=1e+308", "--conditioner=jy"], "gate matrix has non-finite entries"),
         (["oracle-verify", "--omega-over-delta=-1", "--conditioner=jz", "--tau=1e+308",
           "--state-only"], "tau must lie in (0, 6.283185307179586], got 1e+308"),
+        (["gate", "--omega-over-delta", "1e160"],
+         "total phase (omega/delta)^2 * (sin(delta t) - delta t) is not finite"),
+        (["phase", "--drive", "KICKS"],
+         "segment 1 must end after its start, at a finite time: 1 + 1e-17 rounds to 1"),
+        (["sweep", "--parameter", "loop_shape", "--drive", "KICKS"],
+         "segment 1 must end after its start, at a finite time: 1 + 1e-17 rounds to 1"),
+        (["gate", "--drive", "LONG"],
+         "segment 1 must end after its start, at a finite time: 1e+308 + 1e+308 rounds to inf"),
+        (["phase", "--drive", "LONG"],
+         "segment 1 must end after its start, at a finite time: 1e+308 + 1e+308 rounds to inf"),
+        (["gate", "--drive", "HUGE"], "segment 1 ends at a non-finite alpha: the path overflows"),
+        (["phase", "--drive", "HUGE"], "segment 1 ends at a non-finite alpha: the path overflows"),
     ],
 )
 def test_overflowing_inputs_print_one_line(capsys, tmp_path, argv, cause):
-    tone = write_doc(tmp_path, "tone.json", OVERFLOWING_TONE)
-    code, out, err = run_cli(capsys, *[item.replace("TONE", tone) for item in argv])
+    paths = {name: write_doc(tmp_path, f"{name}.json", doc)
+             for name, doc in OVERFLOWING_DOCS.items()}
+    code, out, err = run_cli(capsys, *[paths.get(item, item) for item in argv])
     assert code == EXIT_INVALID
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and cause in err
+
+
+@pytest.mark.parametrize(
+    "command", [("phase",), ("phase", "--oracle"), ("gate",), ("oracle-verify",)]
+)
+@pytest.mark.parametrize("drive", [("--omega-over-delta", "0.5"), ("--drive", "{circle}")])
+def test_tau_zero_is_refused_with_one_message(capsys, tmp_path, command, drive):
+    # Every command takes its loop phase from cli._loop_phase, which checks tau.
+    code, out, err = run_with_circle(capsys, tmp_path, [*command, *drive, "--tau", "0"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: tau must lie in (0, 6.283185307179586], got 0.0\n"
 
 
 def test_truncation_advice_for_an_overflowing_excursion(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,39 @@ def test_drive_dict_round_trip():
     assert np.allclose(alpha_array(rebuilt, t), alpha_array(drive, t), atol=1e-15)
 
 
+def _kicked_square(kick):
+    """A unit idle, then a square whose two horizontal sides are kicks of length ``kick``."""
+    pulses = ((1.0, 0.0), (kick, 1.0 / kick), (1.0, 1j), (kick, -1.0 / kick), (1.0, -1j))
+    return tuple(DriveSegment(duration, amplitude) for duration, amplitude in pulses)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        # 1 + 1e-17 == 1: the walk would drop both kicks' chords.
+        (_kicked_square(1e-17),
+         "segment 1 must end after its start, at a finite time: 1 + 1e-17 rounds to 1"),
+        # The last segment too: 3 + 1e-16 == 3.
+        ((DriveSegment(3.0, 1.0), DriveSegment(1e-16, 1.0)),
+         "segment 1 must end after its start, at a finite time: 3 + 1e-16 rounds to 3"),
+        ((DriveSegment(1e308), DriveSegment(1e308)),
+         "segment 1 must end after its start, at a finite time: 1e+308 + 1e+308 rounds to inf"),
+        ((DriveSegment(1.0, 1e308), DriveSegment(1.0, 1e308)),
+         "segment 1 ends at a non-finite alpha: the path overflows"),
+        ((DriveSegment(2.0, 1e308), DriveSegment(1.0)),
+         "segment 0 ends at a non-finite alpha: the path overflows"),
+    ],
+)
+def test_drive_profile_refuses_what_floats_cannot_lay_out(segments, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DriveProfile(segments, odd_parity_projector())
+
+
+def test_drive_profile_keeps_short_segments_that_floats_resolve():
+    drive = DriveProfile(_kicked_square(1e-3), odd_parity_projector())
+    assert gamma0(drive) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_drive_dict_rejects_unknown_keys():
     data = drive_to_dict(constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0)))
     data["color"] = "red"
@@ -420,7 +454,7 @@ def test_drive_dict_rejects_bad_schema_version(version):
     # Only the JSON integer 1: true and 1.0 compare equal to 1 but are not it.
     data = drive_to_dict(constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0)))
     data["schema_version"] = version
-    with pytest.raises(ConfigError, match=f"unsupported drive schema_version: {version}$"):
+    with pytest.raises(ConfigError, match=f"unsupported drive schema_version: {version!r}$"):
         drive_from_dict(data)
 
 
