@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError
 
@@ -24,17 +25,6 @@ def format_float(value):
         return value
     # +0.0 for -0.0, so zero-drive reports are literally all zero
     return float(f"{value:.12g}") + 0.0
-
-
-def format_tree(data):
-    """Apply :func:`format_float` to every float in a nested structure."""
-    if isinstance(data, dict):
-        return {k: format_tree(v) for k, v in data.items()}
-    if isinstance(data, (list, tuple)):
-        return [format_tree(v) for v in data]
-    if isinstance(data, float):
-        return format_float(data)
-    return data
 
 
 def csv_number(value) -> str:
@@ -80,8 +70,70 @@ def read_json(path: str, what: str):
 
 
 def json_text(report: dict) -> str:
-    """The report as indented JSON with sorted keys; NaN and infinities are refused."""
-    return json.dumps(format_tree(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report as indented JSON with sorted keys, each float rounded by :func:`format_float`.
+
+    The text is that of ``json.dumps(tree, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` for the rounded tree, written in one pass: the
+    standard library's indented encoder is pure Python before 3.13, and a
+    rounded copy of the tree would be walked twice.  Keys must be strings.
+    NaN and infinities raise the standard library's ValueError, and any
+    other type its TypeError.
+    """
+    chunks = []
+    _write_json(report, "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, indent: str, write) -> None:
+    """Write ``value`` at the nesting ``indent`` through ``write``, for :func:`json_text`.
+
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle, which would hold each report's chunks until the
+    cyclic garbage collector ran.
+    """
+    # Floats first, as most leaves are; no float is also a str, None or an int.
+    if isinstance(value, float):
+        value = format_float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        write(float.__repr__(value))
+    elif isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            write(separator)
+            _write_json(item, inner, write)
+            separator = ",\n" + inner
+        write("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            write(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
+            separator = ",\n" + inner
+        write("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _leaves(prefix: str, value) -> list[tuple[str, object]]:
@@ -106,7 +158,7 @@ def _csv_text(lines) -> str:
 
 def key_value_csv(report: dict) -> str:
     """The report as CSV lines ``key,value``, one per leaf, in sorted key order; no NaN or inf."""
-    pairs = _leaves("", format_tree(report))
+    pairs = _leaves("", report)
     return _csv_text([["key", "value"], *([key, csv_number(value)] for key, value in pairs)])
 
 
@@ -115,7 +167,6 @@ def sweep_csv(report: dict) -> str:
 
     NaN and infinities are refused, as in :func:`key_value_csv`.
     """
-    report = format_tree(report)
     columns = list(report["rows"][0])
     lines = [["kind", "parameter", *columns]]
     for row in report["rows"]:

@@ -236,6 +236,14 @@ def _resolve_drive(opts: dict) -> tuple[DriveProfile, dict | None]:
     return drive, echo
 
 
+def _fields(result) -> dict:
+    """A result dataclass, and a sweep's rows, as report dicts: shallow copies in field order."""
+    tree = dict(vars(result))
+    if "rows" in tree:
+        tree["rows"] = [dict(vars(row)) for row in tree["rows"]]
+    return tree
+
+
 def _given(opts: dict, *keys: str) -> dict:
     """The given options among ``keys``; the library takes its own defaults for the rest."""
     return {key: opts[key] for key in keys if key in opts}
@@ -246,11 +254,12 @@ def _oracle_settings(opts: dict) -> OracleSettings | None:
 
 
 def _loop_phase(drive: DriveProfile, constant: dict | None, tau: float, samples: int) -> float:
-    """Phi(tau) after the CLI's one tau check: the closed form, or ``gamma0`` for a document.
+    """Phi(tau) at a tau that ``drives._require_tau`` accepted: the closed form, or ``gamma0``.
 
-    The closed form reads a ``constant`` drive's ``omega_over_delta`` and ``delta``.
+    The closed form reads a ``constant`` drive's ``omega_over_delta`` and
+    ``delta``; a document takes ``gamma0``.  Each command checks tau before
+    any other use of it, so a tau outside (0, duration] gets one message.
     """
-    tau = drives._require_tau(drive, tau)
     if constant is not None:
         return analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
     return drives.gamma0(drive, tau, samples)
@@ -282,7 +291,7 @@ def _parse_grid(opts: dict) -> list[float]:
 
 def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts)
-    tau = opts.get("tau", drive.total_duration)
+    tau = drives._require_tau(drive, opts.get("tau"))
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
 
@@ -305,7 +314,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
         "method": "closed-form" if constant is not None else "quadrature",
         "closure_residual": residual,
         "closed": closed,
-        "analytic": dataclasses.asdict(decomposition),
+        "analytic": _fields(decomposition),
         "oracle": None,
     }
 
@@ -369,7 +378,7 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
             drive, drive_echo = _resolve_drive(opts)
             construction = "constant-drive" if drive_echo is not None else "drive-document"
             constant = drive_echo
-        tau = opts.get("tau", drive.total_duration)
+        tau = drives._require_tau(drive, opts.get("tau"))
         drives.require_closed(drive, tau, opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE))
         samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
         gamma0_value = _loop_phase(drive, constant, tau, samples)
@@ -404,7 +413,7 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
             None
             if decompositions is None
             else [
-                dict(state=label, **dataclasses.asdict(d))
+                {"state": label, **_fields(d)}
                 for label, d in zip(BASIS_LABELS, decompositions)
             ]
         ),
@@ -415,14 +424,13 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
 def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts)
     conditioner = drive.conditioner
-    tau = opts.get("tau", drive.total_duration)
+    tau = drives._require_tau(drive, opts.get("tau"))
     samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     initial_fock = opts.get("initial_fock", 0)
     tolerance = opts.get("tolerance", DEFAULT_ORACLE_TOLERANCE)
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
     state_only = opts.get("state_only", False)
 
-    # _loop_phase checks tau before the reference gate, whose phases overflow far past the window.
     reference = _loop_phase(drive, constant, tau, samples)
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
@@ -520,7 +528,7 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
         report = area_invariance_study(
             loops, **_given(opts, "samples", "agreement_tolerance", "closure_tolerance")
         )
-        return dataclasses.asdict(report), None
+        return _fields(report), None
 
     grid = _parse_grid(opts)
     _, base = _constant_params(opts, default_ratio=0.5)
@@ -539,7 +547,7 @@ def _cmd_sweep(opts: dict) -> tuple[dict, str | None]:
         spec = SweepSpec(parameter=parameter, grid=tuple(grid), base=base,
                          oracle_settings=settings)
         report = eta_invariance_sweep(spec, **_given(opts, "samples"))
-    return dataclasses.asdict(report), None
+    return _fields(report), None
 
 
 def _design_echo(params: ConstantDriveParams) -> dict:
@@ -567,7 +575,7 @@ def _cmd_design(opts: dict) -> tuple[dict, str | None]:
         "target_phase": target,
         **_design_echo(params),
         "round_trip_error": abs(phi - target),
-        "predicted": dataclasses.asdict(decomposition),
+        "predicted": _fields(decomposition),
     }
     return report, None
 

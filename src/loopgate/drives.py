@@ -262,16 +262,23 @@ def _locate(drive: DriveProfile, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def alpha_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Phase-space positions alpha(t) = -integral_0^t f for an array of times."""
+    """Phase-space positions alpha(t) = -integral_0^t f for an array of times.
+
+    The times are grouped by segment once, by a stable sort of their segment
+    index, which costs one pass on sorted times; each segment then evaluates
+    its own contiguous share.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    index, local = _locate(drive, t)
+    index, local = _locate(drive, t.ravel())
+    order = np.argsort(index, kind="stable")
+    ends = np.searchsorted(index[order], np.arange(len(drive.segments) + 1))
     alpha_starts = drive.segment_alpha_starts
-    out = np.empty(t.shape, dtype=complex)
+    out = np.empty(t.size, dtype=complex)
     for i, segment in enumerate(drive.segments):
-        mask = index == i
-        if np.any(mask):
-            out[mask] = alpha_starts[i] + segment.alpha_increment(local[mask])
-    return out
+        if ends[i] < ends[i + 1]:
+            share = order[ends[i]:ends[i + 1]]
+            out[share] = alpha_starts[i] + segment.alpha_increment(local[share])
+    return out.reshape(t.shape)
 
 
 def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:

@@ -14,6 +14,7 @@ Jy eigenbasis instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,6 +80,11 @@ class SpinConditioner:
         return values, vectors
 
 
+# The standard conditioners and cz_gate build their object on the first call
+# and return that one object after it: it is frozen and its matrix read-only.
+
+
+@functools.cache
 def odd_parity_projector() -> SpinConditioner:
     """Projector onto the odd-parity states |down,up> and |up,down>."""
     return SpinConditioner(
@@ -88,12 +94,14 @@ def odd_parity_projector() -> SpinConditioner:
     )
 
 
+@functools.cache
 def jz_conditioner() -> SpinConditioner:
     """Collective sigma_z: eigenvalues -2, 0, 0, +2 on the computational basis."""
     matrix = np.kron(_SIGMA_Z, _IDENTITY2) + np.kron(_IDENTITY2, _SIGMA_Z)
     return SpinConditioner(name="jz", matrix=matrix, basis_eigenvalues=(-2.0, 0.0, 0.0, 2.0))
 
 
+@functools.cache
 def jy_conditioner() -> SpinConditioner:
     """Collective sigma_y: eigenvalues {+2, 0, 0, -2}, not diagonal in this basis."""
     matrix = np.kron(_SIGMA_Y, _IDENTITY2) + np.kron(_IDENTITY2, _SIGMA_Y)
@@ -171,6 +179,7 @@ def phase_gate(gamma: float) -> TwoQubitGate:
     )
 
 
+@functools.cache
 def cz_gate() -> TwoQubitGate:
     """The controlled-Z gate diag(1, 1, 1, -1)."""
     return TwoQubitGate(

@@ -139,7 +139,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Rows plus metadata; ``dataclasses.asdict`` gives the report tree."""
+    """Rows plus metadata; the CLI's report tree is a shallow copy of its fields and rows."""
 
     parameter: str
     rows: tuple[SweepRow, ...]

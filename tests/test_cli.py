@@ -1698,10 +1698,21 @@ def test_overflowing_inputs_print_one_line(capsys, tmp_path, argv, cause):
 )
 @pytest.mark.parametrize("drive", [("--omega-over-delta", "0.5"), ("--drive", "{circle}")])
 def test_tau_zero_is_refused_with_one_message(capsys, tmp_path, command, drive):
-    # Every command takes its loop phase from cli._loop_phase, which checks tau.
+    # Every command checks tau with drives._require_tau before any other use of it.
     code, out, err = run_with_circle(capsys, tmp_path, [*command, *drive, "--tau", "0"])
     assert (code, out) == (EXIT_INVALID, "")
     assert err == "error: tau must lie in (0, 6.283185307179586], got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("phase",), ("phase", "--oracle"), ("gate",), ("oracle-verify",)]
+)
+@pytest.mark.parametrize("drive", [("--omega-over-delta", "0.5"), ("--drive", "{circle}")])
+def test_tau_past_the_drive_window_is_refused_with_one_message(capsys, tmp_path, command, drive):
+    # The tau rule runs before the closed-loop check, which would name the window instead.
+    code, out, err = run_with_circle(capsys, tmp_path, [*command, *drive, "--tau", "100"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: tau must lie in (0, 6.283185307179586], got 100.0\n"
 
 
 def test_truncation_advice_for_an_overflowing_excursion(capsys, tmp_path):
@@ -1749,10 +1760,7 @@ def test_tau_and_the_drive_window_share_one_end(capsys, tmp_path):
     code, out, err = run_cli(capsys, "phase", "--drive", path, "--tau", repr(tau))
     assert code == EXIT_INVALID
     assert out == ""
-    assert err == (
-        "error: time outside the drive window [0, 3.000000001]: "
-        "range [0.0, 3.0000000010030003]\n"
-    )
+    assert err == "error: tau must lie in (0, 3.000000001], got 3.0000000010030003\n"
     # The last time the window admits passes both checks.
     end = total + 1e-12 * total
     assert math.isfinite(drives.gamma0(drive, end))

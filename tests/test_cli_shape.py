@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from loopgate import gates
 from loopgate.cli import EXIT_OK, main
 
 SHAPE_FILE = Path(__file__).parent / "data" / "cli_shape.json"
@@ -99,6 +100,26 @@ def circle_path(tmp_path_factory):
 def test_output_shape_is_pinned(name, circle_path):
     pinned = json.loads(SHAPE_FILE.read_text())
     assert shape(name, circle_path) == pinned[name]
+
+
+def test_each_invocation_prints_the_same_bytes_once_or_twice_in_either_order(circle_path):
+    # What a run builds once per process (the shared conditioners and CZ)
+    # must not change what a later run prints.
+    for factory in (gates.odd_parity_projector, gates.jz_conditioner, gates.jy_conditioner,
+                    gates.cz_gate):
+        factory.cache_clear()
+    runs = [(name, fmt) for name in sorted(INVOCATIONS) for fmt in ("json", "csv")]
+
+    def texts(order):
+        return {
+            (name, fmt): _run([arg.replace("{circle}", circle_path) for arg in INVOCATIONS[name]]
+                              + ["--format", fmt])
+            for name, fmt in order
+        }
+
+    first = texts(runs)
+    assert texts(runs[::-1]) == first
+    assert texts(runs) == first
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -158,6 +158,29 @@ def test_point_accessors():
     assert abs(alpha_array(drive, math.pi)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_alpha_array_groups_times_by_segment_bit_for_bit():
+    # 512 segments of tones and pulses; sorted, shuffled and 2-d times all
+    # match a per-segment mask over every time, bit for bit.
+    segments = tuple(
+        DriveSegment(duration=0.01 + 0.003 * (k % 7), amplitude=complex(math.cos(k), math.sin(k)),
+                     frequency=0.0 if k % 3 == 0 else 1.0 + k % 5)
+        for k in range(512)
+    )
+    drive = DriveProfile(segments=segments, conditioner=odd_parity_projector())
+    rng = np.random.default_rng(17)
+    grid = np.linspace(0.0, drive.total_duration, 20_001)
+    for t in (grid, rng.permutation(grid), rng.permutation(grid)[:600].reshape(20, 30)):
+        index = np.clip(np.searchsorted(drive.segment_starts, t, side="right") - 1, 0, 511)
+        local = t - drive.segment_starts[index]
+        expected = np.empty(t.shape, dtype=complex)
+        for i, segment in enumerate(segments):
+            mask = index == i
+            expected[mask] = drive.segment_alpha_starts[i] + segment.alpha_increment(local[mask])
+        alpha = alpha_array(drive, t)
+        assert alpha.shape == t.shape
+        assert alpha.tobytes() == expected.tobytes()
+
+
 def test_time_outside_window_rejected():
     drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
     with pytest.raises(ValueError):
