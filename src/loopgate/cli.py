@@ -823,32 +823,56 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's sub-parser by command name."""
     parser = _Parser(
         prog="loopgate",
         description="Phase-space loop gates: phases, gates, brute-force checks, sweeps.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands = {}
     for name, command in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=command.help, description=command.description)
+        sub = commands[name] = subparsers.add_parser(
+            name, help=command.help, description=command.description
+        )
         for dest in command.flags + _COMMON_FLAGS:
             sub.add_argument(_flag(dest), dest=dest, default=None, **_spec(name, dest))
-    return parser
+    return parser, commands
 
 
 # Built on the first call and reused: a parser is a web of reference cycles
 # that only a full garbage collection frees, so a parser per call would grow
 # an in-process caller's memory with every call.
 _PARSER: argparse.ArgumentParser | None = None
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it, in one pass where it names a command.
+
+    The full parser hands every word after the command name, untouched, to
+    that command's sub-parser, so an argv that starts with a command name
+    goes straight to the sub-parser, which gives the same namespace or the
+    same error.  Any other argv (none, ``--version``, ``-h`` or an unknown
+    command) takes the full parser, the one place that builds help and usage.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER, commands = _build_parsers()
+        _COMMAND_PARSERS.update(commands)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         config = _load_config(args.config, args.command)
         opts = _options(args, config)
         fmt = opts.get("format", "json")

@@ -281,20 +281,55 @@ def alpha_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndar
     return out.reshape(t.shape)
 
 
+def _path_end(drive: DriveProfile, tau: float | None) -> tuple[int, float, complex]:
+    """Segment i holding ``tau`` (None: the full duration), tau's local time in it, alpha(tau).
+
+    alpha(tau) is read off segment i alone, as :func:`alpha_array` reads it.
+    """
+    tau = drive.total_duration if tau is None else float(tau)
+    # _locate's rule, on one Python float.
+    _require_window(drive, tau, tau)
+    tau = min(max(tau, 0.0), drive.total_duration)
+    starts = drive.segment_starts
+    i = min(max(bisect.bisect_right(starts, tau) - 1, 0), len(starts) - 1)
+    local = tau - float(starts[i])
+    alpha = drive.segment_alpha_starts[i] + drive.segments[i].alpha_increment(np.array([local]))
+    return i, local, alpha[0]
+
+
 def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:
-    """|alpha(tau) - alpha(0)|: zero exactly when the loop closes at ``tau``."""
-    if tau is None:
-        tau = drive.total_duration
-    endpoints = alpha_array(drive, np.array([0.0, float(tau)]))
-    return float(abs(endpoints[1] - endpoints[0]))
+    """|alpha(tau) - alpha(0)|, with alpha(0) = 0: zero exactly when the loop closes at ``tau``."""
+    return float(abs(_path_end(drive, tau)[2]))
 
 
 def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
-    """Largest |alpha(t)| on 2001 evenly spaced times of [0, tau]."""
-    if tau is None:
-        tau = drive.total_duration
-    t = np.linspace(0.0, float(tau), 2001)
-    return float(np.max(np.abs(alpha_array(drive, t))))
+    """Largest |alpha(t)| over [0, tau], exact up to rounding, at one step per segment.
+
+    A pulse moves alpha along a chord, so its |alpha| peaks at one of its two
+    vertices.  A tone's arc lies on the circle of centre a + i*A/w and radius
+    |A/w| (a its start vertex, A its amplitude, w its frequency), which it
+    turns clockwise for w > 0; it reaches |centre| + radius if it turns past
+    the circle's far point, at arg(centre), and peaks at a vertex otherwise.
+    """
+    last, local, alpha = _path_end(drive, tau)
+    starts = drive.segment_alpha_starts.tolist()
+    # Each segment's end vertex: the next one's start, or alpha(tau) in the last.
+    ends = [*starts[1 : last + 1], complex(alpha)]
+    peak = 0.0
+    for i, (segment, start, end) in enumerate(zip(drive.segments, starts, ends)):
+        peak = max(peak, abs(start), abs(end))
+        w, amplitude = segment.frequency, segment.amplitude
+        if w != 0.0:
+            length = local if i == last else segment.duration
+            # i*A/w, formed apart so an infinite quotient makes no NaN.
+            centre = start + complex(-amplitude.imag / w, amplitude.real / w)
+            # The arc starts at angle arg(-i*A/w) about the centre and turns by -w*s.
+            turn = cmath.phase(complex(amplitude.imag, -amplitude.real) / w) - cmath.phase(centre)
+            if (turn if w > 0.0 else -turn) % (2.0 * math.pi) <= abs(w) * length:
+                # Never past the path length from the start, where rounding gives inf.
+                far = abs(centre) + abs(amplitude / w)
+                peak = max(peak, min(far, abs(start) + abs(amplitude) * length))
+    return peak
 
 
 def require_closed(

@@ -416,6 +416,9 @@ def _propagate_sector(
     """Propagate one oscillator block with drive g(t) = eigenvalue * f(t).
 
     The dynamic phase is recorded at the increasing step indices ``read`` only.
+    A tracked operator comes without its unitarity defect, which
+    :func:`_with_unitarity_defect` adds where :func:`propagate` reports it;
+    the zero sector's identity has defect 0.0.
     """
     dim = space.dimension
     n_points = steps + 1
@@ -509,17 +512,23 @@ def _propagate_sector(
                 running[k - k0] = dynamic
             dynamic_series[slots] = running[counts - 1]
 
-    defect = None
-    if with_operator:
-        defect = float(np.linalg.norm(operator.conj().T @ operator - np.eye(dim), 2))
     return SectorEvolution(
         eigenvalue=float(eigenvalue),
         evolution=operator,
         overlap_series=overlap_series,
         dynamic_series=dynamic_series,
         leakage_series=leakage_series,
-        unitarity_defect=defect,
+        unitarity_defect=None,
     )
+
+
+def _with_unitarity_defect(sector: SectorEvolution) -> SectorEvolution:
+    """``sector`` with the spectral norm of U^H U - 1 of its tracked operator U, if it lacks one."""
+    U = sector.evolution
+    if U is None or sector.unitarity_defect is not None:
+        return sector
+    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
+    return replace(sector, unitarity_defect=defect)
 
 
 def _parity_mirror(sector: SectorEvolution, eigenvalue: float) -> SectorEvolution:
@@ -642,8 +651,10 @@ def propagate(
         if mirror is None:
             source.append(len(sectors))
             sectors.append(
-                _propagate_sector(
-                    value, drive, tau, space, steps, initial_fock, with_operator, read
+                _with_unitarity_defect(
+                    _propagate_sector(
+                        value, drive, tau, space, steps, initial_fock, with_operator, read
+                    )
                 )
             )
         else:

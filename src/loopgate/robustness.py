@@ -11,6 +11,7 @@ nothing in the core draws random numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,7 +54,7 @@ from .phasespace import (
 # (1e-9 on phase identities) hold with margin.  The time scan and the area
 # study are second order in the grid spacing; NONCYCLIC_SAMPLES is the floor
 # of a time scan's sample count (see _noncyclic_samples).  The eta sweep
-# extrapolates from every other sample, once per sweep, so it is fourth
+# extrapolates from every other sample, once per process, so it is fourth
 # order and its count is odd; see _extrapolated_unit_sums.
 ETA_SWEEP_SAMPLES = 4_097
 NONCYCLIC_SAMPLES = 200_001
@@ -237,6 +238,8 @@ def _unit_sums(
     return sums
 
 
+# The sums depend on ``samples`` alone, so a process walks each count once.
+@functools.lru_cache(maxsize=8)
 def _extrapolated_unit_sums(samples: int) -> tuple[float, float, float]:
     """:func:`_unit_sums` of one period at delta = 1, Richardson-extrapolated.
 
@@ -517,9 +520,9 @@ def eta_invariance_sweep(spec: SweepSpec, *, samples: int = ETA_SWEEP_SAMPLES) -
     the loop is closed and eta is well defined; the metadata summarizes
     max |eta + 2| for the analytic rows and, when oracle settings are given,
     for the brute-force rows as well.  Every point scales one unit loop,
-    integrated once per sweep and extrapolated from every other sample
-    (:func:`_extrapolated_unit_sums`), so ``samples`` must be odd; an even
-    count raises ValueError.
+    integrated once per process and sample count and extrapolated from
+    every other sample (:func:`_extrapolated_unit_sums`), so ``samples``
+    must be odd; an even count raises ValueError.
     """
     rows = []
     max_eta_dev = 0.0

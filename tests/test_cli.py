@@ -936,6 +936,99 @@ def test_short_help_still_prints_the_help(capsys, flag):
     assert capsys.readouterr().out.startswith("usage: ")
 
 
+# Argv that start with a command name, which cli._parse_args hands to that
+# command's sub-parser alone: every command with its flags, --config and --,
+# negative values, values after -h, and refusals.
+ONE_PASS_ARGV = [
+    ["phase", "--omega-over-delta", "0.5", "--delta", "2", "--phi-l", "0.1", "--periods", "2",
+     "--tau", "1", "--require-closed", "--closure-tolerance", "1e-9", "--oracle", "--n-max", "24",
+     "--steps", "1000", "--format", "csv", "--out", "report.csv"],
+    ["phase", "--drive", "loop.json", "--samples", "101", "--config", "config.json"],
+    ["gate", "--target-phase", "-1", "--delta", "2", "--correct-to-cz"],
+    ["gate", "--gamma0", "-2.5", "--conditioner", "jz"],
+    ["gate", "--gamma", "0.3", "--conditioner", "jy", "--format=json"],
+    ["gate", "--drive", "a.json", "--drive", "b.json", "--tau", "2", "--samples=11"],
+    ["oracle-verify", "--omega-over-delta", "0.5", "--conditioner", "jz", "--initial-fock", "1",
+     "--tolerance", "1e-3", "--leakage-tolerance", "1e-5", "--state-only", "--n-max", "40"],
+    ["oracle-verify", "--conditioner", "jy"],
+    ["sweep", "--parameter", "time", "--grid", "1,2", "--analytic-tolerance", "1e-9",
+     "--oracle-tolerance", "1e-4", "--samples", "1001"],
+    ["sweep", "--parameter", "loop_shape", "--drive", "a.json", "--agreement-tolerance", "0.1"],
+    ["sweep", "--parameter", "voltage"],
+    ["design", "--target-phase", "-1", "--phi-l", "0.25"],
+    ["design"],
+    ["phase", "--config=config.json", "--omega-over-delta=0.5"],
+    ["phase", "--config"],
+    ["phase", "--omega-over-delta", "0.5", "--"],
+    ["phase", "--", "--omega-over-delta", "0.5"],
+    ["sweep", "--parameter", "phi_l", "--grid", "--", "-0.5,0.5"],
+    ["sweep", "--parameter", "phi_l", "--grid", "-0.5,0.5"],
+    ["sweep", "--grid", "-1e-3", "--parameter", "time"],
+    ["phase", "--tau", "-1"],
+    ["phase", "--tau", "-1", "--omega-over-delta", "-0.5"],
+    ["gate", "--gamma0", "-2.5e-3"],
+    ["sweep", "-h5"],
+    ["sweep", "-hx"],
+    ["sweep", "-h=5"],
+    ["phase", "--omega-over-delta", "0.5", "-hh5"],
+    ["sweep", "--", "-h5"],
+    ["phase", "--omega-over-delta", "0.5", "--bogus"],
+    ["phase", "--omega-over-delta"],
+    ["phase", "--tau", "--oracle"],
+    ["phase", "--omega-over-delta", "0.5", "--version"],
+    ["gate", "--version"],
+    ["phase", "--omega", "0.5", "--ora"],
+    ["phase", "--o", "0.5"],
+    ["phase", "--delta", "one"],
+    ["phase", "--x\ny"],
+    ["phase", "stray"],
+    ["design", "--format", "xml"],
+    ["phase", "-h"],
+    ["design", "--help"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace, the ConfigError or the SystemExit of one parse, with what it printed."""
+    try:
+        outcome = vars(parse(list(argv)))
+    except errors.ConfigError as exc:
+        outcome = f"ConfigError: {exc}"
+    except SystemExit as exc:
+        outcome = f"SystemExit: {exc.code}"
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ONE_PASS_ARGV, ids=" ".join)
+def test_a_command_argv_parses_in_one_pass_as_the_full_parser_parses_it(capsys, argv):
+    direct = _parsed(cli._parse_args, argv, capsys)
+    assert direct == _parsed(cli._PARSER.parse_args, argv, capsys)
+    if isinstance(direct[0], dict):
+        assert direct[0]["command"] == argv[0]
+
+
+def test_only_an_argv_that_names_a_command_skips_the_full_parser(capsys, monkeypatch):
+    main(["design", "--target-phase", "-1"])
+    capsys.readouterr()
+    full = []
+    real_parse_args = cli._PARSER.parse_args
+
+    def counting_parse_args(argv):
+        full.append(argv)
+        return real_parse_args(argv)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", counting_parse_args)
+    assert main(["design", "--target-phase", "-1"]) == EXIT_OK
+    assert full == []
+    for argv, code in (([], EXIT_INVALID), (["bogus"], EXIT_INVALID), (["--version"], 0),
+                       (["-h"], 0), (["--", "phase"], EXIT_INVALID)):
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert full[-1] == argv
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [

@@ -1,5 +1,6 @@
 """Tests for drive profiles, the induced path, the loop phase, and design."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -24,6 +25,7 @@ from loopgate.drives import (
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
+    peak_alpha,
     require_closed,
 )
 from loopgate.errors import (
@@ -33,6 +35,7 @@ from loopgate.errors import (
     UnreachablePhaseError,
 )
 from loopgate.gates import jz_conditioner, odd_parity_projector
+from loopgate.oracle import default_space
 from loopgate.phasespace import analytic_total_phase, geometric_phase
 
 TWO_PI = 2.0 * math.pi
@@ -347,6 +350,55 @@ def test_gamma0_takes_each_vertex_from_its_own_segment(samples):
     assert gamma0(half_disk, samples=samples) == pytest.approx(-math.pi / 4.0, rel=1e-12)
     assert gamma0(square, samples=samples) == 2.0
     assert gamma0(square, 2.0, samples) == 1.0
+
+
+def test_peak_of_the_kick_document_is_its_far_corner():
+    # Four kicks 0.001 long trace a square of side 3, then the drive rests
+    # for 10: evenly spaced times all miss the kicks, the vertices do not.
+    kick = drive_from_dict(json.loads((DATA / "kick.json").read_text()))
+    assert peak_alpha(kick) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
+    assert peak_alpha(kick, 0.0015) == pytest.approx(3.0 * math.sqrt(1.25), rel=1e-12)
+    # 4 |beta alpha|^2 at the corner: beta = 1 under the odd-parity projector, 2 under jz.
+    assert default_space(kick).n_max == 72
+    assert default_space(dataclasses.replace(kick, conditioner=jz_conditioner())).n_max == 288
+
+
+def turning_arc(frequency):
+    """A pulse out to 2 + i, then 0.3 of a turn about the centre 2 at ``frequency`` = +-1.
+
+    The far point of that circle, 3, lies a quarter turn clockwise from 2 + i
+    and three quarters counterclockwise.
+    """
+    segments = (
+        DriveSegment(1.0, -(2.0 + 1j)),
+        DriveSegment(0.6 * math.pi, -frequency, frequency),
+    )
+    return DriveProfile(segments, odd_parity_projector())
+
+
+@pytest.mark.parametrize(
+    "frequency, tau, expected",
+    [
+        (1.0, None, 3.0),  # clockwise past the far point
+        (-1.0, None, math.sqrt(5.0)),  # counterclockwise away from it: the start vertex
+        (1.0, 2.0, abs(2.0 + cmath.exp(1j * (math.pi / 2.0 - 1.0)))),  # cut before it
+        (1.0, 1.0 + math.pi / 2.0, 3.0),  # cut at it
+    ],
+)
+def test_peak_of_a_tone_arc(frequency, tau, expected):
+    drive = turning_arc(frequency)
+    assert peak_alpha(drive, tau) == pytest.approx(expected, rel=1e-14)
+    # The path moves at |f| <= |2 + i|, so the grid comes within half a step of the peak.
+    t = np.linspace(0.0, drive.total_duration if tau is None else tau, 100_001)
+    dense = np.max(np.abs(alpha_array(drive, t)))
+    slack = math.sqrt(5.0) * (t[1] - t[0]) / 2.0
+    assert dense <= peak_alpha(drive, tau) * (1.0 + 1e-15) <= dense + slack
+
+
+def test_peak_of_a_full_circle_is_its_diameter():
+    drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0, phi_l=0.7), periods=1.5)
+    assert peak_alpha(drive) == pytest.approx(1.0, rel=1e-15)
+    assert peak_alpha(drive, 1.0) == pytest.approx(2.0 * 0.5 * math.sin(0.5), rel=1e-15)
 
 
 def test_gamma0_validates_tau_and_samples():

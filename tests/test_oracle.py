@@ -987,3 +987,28 @@ def test_magnus_form_reuses_the_unit_sector_of_a_propagation(monkeypatch):
 
     monkeypatch.setattr(oracle, "_propagate_sector", no_propagation)
     assert verify_magnus_form(drive, space=space, steps=2_000, propagation=run) == plain
+
+
+def test_the_unitarity_defect_is_computed_only_where_it_is_reported(monkeypatch):
+    # One SVD per propagated sector of a propagation that tracks the operator:
+    # a parity mirror keeps its source's value, and the displacement-form
+    # check's own unit sector, whose defect nothing reports, takes none.
+    norms = []
+    real_norm = np.linalg.norm
+
+    def counting_norm(x, *args, **kwargs):
+        norms.append(np.shape(x))
+        return real_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    space = FockSpace(24)
+    run = propagate(headline_drive(jz_conditioner()), space=space, steps=1_000)
+    assert norms == [(25, 25)]
+    plus, minus = (s for s in run.sectors if s.eigenvalue != 0.0)
+    assert plus.unitarity_defect == minus.unitarity_defect == run.unitarity_defect < 1e-10
+    norms.clear()
+    propagate(headline_drive(jz_conditioner()), space=space, steps=1_000, with_operator=False)
+    assert norms == []
+    # The residual alone, on the block of Fock levels up to n_max / 2.
+    verify_magnus_form(headline_drive(), space=space, steps=1_000)
+    assert norms == [(13, 13)]

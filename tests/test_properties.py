@@ -13,10 +13,12 @@ from loopgate.drives import (
     ConstantDriveParams,
     DriveProfile,
     DriveSegment,
+    alpha_array,
     constant_drive,
     drive_from_dict,
     drive_to_dict,
     gamma0,
+    peak_alpha,
 )
 from loopgate.gates import jy_conditioner, jz_conditioner, odd_parity_projector
 from loopgate.oracle import DEFAULT_LEAKAGE_TOL, FockSpace, propagate
@@ -60,6 +62,42 @@ def polygon_drive(vertices, cuts, total, turn=1.0 + 0j):
 def shoelace_area(vertices):
     closed = list(vertices) + [vertices[0]]
     return 0.5 * sum((a.conjugate() * b).imag for a, b in zip(closed[:-1], closed[1:]))
+
+
+@st.composite
+def cut_documents(draw):
+    """A drive of tones, of pulses or of both, and a time tau at which to cut it."""
+    kinds = draw(st.sampled_from((("tone",), ("pulse",), ("tone", "pulse"))))
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        amplitude = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        duration = draw(st.floats(0.01, 2.0))
+        frequency = 0.0
+        if kind == "tone":
+            # Mostly less than a full turn, so that the far point may lie off the arc.
+            turn = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 8.0))
+            frequency = turn / duration
+        segments.append(DriveSegment(duration, amplitude, frequency))
+    drive = DriveProfile(tuple(segments), odd_parity_projector())
+    return drive, draw(st.floats(0.001, 1.0)) * drive.total_duration
+
+
+@PROPERTY
+@given(cut_documents())
+def test_peak_alpha_bounds_the_dense_path_by_half_a_step(document):
+    # Between grid points the path moves at |f| at most, so the dense maximum
+    # lies within max|f| h / 2 of the peak; it may miss a pulse's vertex by
+    # that much, so the two agree only within it, not within rounding.
+    drive, tau = document
+    samples = 1_000_000
+    t = np.linspace(0.0, tau, samples)
+    dense = float(np.max(np.abs(alpha_array(drive, t))))
+    peak = peak_alpha(drive, tau)
+    rounding = 16.0 * np.finfo(float).eps * max(1.0, dense)
+    half_step = max(abs(s.amplitude) for s in drive.segments) * (t[1] - t[0]) / 2.0
+    assert dense <= peak + rounding
+    assert peak <= dense + half_step + rounding
 
 
 @PROPERTY

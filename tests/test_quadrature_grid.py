@@ -20,9 +20,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from loopgate import drives, oracle, phasespace, robustness
+from loopgate import cli, drives, oracle, phasespace, robustness
 from loopgate.drives import (
     MAX_SAMPLES,
     ConstantDriveParams,
@@ -63,6 +63,18 @@ ETA_GRIDS = [
     ("phi_l", (-2.0, 0.0, 1.5)),
     ("delta", (0.5, 1.3, 2.2)),
 ]
+
+
+@pytest.fixture
+def uncached_unit_loop():
+    """Clears the eta sweep's once-per-process unit loop, so a spy on _unit_sums sees its walks.
+
+    Yields the clearing function, for a property that runs many examples.
+    """
+    clear = robustness._extrapolated_unit_sums.cache_clear
+    clear()
+    yield clear
+    clear()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +334,7 @@ def test_quadratures_on_the_package_grids_build_no_trajectory(monkeypatch):
 
 
 @pytest.mark.parametrize("parameter, grid", ETA_GRIDS)
-def test_eta_sweep_exponentiates_few_elements(monkeypatch, parameter, grid):
+def test_eta_sweep_exponentiates_few_elements(monkeypatch, uncached_unit_loop, parameter, grid):
     exponentiated = []
     real_exp = np.exp
 
@@ -514,7 +526,7 @@ def test_scaled_unit_loop_matches_a_dense_reference(
         ("delta", (1.0, 1.0, 2.0, 0.5)),
     ],
 )
-def test_eta_sweep_walks_one_unit_loop_per_sweep(monkeypatch, parameter, grid):
+def test_eta_sweep_walks_one_unit_loop_per_sweep(monkeypatch, uncached_unit_loop, parameter, grid):
     calls = []
     real_unit_sums = robustness._unit_sums
 
@@ -529,17 +541,52 @@ def test_eta_sweep_walks_one_unit_loop_per_sweep(monkeypatch, parameter, grid):
     assert calls == [ETA_SWEEP_SAMPLES, (ETA_SWEEP_SAMPLES + 1) // 2]
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+def test_a_second_eta_sweep_walks_no_unit_loop(monkeypatch, capsys, uncached_unit_loop):
+    # The unit loop depends on the sample count alone, so a process walks it once.
+    calls = []
+    real_unit_sums = robustness._unit_sums
+
+    def counting_unit_sums(delta, times, samples):
+        calls.append(samples)
+        return real_unit_sums(delta, times, samples)
+
+    monkeypatch.setattr(robustness, "_unit_sums", counting_unit_sums)
+    outputs = []
+    for parameter, grid in (("phi_l", "-0.5,0.5"), ("delta", "0.5,2"), ("phi_l", "-0.5,0.5")):
+        assert cli.main(["sweep", "--parameter", parameter, "--grid", grid]) == 0
+        outputs.append(capsys.readouterr())
+        if len(outputs) == 1:
+            assert calls == [ETA_SWEEP_SAMPLES, (ETA_SWEEP_SAMPLES + 1) // 2]
+    assert len(calls) == 2
+    assert outputs[2] == outputs[0]
+    # A cleared cache walks the loop again and prints the same bytes.
+    uncached_unit_loop()
+    assert cli.main(["sweep", "--parameter", "phi_l", "--grid", "-0.5,0.5"]) == 0
+    assert capsys.readouterr() == outputs[0]
+    assert len(calls) == 4
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    # The fixture only hands over the cache's clearing function, called per example.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     radius=st.floats(-1.0, 2.0).map(lambda e: 10.0**e),
     delta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
     phi_l=st.floats(-math.pi, math.pi),
     samples=st.one_of(st.integers(1, 100), st.integers(100, 50_000)).map(lambda k: 2 * k + 1),
 )
-def test_extrapolated_eta_sweep_is_fourth_order(radius, delta, phi_l, samples):
+def test_extrapolated_eta_sweep_is_fourth_order(
+    uncached_unit_loop, radius, delta, phi_l, samples
+):
     # On M intervals of one period (x = 2 pi) the unit chord sum S_N is off
     # by M sin(x/M) - x, and the extrapolation S_N + (S_N - S_half) / 3 by
     # -x**5 / (30 M**4) to leading order, with alternating terms beyond.
+    uncached_unit_loop()
     sums = []
     real_unit_sums = robustness._unit_sums
 
