@@ -35,6 +35,7 @@ from .drives import (
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
+    loop_phase,
 )
 from .errors import (
     ConfigError,
@@ -145,6 +146,7 @@ __all__ = [
     "jy_conditioner",
     "jy_squared_gate",
     "jz_conditioner",
+    "loop_phase",
     "noncyclic_scan",
     "odd_parity_projector",
     "phase_gate",

@@ -21,10 +21,11 @@ Each flag is defined once, in ``_FLAGS``.  ``_COMMANDS`` declares each
 subcommand's modes (such as a constant or a document drive, or one kind of
 sweep), the flags each mode reads, and how the given options pick the mode.
 The argument parser and the config-file schema take the union of the modes'
-flags; a run refuses every given flag that its mode does not read, with one
-message that names the mode.  Every command accepts ``--config FILE`` (a
-JSON object whose keys are the command's flag names with underscores;
-explicit flags override config values; unknown keys are rejected),
+flags, and the flags a command parses only to refuse them; a run refuses
+every given flag that its mode does not read, with one message that names
+the mode.  Every command accepts ``--config FILE`` (a JSON object whose
+keys are the command's flag names with underscores; explicit flags
+override config values; unknown keys are rejected),
 ``--format json|csv``, and ``--out PATH``.  Numbers must be finite.  Without
 ``--out`` the report goes to stdout, byte-identical across runs with the
 same inputs.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
@@ -253,16 +254,17 @@ def _oracle_settings(opts: dict) -> OracleSettings | None:
     return OracleSettings(**_given(opts, "n_max", "steps")) if "oracle" in opts else None
 
 
-def _loop_phase(drive: DriveProfile, constant: dict | None, tau: float, samples: int) -> float:
-    """Phi(tau) at a tau that ``drives._require_tau`` accepted: the closed form, or ``gamma0``.
+def _loop_phase(drive: DriveProfile, constant: dict | None, tau: float) -> float:
+    """Phi(tau) in closed form, at a tau that ``drives._require_tau`` accepted.
 
-    The closed form reads a ``constant`` drive's ``omega_over_delta`` and
-    ``delta``; a document takes ``gamma0``.  Each command checks tau before
-    any other use of it, so a tau outside (0, duration] gets one message.
+    A ``constant`` drive takes ``analytic_total_phase`` of its
+    ``omega_over_delta`` and ``delta``; a document takes ``drives.loop_phase``.
+    Each command checks tau before any other use of it, so a tau outside
+    (0, duration] gets one message.
     """
     if constant is not None:
         return analytic_total_phase(constant["omega_over_delta"], constant["delta"], tau)
-    return drives.gamma0(drive, tau, samples)
+    return drives.loop_phase(drive, tau)
 
 
 def _parse_grid(opts: dict) -> list[float]:
@@ -292,7 +294,6 @@ def _parse_grid(opts: dict) -> list[float]:
 def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts)
     tau = drives._require_tau(drive, opts.get("tau"))
-    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     closure_tolerance = opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE)
 
     try:
@@ -302,7 +303,7 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
             raise
         residual, closed = exc.residual, False
 
-    phi = _loop_phase(drive, constant, tau, samples)
+    phi = _loop_phase(drive, constant, tau)
     decomposition = decompose(-phi, 2.0 * phi)
 
     report = {
@@ -310,8 +311,8 @@ def _cmd_phase(opts: dict) -> tuple[dict, str | None]:
         "drive": drives.drive_to_dict(drive),
         "constant": constant,
         "tau": tau,
-        "samples": None if constant is not None else samples,
-        "method": "closed-form" if constant is not None else "quadrature",
+        "samples": None,
+        "method": "closed-form",
         "closure_residual": residual,
         "closed": closed,
         "analytic": _fields(decomposition),
@@ -380,8 +381,7 @@ def _cmd_gate(opts: dict) -> tuple[dict, str | None]:
             constant = drive_echo
         tau = drives._require_tau(drive, opts.get("tau"))
         drives.require_closed(drive, tau, opts.get("closure_tolerance", DEFAULT_CLOSURE_TOLERANCE))
-        samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
-        gamma0_value = _loop_phase(drive, constant, tau, samples)
+        gamma0_value = _loop_phase(drive, constant, tau)
         gate, decompositions = diagonal_gate(drive.conditioner, gamma0_value)
         drive_doc = drives.drive_to_dict(drive)
         conditioner_name = drive.conditioner.name
@@ -425,13 +425,12 @@ def _cmd_oracle_verify(opts: dict) -> tuple[dict, str | None]:
     drive, constant = _resolve_drive(opts)
     conditioner = drive.conditioner
     tau = drives._require_tau(drive, opts.get("tau"))
-    samples = opts.get("samples", drives.DEFAULT_DRIVE_SAMPLES)
     initial_fock = opts.get("initial_fock", 0)
     tolerance = opts.get("tolerance", DEFAULT_ORACLE_TOLERANCE)
     leakage_tolerance = opts.get("leakage_tolerance", DEFAULT_LEAKAGE_TOL)
     state_only = opts.get("state_only", False)
 
-    reference = _loop_phase(drive, constant, tau, samples)
+    reference = _loop_phase(drive, constant, tau)
     # The squared-collective-y gate is checked via its dense exponential
     # instead; diagonal_gate rejects it before the propagation runs.
     _, analytic = diagonal_gate(conditioner, reference)
@@ -597,10 +596,10 @@ _FLAGS = {
     "tau": {"type": float, "metavar": "T",
             "help": "evaluation time (default: full drive duration)"},
     "samples": {"type": int, "metavar": "N",
-                "help": "quadrature samples of a drive document or a sweep point (a constant or "
-                        "designed drive takes the closed form instead; a document samples its "
+                "help": "quadrature samples of a sweep point (a drive document samples its "
                         "tones only, as its pulses are exact from their vertices; an eta sweep "
-                        "takes an odd count per sweep and extrapolates to fourth order)"},
+                        "takes an odd count per sweep and extrapolates to fourth order); phase, "
+                        "gate and oracle-verify take the closed form and refuse it"},
     "require_closed": {"action": "store_true",
                        "help": "fail (exit 2) when the loop is open at tau"},
     "closure_tolerance": {"type": float, "metavar": "TOL",
@@ -662,14 +661,16 @@ class _Command(NamedTuple):
     mode: Callable[[dict], str]
     # Each mode's name and the flags it reads; _options refuses every other flag.
     modes: dict[str, tuple[str, ...]]
-    # The union of the modes' flags: the parser's flags and the config keys.
+    # The union of the modes' flags and the refused ones: the parser's flags
+    # and the config keys.
     flags: tuple[str, ...]
     # Keywords that replace a flag's spec for this subcommand only.
     overrides: dict = {}
 
 
-def _command(handler, help, description, mode, modes, overrides={}) -> _Command:
-    flags = tuple(dict.fromkeys(key for keys in modes.values() for key in keys))
+def _command(handler, help, description, mode, modes, overrides={}, refused=()) -> _Command:
+    """The command; it parses ``refused`` flags, which no mode reads, to refuse them by mode."""
+    flags = tuple(dict.fromkeys(key for keys in (*modes.values(), refused) for key in keys))
     return _Command(handler, help, description, mode, modes, flags, overrides)
 
 
@@ -708,8 +709,9 @@ _COMMANDS = {
         _drive_mode,
         {"constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "tau", "require_closed",
                              "closure_tolerance", *_ORACLE_FLAGS),
-         "document drives": ("drive", "tau", "samples", "require_closed", "closure_tolerance",
+         "document drives": ("drive", "tau", "require_closed", "closure_tolerance",
                              *_ORACLE_FLAGS)},
+        refused=("samples",),
     ),
     "gate": _command(
         _cmd_gate,
@@ -722,7 +724,8 @@ _COMMANDS = {
          "the direct-phase construction": ("gamma0", "conditioner", "correct_to_cz"),
          "the squared-collective-y construction": ("gamma", "conditioner"),
          "constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", *_GATE_DRIVE_FLAGS),
-         "document drives": ("drive", "samples", *_GATE_DRIVE_FLAGS)},
+         "document drives": ("drive", *_GATE_DRIVE_FLAGS)},
+        refused=("samples",),
     ),
     "oracle-verify": _command(
         _cmd_oracle_verify,
@@ -733,9 +736,10 @@ _COMMANDS = {
         {"constant drives": (*_CONSTANT_DRIVE_FLAGS, "periods", "conditioner", "tau", "n_max",
                              "steps", "initial_fock", "tolerance", "leakage_tolerance",
                              "state_only"),
-         "document drives": ("drive", "conditioner", "tau", "samples", "n_max", "steps",
+         "document drives": ("drive", "conditioner", "tau", "n_max", "steps",
                              "initial_fock", "tolerance", "leakage_tolerance", "state_only")},
         {"conditioner": {"choices": ("odd-parity-projector", "jz")}},
+        refused=("samples",),
     ),
     "sweep": _command(
         _cmd_sweep,

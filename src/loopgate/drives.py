@@ -35,6 +35,7 @@ from .phasespace import (
     _exp_rows,
     _require_finite_dynamic,
     _require_positive_delta,
+    _sin_minus_x_over_square,
     _trapezoid_sum,
     _Workspace,
     _workspace,
@@ -154,10 +155,12 @@ class DriveProfile:
     """A sequence of drive segments applied under a single spin conditioner.
 
     ``segment_starts`` and ``segment_alpha_starts`` (read-only) hold the time
-    and alpha at the start of each segment, from 0; they are computed once,
-    at construction.  Every segment must start strictly before the next one
-    and end at a finite time and a finite alpha; otherwise ValueError names
-    the first segment that float arithmetic cannot lay out.
+    and alpha at the start of each segment, from 0, and
+    ``segment_alpha_increments`` each segment's ``alpha_increment`` over its
+    whole duration; they are computed once, at construction.  Every segment
+    must start strictly before the next one and end at a finite time and a
+    finite alpha; otherwise ValueError names the first segment that float
+    arithmetic cannot lay out.
     """
 
     segments: tuple[DriveSegment, ...]
@@ -170,7 +173,8 @@ class DriveProfile:
             raise ValueError("a drive profile needs at least one segment")
         # Python floats overflow without numpy's warnings, so a refusal comes alone.
         starts = list(itertools.accumulate((s.duration for s in segments), initial=0.0))
-        alphas = list(itertools.accumulate(complex(s.alpha_increment(s.duration)) for s in segments))
+        increments = [complex(s.alpha_increment(s.duration)) for s in segments]
+        alphas = list(itertools.accumulate(increments))
         for i, (segment, start, end, alpha) in enumerate(zip(segments, starts, starts[1:], alphas)):
             if not start < end < math.inf:
                 raise ValueError(
@@ -182,7 +186,8 @@ class DriveProfile:
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "total_duration", float(sum(s.duration for s in segments)))
         for name, values in (("segment_starts", starts[:-1]),
-                             ("segment_alpha_starts", [0j, *alphas[:-1]])):
+                             ("segment_alpha_starts", [0j, *alphas[:-1]]),
+                             ("segment_alpha_increments", increments)):
             values = np.array(values)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
@@ -282,9 +287,10 @@ def alpha_array(drive: DriveProfile, t: Sequence[float] | np.ndarray) -> np.ndar
 
 
 def _path_end(drive: DriveProfile, tau: float | None) -> tuple[int, float, complex]:
-    """Segment i holding ``tau`` (None: the full duration), tau's local time in it, alpha(tau).
+    """Segment i holding ``tau`` (None: the full duration), tau's local time in it, its increment.
 
-    alpha(tau) is read off segment i alone, as :func:`alpha_array` reads it.
+    alpha(tau) is ``segment_alpha_starts[i]`` plus that increment, read off
+    segment i alone, as :func:`alpha_array` reads it.
     """
     tau = drive.total_duration if tau is None else float(tau)
     # _locate's rule, on one Python float.
@@ -293,13 +299,13 @@ def _path_end(drive: DriveProfile, tau: float | None) -> tuple[int, float, compl
     starts = drive.segment_starts
     i = min(max(bisect.bisect_right(starts, tau) - 1, 0), len(starts) - 1)
     local = tau - float(starts[i])
-    alpha = drive.segment_alpha_starts[i] + drive.segments[i].alpha_increment(np.array([local]))
-    return i, local, alpha[0]
+    return i, local, complex(drive.segments[i].alpha_increment(np.array([local]))[0])
 
 
 def closure_residual(drive: DriveProfile, tau: float | None = None) -> float:
     """|alpha(tau) - alpha(0)|, with alpha(0) = 0: zero exactly when the loop closes at ``tau``."""
-    return float(abs(_path_end(drive, tau)[2]))
+    i, _, increment = _path_end(drive, tau)
+    return float(abs(drive.segment_alpha_starts[i] + increment))
 
 
 def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
@@ -311,10 +317,10 @@ def peak_alpha(drive: DriveProfile, tau: float | None = None) -> float:
     turns clockwise for w > 0; it reaches |centre| + radius if it turns past
     the circle's far point, at arg(centre), and peaks at a vertex otherwise.
     """
-    last, local, alpha = _path_end(drive, tau)
+    last, local, increment = _path_end(drive, tau)
     starts = drive.segment_alpha_starts.tolist()
     # Each segment's end vertex: the next one's start, or alpha(tau) in the last.
-    ends = [*starts[1 : last + 1], complex(alpha)]
+    ends = [*starts[1 : last + 1], starts[last] + increment]
     peak = 0.0
     for i, (segment, start, end) in enumerate(zip(drive.segments, starts, ends)):
         peak = max(peak, abs(start), abs(end))
@@ -543,6 +549,36 @@ def gamma0(drive: DriveProfile, tau: float | None = None, samples: int = DEFAULT
                 )
             phase += _trapezoid_sum(z.imag, t, f.view(float))
     return _require_finite_dynamic(True, phase)
+
+
+def loop_phase(drive: DriveProfile, tau: float | None = None) -> float:
+    """The loop phase :func:`gamma0` integrates, in closed form: one exact term per segment.
+
+    Segment i runs from its start vertex a_i by the increment d_i over its
+    length L up to ``tau``.  It adds Im(conj(a_i) * d_i), twice the signed
+    area between the origin and its chord; a tone of amplitude A and
+    frequency w also adds |A|**2 (sin(wL) - wL) / w**2, twice the signed
+    area between its arc and its chord.  That term is formed as
+    (|A| L)**2 (sin x - x) / x**2 at x = wL, which overflows only where the
+    term does and keeps the term where x**2 underflows.  Only the segment
+    holding ``tau`` evaluates its increment; the others read the ones the
+    profile stored.  ``tau`` must lie in (0, duration], and a phase that
+    overflows raises ValueError.
+    """
+    last, local, increment = _path_end(drive, _require_tau(drive, tau))
+    starts = drive.segment_alpha_starts.tolist()
+    increments = [*drive.segment_alpha_increments[:last].tolist(), increment]
+    phase = 0.0
+    for i, (segment, start, step) in enumerate(zip(drive.segments, starts, increments)):
+        phase += start.real * step.imag - start.imag * step.real
+        if segment.frequency:
+            length = local if i == last else segment.duration
+            # Python floats overflow to inf here, where ** would raise.
+            scale = math.hypot(segment.amplitude.real, segment.amplitude.imag) * length
+            phase += scale * _sin_minus_x_over_square(segment.frequency * length) * scale
+    if not math.isfinite(phase):
+        raise ValueError("loop phase is not finite: the drive or its path overflows")
+    return phase
 
 
 def design_constant_drive(

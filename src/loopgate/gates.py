@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drives import DriveProfile, gamma0, require_closed, DEFAULT_DRIVE_SAMPLES
+from .drives import DriveProfile, loop_phase, require_closed
 from .errors import InternalConsistencyError, NonDiagonalGateError, NonUnitaryError
 from .phasespace import DEFAULT_CLOSURE_TOLERANCE, PhaseDecomposition, decompose
 
@@ -127,7 +127,9 @@ class TwoQubitGate:
 
     ``phases`` carries the exact (unwrapped) diagonal phases when the gate is
     diagonal, so downstream code never has to re-extract angles from matrix
-    entries.  Unitarity is enforced at construction.
+    entries.  Unitarity is enforced at construction: the defect is the
+    spectral norm of M^H M - I, which for an exactly diagonal M is the
+    largest ||d_i|**2 - 1| over its diagonal d, with no SVD.
     """
 
     matrix: np.ndarray
@@ -139,7 +141,12 @@ class TwoQubitGate:
             raise ValueError(f"gate matrix must be 4x4, got {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise ValueError("gate matrix has non-finite entries")
-        defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(4), 2)
+        diagonal = matrix.diagonal()
+        if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+            # In Python floats a square past the float range is inf, with no warning.
+            defect = max(abs(z.real * z.real + z.imag * z.imag - 1.0) for z in diagonal.tolist())
+        else:
+            defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(4), 2)
         if defect > UNITARITY_TOLERANCE:
             raise NonUnitaryError(f"gate matrix is not unitary: defect {defect:.3e}")
         if self.phases is not None:
@@ -218,12 +225,11 @@ def collective_gate(
     tau: float | None = None,
     conditioner: SpinConditioner | None = None,
     *,
-    samples: int = DEFAULT_DRIVE_SAMPLES,
     closure_tolerance: float = DEFAULT_CLOSURE_TOLERANCE,
 ) -> tuple[TwoQubitGate, tuple[PhaseDecomposition, ...]]:
     """Gate produced by a closed drive loop under a diagonal conditioner.
 
-    The :func:`diagonal_gate` of ``gamma0(drive, tau, samples)`` once
+    The :func:`diagonal_gate` of the closed-form ``loop_phase(drive, tau)`` once
     :func:`~loopgate.drives.require_closed` accepts the loop, with the
     drive's own conditioner unless ``conditioner`` is given.
 
@@ -234,7 +240,7 @@ def collective_gate(
     if conditioner is None:
         conditioner = drive.conditioner
     require_closed(drive, tau, closure_tolerance)
-    return diagonal_gate(conditioner, gamma0(drive, tau, samples))
+    return diagonal_gate(conditioner, loop_phase(drive, tau))
 
 
 def jy_squared_gate(gamma: float) -> TwoQubitGate:

@@ -436,15 +436,31 @@ def analytic_trajectory(
 _SIN_MINUS_X = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(1, 11))
 
 
+def _sin_minus_x_series(square: float) -> float:
+    """(sin(x) - x) / x**3 at x**2 = ``square``, for |x| < 1, where it is accurate to rounding."""
+    series = 0.0
+    for coefficient in reversed(_SIN_MINUS_X):
+        series = series * square + coefficient
+    return series
+
+
 def _sin_minus_x(x: float) -> float:
     """sin(x) - x, summed as its Taylor series below |x| = 1, where the difference cancels."""
     if not abs(x) < 1.0:
         return math.sin(x) - x
     square = x * x
-    series = 0.0
-    for coefficient in reversed(_SIN_MINUS_X):
-        series = series * square + coefficient
-    return x * square * series
+    return x * square * _sin_minus_x_series(square)
+
+
+def _sin_minus_x_over_square(x: float) -> float:
+    """(sin(x) - x) / x**2, by :func:`_sin_minus_x`'s series below |x| = 1.
+
+    Near 0 it is x times the series, so it keeps its digits where x**2, and
+    with it sin(x) - x, underflows.
+    """
+    if not abs(x) < 1.0:
+        return (math.sin(x) - x) / x / x
+    return x * _sin_minus_x_series(x * x)
 
 
 def analytic_total_phase(omega_over_delta: float, delta: float, t: float) -> float:

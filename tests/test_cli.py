@@ -168,9 +168,9 @@ def test_phase_oracle_truncation_exit(capsys):
 def test_phase_drive_document(capsys, tmp_path):
     path = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     report = run_json(capsys, "phase", "--drive", path)
-    assert report["method"] == "quadrature"
-    assert report["analytic"]["total"] == pytest.approx(-HALF_PI, abs=1e-9)
-    assert report["analytic"]["eta"] == pytest.approx(-2.0, abs=1e-7)
+    assert (report["method"], report["samples"]) == ("closed-form", None)
+    assert report["analytic"]["total"] == pytest.approx(-HALF_PI, abs=1e-11)
+    assert report["analytic"]["eta"] == pytest.approx(-2.0, abs=1e-11)
 
 
 def test_phase_document_rejects_inline_parameters(capsys, tmp_path):
@@ -314,34 +314,45 @@ def test_gate_from_drive_document(capsys, tmp_path):
     assert report["gate"]["phases"][1] == pytest.approx(-HALF_PI, abs=1e-9)
 
 
+def _count_gamma0_calls(monkeypatch) -> list:
+    """The argument tuples of the gamma0 quadratures that runs make, through any binding."""
+    calls = []
+    quadrature = drives.gamma0
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "loopgate" or name.startswith("loopgate."):
+            for attribute, value in list(vars(module).items()):
+                if value is quadrature:
+                    monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
 @pytest.fixture
 def gate_calls(monkeypatch):
     """The gamma0 quadratures a run makes, and the loop phases its diagonal gates take."""
-    from loopgate import gates
-
-    calls = {"gamma0": [], "loop_phase": []}
-    real_gamma0, real_diagonal_gate = drives.gamma0, cli.diagonal_gate
-
-    def counting_gamma0(*args, **kwargs):
-        calls["gamma0"].append(args)
-        return real_gamma0(*args, **kwargs)
+    calls = {"gamma0": _count_gamma0_calls(monkeypatch), "loop_phase": []}
+    real_diagonal_gate = cli.diagonal_gate
 
     def recording_diagonal_gate(conditioner, gamma0_value):
         calls["loop_phase"].append(gamma0_value)
         return real_diagonal_gate(conditioner, gamma0_value)
 
-    monkeypatch.setattr(drives, "gamma0", counting_gamma0)
-    monkeypatch.setattr(gates, "gamma0", counting_gamma0)
     monkeypatch.setattr(cli, "diagonal_gate", recording_diagonal_gate)
     return calls
 
 
-def test_gate_runs_one_gamma0_quadrature(capsys, tmp_path, gate_calls):
-    # Only a drive document takes its loop phase by quadrature.
-    report = run_json(capsys, "gate", "--drive", write_doc(tmp_path, "square.json", SQUARE_DOC))
-    assert len(gate_calls["gamma0"]) == 1
-    assert gate_calls["loop_phase"] == [drives.gamma0(*gate_calls["gamma0"][0])]
-    assert report["gamma0"] == pytest.approx(gate_calls["loop_phase"][0], rel=1e-11)
+def test_gate_takes_a_document_loop_phase_in_closed_form(capsys, tmp_path, gate_calls):
+    # A drive document's loop phase is the segment sum of drives.loop_phase;
+    # no command runs the gamma0 quadrature.
+    path = write_doc(tmp_path, "square.json", SQUARE_DOC)
+    report = run_json(capsys, "gate", "--drive", path)
+    assert gate_calls["gamma0"] == []
+    assert gate_calls["loop_phase"] == [drives.loop_phase(cli._load_drive_file(path))]
+    assert report["gamma0"] == json.loads(json_text({"g": gate_calls["loop_phase"][0]}))["g"]
 
 
 @pytest.mark.parametrize(
@@ -520,31 +531,19 @@ def test_oracle_verify_rejects_jy(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_oracle_verify_integrates_gamma0_only_for_drive_documents(capsys, monkeypatch, tmp_path):
-    # Constant-drive flags name a single tone, whose loop phase has a closed
-    # form; only a drive document needs the quadrature.
-    calls = []
-    quadrature = drives.gamma0
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quadrature(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "loopgate" or name.startswith("loopgate."):
-            for attribute, value in list(vars(module).items()):
-                if value is quadrature:
-                    monkeypatch.setattr(module, attribute, counted)
+def test_oracle_verify_integrates_no_gamma0(capsys, monkeypatch, tmp_path):
+    # Constant-drive flags name a single tone, and a drive document is a sum
+    # of tones and pulses: both loop phases have a closed form.
+    calls = _count_gamma0_calls(monkeypatch)
     common = ("--n-max", "16", "--steps", "1000", "--state-only")
     constant = run_json(capsys, "oracle-verify", "--omega-over-delta", "0.5", *common)
-    assert calls == []
     # The report prints 12 significant digits.
     exact = analytic_total_phase(0.5, 1.0, 2.0 * math.pi)
     assert constant["gamma0"] == pytest.approx(exact, abs=1e-11)
     path = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     document = run_json(capsys, "oracle-verify", "--drive", path, *common)
-    assert len(calls) == 1
-    assert document["gamma0"] == pytest.approx(constant["gamma0"], abs=1e-11)
+    assert calls == []
+    assert document["gamma0"] == constant["gamma0"]
 
 
 def test_non_diagonal_conditioner_rejected_for_diagonal_constructions(capsys, tmp_path):
@@ -813,6 +812,10 @@ SHAPE = ("sweep", "--parameter", "loop_shape", "--drive", "{circle}")
         (("gate", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
         (("gate", "--target-phase", "-1"), "--samples=101", "the designed construction"),
         (("oracle-verify", "--omega-over-delta", "0.5"), "--samples=101", "constant drives"),
+        # A document's loop phase is in closed form too.
+        (("phase", "--drive", "{circle}"), "--samples=101", "document drives"),
+        (("gate", "--drive", "{circle}"), "--samples=101", "document drives"),
+        (("oracle-verify", "--drive", "{circle}"), "--samples=101", "document drives"),
         (TIME, "--agreement-tolerance=0.1", "time sweeps"),
         (TIME, "--closure-tolerance=0.1", "time sweeps"),
         (TIMING, "--agreement-tolerance=0.1", "timing_error sweeps"),
@@ -1188,8 +1191,8 @@ def test_config_inline_drive(capsys, tmp_path):
     cfg = {"schema_version": 1, "command": "phase", "drive": CIRCLE_DOC}
     path = write_doc(tmp_path, "cfg.json", cfg)
     report = run_json(capsys, "phase", "--config", path)
-    assert report["method"] == "quadrature"
-    assert report["analytic"]["total"] == pytest.approx(-HALF_PI, abs=1e-9)
+    assert (report["method"], report["samples"]) == ("closed-form", None)
+    assert report["analytic"]["total"] == pytest.approx(-HALF_PI, abs=1e-11)
 
 
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
@@ -1335,13 +1338,14 @@ def _one_segment(**segment):
 
 
 def test_each_vertex_takes_its_own_segment_on_every_command(capsys):
-    # Each vertex takes f from its own segment.  With the next segment's f
-    # at a grid vertex every value below moves, and the half disk's
-    # quadrature reference misses its oracle by 6.3e-4.
+    # Each vertex takes f from its own segment, in the closed form and in the
+    # loop_shape quadrature.  With the next segment's f at a grid vertex the
+    # quadrature's values move, and a half-disk reference taken from it
+    # misses its oracle by 6.3e-4.
     data = Path(__file__).parent / "data"
     half_disk, square = str(data / "half_disk.json"), str(data / "unit_square.json")
     assert run_json(capsys, "phase", "--drive", half_disk)["analytic"]["total"] == -0.785398163397
-    for argv, total in ((["--samples", "20000"], 2.0), (["--tau", "2"], 1.0)):
+    for argv, total in (([], 2.0), (["--tau", "2"], 1.0)):
         assert run_json(capsys, "phase", "--drive", square, *argv)["analytic"]["total"] == total
     row = run_json(capsys, "sweep", "--parameter", "loop_shape", "--drive", square)["rows"][0]
     assert (row["geometric"], row["eta"]) == (-2.0, -2.0)
@@ -1741,8 +1745,13 @@ SWALLOWED_KICKS = _pulses(
 )
 OVERFLOWING_DURATION = _pulses((1e308, (0, 0)), (1e308, (0, 0)))
 OVERFLOWING_VERTEX = _pulses((1.0, (1e308, 0)), (1.0, (1e308, 0)))
+# A closed tone whose loop phase, about -6.3e320, passes the float range.
+HUGE_TONE = dict(OVERFLOWING_TONE, segments=[
+    {"duration": 2.0 * math.pi, "amplitude": [1e160, 0.0], "frequency": 1.0}
+])
 OVERFLOWING_DOCS = {
     "TONE": OVERFLOWING_TONE,
+    "BIG": HUGE_TONE,
     "KICKS": SWALLOWED_KICKS,
     "LONG": OVERFLOWING_DURATION,
     "HUGE": OVERFLOWING_VERTEX,
@@ -1752,7 +1761,12 @@ OVERFLOWING_DOCS = {
 @pytest.mark.parametrize(
     "argv,cause",
     [
-        (["phase", "--drive", "TONE"], "loop-phase integrand conj(alpha) f is not finite"),
+        (["phase", "--drive", "TONE"],
+         "loop phase is not finite: the drive or its path overflows"),
+        (["phase", "--drive", "BIG"], "loop phase is not finite: the drive or its path overflows"),
+        (["gate", "--drive", "BIG"], "loop phase is not finite: the drive or its path overflows"),
+        (["oracle-verify", "--drive", "BIG"],
+         "loop phase is not finite: the drive or its path overflows"),
         (["sweep", "--parameter", "loop_shape", "--drive", "TONE"],
          "trajectory contains non-finite samples"),
         (["phase", "--omega-over-delta=-1e+308", "--delta=1e-300"],

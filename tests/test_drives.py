@@ -25,6 +25,7 @@ from loopgate.drives import (
     four_pulse_sequence,
     gamma0,
     induced_trajectory,
+    loop_phase,
     peak_alpha,
     require_closed,
 )
@@ -350,6 +351,79 @@ def test_gamma0_takes_each_vertex_from_its_own_segment(samples):
     assert gamma0(half_disk, samples=samples) == pytest.approx(-math.pi / 4.0, rel=1e-12)
     assert gamma0(square, samples=samples) == 2.0
     assert gamma0(square, 2.0, samples) == 1.0
+
+
+def test_loop_phase_of_the_data_documents_is_exact():
+    # The half disk's float entries put its exact phase 9.1e-17 above -pi/4
+    # (-0.78539816339744818715...), which rounds to one ulp above -pi/4.
+    half_disk, square, kick = (
+        drive_from_dict(json.loads((DATA / name).read_text()))
+        for name in ("half_disk.json", "unit_square.json", "kick.json")
+    )
+    assert loop_phase(half_disk) == -0.7853981633974482
+    assert abs(loop_phase(half_disk) + math.pi / 4.0) <= math.ulp(math.pi / 4.0)
+    assert loop_phase(square) == 2.0
+    assert loop_phase(square, 2.0) == 1.0
+    # The kick square of side 3 encloses 9, twice over in gamma0.
+    assert loop_phase(kick) == 18.0
+
+
+def _tone(amplitude, frequency, duration):
+    return DriveProfile((DriveSegment(duration, amplitude, frequency),), odd_parity_projector())
+
+
+@pytest.mark.parametrize(
+    "amplitude, frequency, duration",
+    [(1.0, 1e-300, 1.0), (1e150, 1e-160, 2.0), (1.0, 1e-4, 1.0), (3.0 - 4.0j, -1e-4, 2.0)],
+)
+def test_loop_phase_of_a_slow_tone_keeps_its_leading_term(amplitude, frequency, duration):
+    # |A|^2 (sin x - x) / w^2 at x = wL is -|A|^2 L^2 x (1/6 - x^2/120 + ...):
+    # formed as (|A| L)^2 (sin x - x) / x^2 it keeps its digits where
+    # (|A|/w)^2 overflows, x^2 underflows, or sin x - x cancels, as
+    # at x = 1e-4, where it cancels 8 digits.
+    x = frequency * duration
+    exact = -abs(amplitude) ** 2 * duration**2 * x * (1.0 / 6.0 - x * x / 120.0)
+    phase = loop_phase(_tone(amplitude, frequency, duration))
+    assert phase == pytest.approx(exact, rel=4e-16)
+    # gamma0 is finite on these paths too, though its alpha loses the
+    # second-order term that 1 - cos(wL) rounds away at the two smallest w.
+    assert math.isfinite(gamma0(_tone(amplitude, frequency, duration)))
+
+
+def test_loop_phase_overflow_raises_one_error():
+    # At amplitude 1e160 the loop phase passes the float range; abs(A) ** 2
+    # would raise OverflowError, which is not a ValueError.
+    message = "^loop phase is not finite: the drive or its path overflows$"
+    with pytest.raises(ValueError, match=message):
+        loop_phase(_tone(1e160, 1.0, 2.0 * math.pi))
+    pulses = DriveProfile(
+        (DriveSegment(1.0, 1e160), DriveSegment(1.0, 1e160j)), odd_parity_projector()
+    )
+    with pytest.raises(ValueError, match="^loop phase is not finite"):
+        loop_phase(pulses)
+
+
+def test_loop_phase_evaluates_only_the_segment_holding_tau(monkeypatch):
+    # The others read the increments the profile stored at construction.
+    square = drive_from_dict(json.loads((DATA / "unit_square.json").read_text()))
+    calls = []
+    real_increment = DriveSegment.alpha_increment
+
+    def counting_increment(segment, s):
+        calls.append(np.size(s))
+        return real_increment(segment, s)
+
+    monkeypatch.setattr(DriveSegment, "alpha_increment", counting_increment)
+    # Twice the area of the fan 0, 1, 1 + i, 0.5 + i.
+    assert loop_phase(square, 2.5) == 1.5
+    assert calls == [1]
+
+
+def test_loop_phase_validates_tau():
+    drive = constant_drive(ConstantDriveParams(omega_d=0.5, delta=1.0))
+    for tau in (0.0, -1.0, 100.0):
+        with pytest.raises(ValueError, match="^tau must lie in"):
+            loop_phase(drive, tau)
 
 
 def test_peak_of_the_kick_document_is_its_far_corner():

@@ -115,6 +115,48 @@ def test_gate_rejects_non_unitary():
         TwoQubitGate(matrix=np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex))
 
 
+def _counting_norm(monkeypatch) -> list:
+    """One entry per np.linalg.norm call: the SVD behind a non-diagonal unitarity check."""
+    calls = []
+    real_norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
+def test_diagonal_gate_defect_is_its_largest_squared_modulus_gap(monkeypatch):
+    # |d|^2 - 1 on the diagonal is the spectral norm of M^H M - I, with the
+    # SVD's bound and message; a diagonal gate takes it without an SVD.
+    norms = _counting_norm(monkeypatch)
+    matrix = np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]).astype(complex)
+    svd_defect = np.linalg.svd(matrix.conj().T @ matrix - np.eye(4), compute_uv=False)[0]
+    with pytest.raises(NonUnitaryError) as refused:
+        TwoQubitGate(matrix=matrix)
+    assert str(refused.value) == f"gate matrix is not unitary: defect {svd_defect:.3e}"
+    assert str(refused.value) == "gate matrix is not unitary: defect 2.000e-09"
+    phased = np.diag(np.exp(1j * np.array([0.1, -2.0, 3.0, 0.5]))) * (1.0 + 1e-9)
+    with pytest.raises(NonUnitaryError, match="defect 2.000e-09"):
+        TwoQubitGate(matrix=phased)
+    # Within the bound, a diagonal gate builds, and not one of these calls an SVD.
+    TwoQubitGate(matrix=np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11]).astype(complex))
+    diagonal_gate(jz_conditioner(), -1.3)
+    apply_local_phase_correction(phase_gate(0.3), 0.2)
+    assert norms == []
+
+
+def test_non_diagonal_gate_defect_takes_the_svd(monkeypatch):
+    norms = _counting_norm(monkeypatch)
+    gate = jy_squared_gate(0.3)
+    assert norms == [1]
+    with pytest.raises(NonUnitaryError, match="^gate matrix is not unitary: defect 2.000e-09$"):
+        TwoQubitGate(matrix=gate.matrix * (1.0 + 1e-9))
+    assert norms == [1, 1]
+
+
 def test_gate_rejects_inconsistent_phases():
     with pytest.raises(InternalConsistencyError):
         TwoQubitGate(matrix=np.eye(4, dtype=complex), phases=(0.0, 0.1, 0.0, 0.0))

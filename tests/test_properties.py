@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from loopgate.drives import (
     drive_from_dict,
     drive_to_dict,
     gamma0,
+    loop_phase,
     peak_alpha,
 )
 from loopgate.gates import jy_conditioner, jz_conditioner, odd_parity_projector
 from loopgate.oracle import DEFAULT_LEAKAGE_TOL, FockSpace, propagate
+from loopgate.phasespace import analytic_total_phase
 from loopgate.robustness import area_invariance_study
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -65,14 +68,17 @@ def shoelace_area(vertices):
 
 
 @st.composite
-def cut_documents(draw):
-    """A drive of tones, of pulses or of both, and a time tau at which to cut it."""
+def cut_documents(draw, shortest=0.01):
+    """A drive of tones, of pulses or of both, and a time tau at which to cut it.
+
+    Segments last from ``shortest`` to 2, and tones turn by 0.1 to 8 radians.
+    """
     kinds = draw(st.sampled_from((("tone",), ("pulse",), ("tone", "pulse"))))
     segments = []
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(kinds))
         amplitude = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
-        duration = draw(st.floats(0.01, 2.0))
+        duration = draw(st.floats(shortest, 2.0))
         frequency = 0.0
         if kind == "tone":
             # Mostly less than a full turn, so that the far point may lie off the arc.
@@ -98,6 +104,47 @@ def test_peak_alpha_bounds_the_dense_path_by_half_a_step(document):
     half_step = max(abs(s.amplitude) for s in drive.segments) * (t[1] - t[0]) / 2.0
     assert dense <= peak + rounding
     assert peak <= dense + half_step + rounding
+
+
+@settings(PROPERTY, max_examples=100)
+@given(cut_documents(shortest=0.1))
+def test_loop_phase_is_the_richardson_limit_of_gamma0(document):
+    # gamma0's trapezoid errs by c h^2 + O(h^3), so (4 gamma0(h/2) - gamma0(h)) / 3
+    # leaves O(h^3), within 2e-13 of the scale below at tone frequencies up
+    # to 80; at 800 it reaches 1.6e-12, and more samples take it to the sum.
+    # Peak |alpha| times the path length up to tau bounds the integral of
+    # |conj(alpha) f|, the scale of every term of the sum.
+    drive, tau = document
+    coarse, fine = gamma0(drive, tau, 100_001), gamma0(drive, tau, 200_001)
+    reference = (4.0 * fine - coarse) / 3.0
+    length = sum(
+        abs(segment.amplitude) * min(segment.duration, max(tau - start, 0.0))
+        for segment, start in zip(drive.segments, drive.segment_starts)
+    )
+    scale = peak_alpha(drive, tau) * length
+    assert abs(loop_phase(drive, tau) - reference) <= 1e-12 * scale
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    r=st.floats(1e-3, 1e3),
+    sign=st.sampled_from((-1.0, 1.0)),
+    delta=st.floats(1e-3, 1e3),
+    phi_l=st.floats(-math.pi, math.pi),
+    periods=st.floats(0.1, 5.0),
+    fraction=st.floats(0.01, 1.0),
+)
+def test_loop_phase_of_a_constant_drive_is_its_closed_form(
+    r, sign, delta, phi_l, periods, fraction
+):
+    # Within 8 units of relative rounding (8 eps |phase|): the two forms take
+    # the radius as r and as |A| / w of the rounded amplitude A = -r delta
+    # exp(i phi_l), and each rounds the phase of its own inputs within 4 eps.
+    drive = constant_drive(ConstantDriveParams(sign * r * delta, delta, phi_l), periods)
+    tau = fraction * drive.total_duration
+    closed_form = analytic_total_phase(sign * r, delta, tau)
+    bound = 8.0 * sys.float_info.epsilon * abs(closed_form)
+    assert abs(loop_phase(drive, tau) - closed_form) <= bound
 
 
 @PROPERTY
